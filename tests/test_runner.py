@@ -4,6 +4,7 @@ algebraic solution, determinism, telemetry schema and decimation."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -29,6 +30,23 @@ GOLDEN_HEADER = (
 
 def test_csv_header_is_frozen():
     assert CSV_HEADER == GOLDEN_HEADER
+
+
+def test_golden_telemetry_bytes(config):
+    # Full SHA-256 of two shipped runs' CSV: the search at default decimation,
+    # and a per-step load-step abandon with ideal current tracking. Any change
+    # to the integrator, the control law or the CSV formatting shows here.
+    search = simulate(config.scenario("quarter-load-search"), config)
+    assert hashlib.sha256(csv_bytes(search.records)).hexdigest() == (
+        "8de70a6e68f5d7747b40d340dc4c004b02a417e497db592240be88e3d36578c4"
+    )
+    ideal = dataclasses.replace(
+        config, machine=dataclasses.replace(config.machine, current_tracking_time_constant=0.0)
+    )
+    abandon = simulate(ideal.scenario("load-step-abandon"), ideal, decimation=1)
+    assert hashlib.sha256(csv_bytes(abandon.records)).hexdigest() == (
+        "16cce460e45c739f5b2f3392b93146f34fd454f1582ffae61d726a0a01c72634"
+    )
 
 
 def test_zero_duration_scenario_yields_empty_stream(config):
