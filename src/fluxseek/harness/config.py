@@ -9,6 +9,7 @@ keys are rejected, and every diagnostic carries the dotted key path.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -138,11 +139,22 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _num(mapping: dict, key: str, path: str) -> float:
-    value = _require(mapping, key, path)
+def _finite(value, key: str) -> float:
+    """``value`` as a float, or a ConfigError at ``key`` unless it is a finite
+    YAML number (an integer too large for a float counts as infinite)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("expected a number", key=f"{path}.{key}")
-    return float(value)
+        raise ConfigError("expected a number", key=key)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError("expected a finite number", key=key)
+    return number
+
+
+def _num(mapping: dict, key: str, path: str) -> float:
+    return _finite(_require(mapping, key, path), f"{path}.{key}")
 
 
 def _int(mapping: dict, key: str, path: str) -> int:
@@ -241,11 +253,9 @@ def _parse_fuzzy(node, path: str, machine: MachineParams) -> tuple[ScalingGains,
 
     def _range(key: str) -> tuple[float, float]:
         pair = _sequence(_require(envelope, key, env_path), f"{env_path}.{key}")
-        if len(pair) != 2 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
-        ):
+        if len(pair) != 2:
             raise ConfigError("expected [low, high] numbers", key=f"{env_path}.{key}")
-        lo, hi = float(pair[0]), float(pair[1])
+        lo, hi = (_finite(v, f"{env_path}.{key}") for v in pair)
         if not lo < hi:
             raise ConfigError("range must satisfy low < high", key=f"{env_path}.{key}")
         return lo, hi
@@ -290,11 +300,9 @@ def _parse_profile(node, path: str) -> tuple[tuple[float, float], ...]:
     profile = []
     for i, raw in enumerate(entries):
         pair = _sequence(raw, f"{path}[{i}]")
-        if len(pair) != 2 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
-        ):
+        if len(pair) != 2:
             raise ConfigError("expected a [time, value] pair", key=f"{path}[{i}]")
-        profile.append((float(pair[0]), float(pair[1])))
+        profile.append(tuple(_finite(v, f"{path}[{i}]") for v in pair))
     return tuple(profile)
 
 

@@ -100,6 +100,29 @@ def test_unknown_keys_rejected_with_path(default_text, needle, replacement, key_
         parse_config(broken)
 
 
+@pytest.mark.parametrize(
+    "needle,replacement,key_pattern",
+    [
+        ("friction: 0.002", "friction: .nan", r"machine\.friction"),
+        ("converter_fixed_loss: 30.0", "converter_fixed_loss: .nan", r"machine\.converter_fixed_loss"),
+        ("search_period: 0.5", "search_period: .inf", r"optimizer\.search_period"),
+        ("speed: [0.0, 160.0]", "speed: [0.0, .inf]", r"fuzzy\.envelope\.speed"),
+        ("inertia: 0.05", "inertia: 1" + "0" * 400, r"machine\.inertia"),
+        ("load_torque: [[0.0, 6.0]]", "load_torque: [[0.0, 1" + "0" * 400 + "]]", r"scenarios\[0\]\.load_torque\[0\]"),
+        ("speed_kp: 2.0", "speed_kp: -1.0", r"control: speed loop gains must be >= 0"),
+    ],
+    ids=[
+        "friction-nan", "converter-loss-nan", "search-period-inf", "envelope-inf",
+        "huge-integer", "profile-huge-integer", "negative-kp",
+    ],
+)
+def test_bad_numbers_rejected_with_path(default_text, needle, replacement, key_pattern):
+    broken = default_text.replace(needle, replacement)
+    assert broken != default_text
+    with pytest.raises(ConfigError, match=key_pattern):
+        parse_config(broken)
+
+
 def test_wrong_type_rejected(default_text):
     broken = default_text.replace("pole_pairs: 2", "pole_pairs: two")
     with pytest.raises(ConfigError, match="pole_pairs"):
