@@ -18,7 +18,7 @@ from .errors import (
     SearchModeError,
     SimulationDivergedError,
 )
-from .foc import DriveCommand, SpeedLoopState, make_drive_command, rated_flux_command, speed_pi_step
+from .foc import speed_pi_step
 from .fuzzy import (
     EfficiencyController,
     FuzzyRule,
@@ -55,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CompensatorState",
     "ConfigError",
-    "DriveCommand",
     "DriveMode",
     "EfficiencyController",
     "FLUX_FLOOR_FRACTION",
@@ -75,7 +74,6 @@ __all__ = [
     "SearchSettings",
     "SearchState",
     "SimulationDivergedError",
-    "SpeedLoopState",
     "TorqueCompensator",
     "advance_sample_timer",
     "continuous_compensation",
@@ -87,10 +85,8 @@ __all__ = [
     "height_defuzzify",
     "infer",
     "input_gain",
-    "make_drive_command",
     "output_gain",
     "predicted_flux_trajectory",
-    "rated_flux_command",
     "search_sample",
     "speed_pi_step",
     "update_mode",

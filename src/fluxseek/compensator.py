@@ -32,12 +32,6 @@ class CompensatorState:
 
     psi_at_step: float   # Wb, Psi_dr(0)
     iqs_at_step: float   # A, total torque-current command at the step
-    enabled: bool
-    flux_source: str     # "measured" or "predicted"
-
-    def __post_init__(self) -> None:
-        if self.flux_source not in FLUX_SOURCES:
-            raise ValueError(f"flux_source must be one of {FLUX_SOURCES}")
 
 
 def continuous_compensation(state: CompensatorState, delta_psi: float) -> float:
@@ -124,12 +118,7 @@ class TorqueCompensator:
             self.base += discrete_compensation(
                 self.state.psi_at_step, psi_now, self.state.iqs_at_step
             )
-        self.state = CompensatorState(
-            psi_at_step=psi_now,
-            iqs_at_step=pi_output + self.base,
-            enabled=True,
-            flux_source=self.flux_source,
-        )
+        self.state = CompensatorState(psi_at_step=psi_now, iqs_at_step=pi_output + self.base)
         self.latch_time = t
         self.target_i_ds = new_i_ds_cmd
 

@@ -1,47 +1,25 @@
-"""Indirect field-oriented control layer: PI speed loop and the rated-flux
-transient excitation command."""
+"""Indirect field-oriented control layer: the discrete PI speed loop.
+
+The loop's gains and torque-current limit are validated where they enter
+(``parse_config`` and ``MachineParams``); the excitation command and the
+current limiting live in the closed loop of ``harness.runner``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .machine import MachineParams
-
-
-@dataclass(frozen=True)
-class SpeedLoopState:
-    """Discrete PI speed controller state. The integrator already carries the
-    ki factor (amperes), and is clamped so its contribution alone can never
-    exceed the output limit."""
-
-    kp: float            # A / (rad/s)
-    ki: float            # A / (rad/s * s)
-    integrator: float    # A
-    output_limit: float  # A, torque-current bound
-
-    def __post_init__(self) -> None:
-        if self.kp < 0.0 or self.ki < 0.0:
-            raise ValueError("kp and ki must be >= 0")
-        if self.output_limit <= 0.0:
-            raise ValueError("output_limit must be > 0")
-        if abs(self.integrator) > self.output_limit:
-            raise ValueError("integrator magnitude exceeds output_limit")
-
 
 def speed_pi_step(
-    loop: SpeedLoopState, omega_ref: float, omega_r: float, dt: float
-) -> tuple[SpeedLoopState, float]:
-    """One PI update; returns the new loop state and the torque-current command.
+    integrator: float, error: float, kp: float, ki: float, limit: float, dt: float
+) -> tuple[float, float]:
+    """One PI update on the speed error; returns the new integrator and the
+    torque-current command.
 
-    Conditional anti-windup: the integrator is frozen while the unsaturated
-    output exceeds the limit in the error's own direction, and is additionally
-    clamped to +/- output_limit.
+    The integrator already carries the ki factor (amperes). Conditional
+    anti-windup: the integrator is frozen while the unsaturated output
+    exceeds the limit in the error's own direction, and is additionally
+    clamped to +/- limit.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    error = omega_ref - omega_r
-    unsaturated = loop.kp * error + loop.integrator
-    limit = loop.output_limit
+    unsaturated = kp * error + integrator
     if unsaturated > limit:
         output = limit
         saturated_same_direction = error > 0.0
@@ -51,35 +29,10 @@ def speed_pi_step(
     else:
         output = unsaturated
         saturated_same_direction = False
-    if saturated_same_direction:
-        integrator = loop.integrator
-    else:
-        integrator = loop.integrator + loop.ki * error * dt
+    if not saturated_same_direction:
+        integrator = integrator + ki * error * dt
         if integrator > limit:
             integrator = limit
         elif integrator < -limit:
             integrator = -limit
-    return replace(loop, integrator=integrator), output
-
-
-def rated_flux_command(params: MachineParams) -> float:
-    """Transient-position excitation command: the rated value, always."""
-    return params.rated_excitation_current
-
-
-@dataclass(frozen=True)
-class DriveCommand:
-    """One step's command bundle after limiting."""
-
-    speed_reference: float  # rad/s
-    i_ds_command: float     # A
-    i_qs_command: float     # A
-
-
-def make_drive_command(
-    params: MachineParams, speed_reference: float, i_ds_raw: float, i_qs_raw: float
-) -> DriveCommand:
-    """Clamp raw excitation / torque current requests into the drive limits."""
-    i_ds = min(max(i_ds_raw, params.min_excitation_current), params.rated_excitation_current)
-    i_qs = min(max(i_qs_raw, -params.max_torque_current), params.max_torque_current)
-    return DriveCommand(speed_reference=speed_reference, i_ds_command=i_ds, i_qs_command=i_qs)
+    return integrator, output

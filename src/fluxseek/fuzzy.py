@@ -195,31 +195,15 @@ class ScalingGains:
         """Both gains are affine, so positivity over the box follows from
         positivity at its corners."""
         for w in speed_range:
-            if input_gain_value(self, w) <= 0.0:
-                raise ConfigError(
-                    f"P_b = a*omega + b is not positive at omega = {w:g}",
-                    key="fuzzy.scaling",
-                )
+            input_gain(self, w)
             for t in torque_range:
-                if output_gain_value(self, w, t) <= 0.0:
-                    raise ConfigError(
-                        f"I_b is not positive at omega = {w:g}, torque = {t:g}",
-                        key="fuzzy.scaling",
-                    )
-
-
-def input_gain_value(gains: ScalingGains, omega_r: float) -> float:
-    return gains.a * omega_r + gains.b
-
-
-def output_gain_value(gains: ScalingGains, omega_r: float, torque_estimate: float) -> float:
-    return gains.c1 * omega_r - gains.c2 * torque_estimate + gains.c3
+                output_gain(self, w, t)
 
 
 def input_gain(gains: ScalingGains, omega_r: float) -> float:
     """Power normalization base at the given speed; positive or it is a
     configuration error."""
-    p_b = input_gain_value(gains, omega_r)
+    p_b = gains.a * omega_r + gains.b
     if p_b <= 0.0:
         raise ConfigError(
             f"input gain P_b = {p_b:g} at omega = {omega_r:g} must be > 0",
@@ -231,7 +215,7 @@ def input_gain(gains: ScalingGains, omega_r: float) -> float:
 def output_gain(gains: ScalingGains, omega_r: float, torque_estimate: float) -> float:
     """Excitation-step normalization base at the operating point; positive or
     it is a configuration error."""
-    i_b = output_gain_value(gains, omega_r, torque_estimate)
+    i_b = gains.c1 * omega_r - gains.c2 * torque_estimate + gains.c3
     if i_b <= 0.0:
         raise ConfigError(
             f"output gain I_b = {i_b:g} at omega = {omega_r:g},"

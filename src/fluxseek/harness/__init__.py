@@ -17,12 +17,10 @@ from .runner import (
     SimulationResult,
     TelemetryRecord,
     csv_bytes,
-    initial_state,
-    run_scenario,
     simulate,
     write_csv,
 )
-from .scenario import Scenario, constant_scenario, profile_value
+from .scenario import Scenario, constant_scenario
 
 __all__ = [
     "CSV_HEADER",
@@ -40,13 +38,10 @@ __all__ = [
     "csv_bytes",
     "default_config_text",
     "efficiency_table",
-    "initial_state",
     "load_config",
     "oracle_sweep",
     "parse_config",
-    "profile_value",
     "render_text",
-    "run_scenario",
     "simulate",
     "steady_state_point",
     "steady_window_mean",

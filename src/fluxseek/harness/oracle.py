@@ -56,8 +56,7 @@ def steady_state_point(
         )
     omega_e = p.pole_pairs * speed + machine.slip_frequency(i_qs, psi)
     state = MachineState(
-        rotor_flux=psi, rotor_speed=speed, i_ds=i_ds, i_qs=i_qs,
-        synchronous_angle=0.0, simulated_time=0.0,
+        rotor_flux=psi, rotor_speed=speed, i_ds=i_ds, i_qs=i_qs, simulated_time=0.0,
     )
     losses = machine.compute_losses(state, omega_e)
     return OraclePoint(

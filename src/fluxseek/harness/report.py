@@ -4,7 +4,6 @@ efficiency columns."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from ..errors import FluxseekError
@@ -149,8 +148,3 @@ def write_report_csv(report: EfficiencyReport, target) -> None:
                 f"{str(row.converged).lower()},{samples}\n"
             )
 
-
-def report_csv_bytes(report: EfficiencyReport) -> bytes:
-    buffer = io.StringIO()
-    write_report_csv(report, buffer)
-    return buffer.getvalue().encode("utf-8")

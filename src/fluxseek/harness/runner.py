@@ -1,8 +1,9 @@
 """Fixed-step closed-loop execution of one scenario.
 
-Step order: command profiles -> speed PI -> mode supervisor / excitation
-switch -> feedforward compensation -> command limiting -> coupled machine
-step -> losses and power bookkeeping. Telemetry is emitted every decimation
+Step order: command profiles -> speed PI (a pure float update) -> mode
+supervisor / excitation switch (rated excitation outside the search) ->
+feedforward compensation -> current limiting, inline -> coupled machine step
+-> losses and power bookkeeping. Telemetry is emitted every decimation
 interval. Everything is deterministic: identical scenario + config produce
 byte-identical CSV output.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from ..compensator import TorqueCompensator
 from ..errors import NonFiniteError, SimulationDivergedError
-from ..foc import SpeedLoopState, make_drive_command, rated_flux_command, speed_pi_step
+from ..foc import speed_pi_step
 from ..machine import InductionMachine, MachineParams, MachineState
 from ..optimizer import (
     DriveMode,
@@ -78,7 +79,6 @@ def initial_state(params: MachineParams) -> MachineState:
         rotor_speed=0.0,
         i_ds=params.rated_excitation_current,
         i_qs=0.0,
-        synchronous_angle=0.0,
         simulated_time=0.0,
     )
 
@@ -98,12 +98,12 @@ def simulate(
         raise ValueError("decimation must be >= 1")
 
     flc = scenario.flc_enabled
-    pi = SpeedLoopState(
-        kp=config.speed_kp,
-        ki=config.speed_ki,
-        integrator=0.0,
-        output_limit=params.max_torque_current,
-    )
+    kp = config.speed_kp
+    ki = config.speed_ki
+    i_ds_min = params.min_excitation_current
+    i_ds_rated = params.rated_excitation_current
+    i_qs_max = params.max_torque_current
+    integrator = 0.0
     search = SearchState()
     comp = (
         TorqueCompensator(params, config.flux_source, config.compensation_mode)
@@ -111,8 +111,7 @@ def simulate(
         else None
     )
     state = initial_state(params)
-    rated_cmd = rated_flux_command(params)
-    i_ds_cmd = rated_cmd
+    i_ds_cmd = i_ds_rated
 
     speed_prof = scenario.speed_reference
     load_prof = scenario.load_torque
@@ -137,12 +136,13 @@ def simulate(
         prev_ref = omega_ref
         prev_load = t_load
 
-        pi, iqs_pi = speed_pi_step(pi, omega_ref, state.rotor_speed, dt)
+        error = omega_ref - state.rotor_speed
+        integrator, iqs_pi = speed_pi_step(integrator, error, kp, ki, i_qs_max, dt)
 
         if flc:
-            update_mode(search, settings, omega_ref - state.rotor_speed, command_changed)
+            update_mode(search, settings, error, command_changed)
             if search.mode is not DriveMode.STEADY_SEARCH:
-                i_ds_cmd = rated_cmd
+                i_ds_cmd = i_ds_rated
                 if comp is not None:
                     comp.reset()
             if advance_sample_timer(search, settings, dt):
@@ -151,9 +151,7 @@ def simulate(
                 t_e = machine.developed_torque(state.rotor_flux, state.i_qs)
                 p_d = machine.input_power(state, t_e, losses)
                 comp_now = comp.output(state.rotor_flux, t) if comp is not None else 0.0
-                iqs_cmd_now = make_drive_command(
-                    params, omega_ref, i_ds_cmd, iqs_pi + comp_now
-                ).i_qs_command
+                iqs_cmd_now = min(max(iqs_pi + comp_now, -i_qs_max), i_qs_max)
                 search, i_ds_cmd = search_sample(
                     search, settings, ctrl, p_d, state.rotor_speed, i_ds_cmd, iqs_cmd_now
                 )
@@ -164,14 +162,15 @@ def simulate(
                 if comp is not None:
                     comp.latch(state.rotor_flux, iqs_pi, i_ds_cmd, t)
         else:
-            i_ds_cmd = rated_cmd
+            i_ds_cmd = i_ds_rated
 
         searching = flc and search.mode is DriveMode.STEADY_SEARCH
         comp_out = comp.output(state.rotor_flux, t) if (comp is not None and searching) else 0.0
-        cmd = make_drive_command(params, omega_ref, i_ds_cmd, iqs_pi + comp_out)
+        i_ds_lim = min(max(i_ds_cmd, i_ds_min), i_ds_rated)
+        i_qs_lim = min(max(iqs_pi + comp_out, -i_qs_max), i_qs_max)
 
         try:
-            state = machine.step(state, cmd.i_ds_command, cmd.i_qs_command, t_load, dt)
+            state = machine.step(state, i_ds_lim, i_qs_lim, t_load, dt)
         except NonFiniteError as exc:
             raise SimulationDivergedError(k, str(exc)) from exc
 
@@ -186,8 +185,8 @@ def simulate(
                     time=state.simulated_time,
                     omega_ref=omega_ref,
                     omega_r=state.rotor_speed,
-                    i_ds_cmd=cmd.i_ds_command,
-                    i_qs_cmd=cmd.i_qs_command,
+                    i_ds_cmd=i_ds_lim,
+                    i_qs_cmd=i_qs_lim,
                     i_ds=state.i_ds,
                     i_qs=state.i_qs,
                     psi_dr=state.rotor_flux,
@@ -214,11 +213,6 @@ def simulate(
         final_mode=search.mode.value if flc else DriveMode.TRANSIENT_RATED_FLUX.value,
         final_i_ds_cmd=i_ds_cmd,
     )
-
-
-def run_scenario(scenario: Scenario, config: DriveConfig) -> list[TelemetryRecord]:
-    """Telemetry records for one scenario, in emission order."""
-    return list(simulate(scenario, config).records)
 
 
 def format_record(record: TelemetryRecord) -> str:

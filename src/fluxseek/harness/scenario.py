@@ -23,17 +23,6 @@ def _validate_profile(profile: Profile, what: str) -> None:
         last = t
 
 
-def profile_value(profile: Profile, t: float) -> float:
-    """Piecewise-constant lookup: the value of the last breakpoint at or
-    before t."""
-    value = profile[0][1]
-    for bt, bv in profile:
-        if bt > t:
-            break
-        value = bv
-    return value
-
-
 @dataclass(frozen=True)
 class Scenario:
     name: str

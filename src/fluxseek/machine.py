@@ -1,7 +1,7 @@
 """Synchronous-frame induction machine model with explicit losses.
 
-The model keeps the four signals the control layer needs (rotor flux, rotor
-speed, tracked dq currents) plus the synchronous angle for bookkeeping.
+The model keeps the four signals the control layer needs: rotor flux, rotor
+speed and the tracked dq currents.
 Rotor flux follows the first-order field-orientation dynamics
 
     dPsi/dt = (L_m * i_ds - Psi) / tau_r
@@ -16,7 +16,7 @@ term; input power is shaft power plus total loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import FluxFloorError, NonFiniteError
 
@@ -181,20 +181,20 @@ class MachineState:
     rotor_speed: float       # rad/s mechanical
     i_ds: float              # A, actual d-axis current
     i_qs: float              # A, actual q-axis current
-    synchronous_angle: float  # rad
     simulated_time: float    # s
 
     def __post_init__(self) -> None:
-        for name in (
-            "rotor_flux",
-            "rotor_speed",
-            "i_ds",
-            "i_qs",
-            "synchronous_angle",
-            "simulated_time",
+        if not (
+            math.isfinite(self.rotor_flux)
+            and math.isfinite(self.rotor_speed)
+            and math.isfinite(self.i_ds)
+            and math.isfinite(self.i_qs)
         ):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteError(f"MachineState.{name} is not finite")
+            raise NonFiniteError(
+                f"MachineState is not finite: rotor_flux={self.rotor_flux!r},"
+                f" rotor_speed={self.rotor_speed!r}, i_ds={self.i_ds!r},"
+                f" i_qs={self.i_qs!r}"
+            )
         if self.rotor_flux < 0.0:
             raise ValueError("rotor_flux must be >= 0")
 
@@ -224,7 +224,7 @@ class LossBreakdown:
 class InductionMachine:
     """Stateless operations over :class:`MachineState` for one parameter set.
 
-    All step methods are pure state-in/state-out; a single state instance is
+    :meth:`step` is pure state-in/state-out; a single state instance is
     advanced by one caller at a time, and independent machines can run
     concurrently.
     """
@@ -232,30 +232,6 @@ class InductionMachine:
     def __init__(self, params: MachineParams):
         self.params = params
         self.flux_floor = params.flux_floor
-
-    # -- flux -------------------------------------------------------------
-
-    def step_rotor_flux(self, state: MachineState, i_ds_actual: float, dt: float) -> MachineState:
-        """Advance rotor flux one RK4 step with i_ds held constant.
-
-        dt must satisfy 0 < dt <= tau_r / 10 so integration error stays far
-        below control-level tolerances. Result is clamped to the flux floor.
-        """
-        if not (math.isfinite(i_ds_actual) and math.isfinite(dt)):
-            raise NonFiniteError("step_rotor_flux: non-finite input")
-        tau_r = self.params.rotor_time_constant
-        if not 0.0 < dt <= tau_r / 10.0:
-            raise ValueError("dt must be in (0, tau_r / 10]")
-        target = self.params.magnetizing_inductance * i_ds_actual
-        psi = state.rotor_flux
-        k1 = (target - psi) / tau_r
-        k2 = (target - (psi + 0.5 * dt * k1)) / tau_r
-        k3 = (target - (psi + 0.5 * dt * k2)) / tau_r
-        k4 = (target - (psi + dt * k3)) / tau_r
-        psi_new = psi + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if psi_new < self.flux_floor:
-            psi_new = self.flux_floor
-        return replace(state, rotor_flux=psi_new, simulated_time=state.simulated_time + dt)
 
     # -- algebraic relations ----------------------------------------------
 
@@ -277,49 +253,6 @@ class InductionMachine:
         """Synchronous electrical frequency p * omega_r + omega_slip."""
         return self.params.pole_pairs * state.rotor_speed + self.slip_frequency(
             state.i_qs, state.rotor_flux
-        )
-
-    # -- mechanics ---------------------------------------------------------
-
-    def step_mechanical(
-        self, state: MachineState, t_e: float, t_load: float, dt: float
-    ) -> MachineState:
-        """Advance rotor speed and synchronous angle one RK4 step.
-
-        Torques are held constant over the step; the slip contribution to the
-        angle uses the state's currents and flux, also held constant.
-        """
-        if not (math.isfinite(t_e) and math.isfinite(t_load) and math.isfinite(dt)):
-            raise NonFiniteError("step_mechanical: non-finite input")
-        if dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        p = self.params
-        inv_j = 1.0 / p.inertia
-        b = p.friction
-        pp = float(p.pole_pairs)
-        slip = self.slip_frequency(state.i_qs, state.rotor_flux)
-        net = t_e - t_load
-        w = state.rotor_speed
-
-        k1w = (net - b * w) * inv_j
-        k1t = pp * w + slip
-        w2 = w + 0.5 * dt * k1w
-        k2w = (net - b * w2) * inv_j
-        k2t = pp * w2 + slip
-        w3 = w + 0.5 * dt * k2w
-        k3w = (net - b * w3) * inv_j
-        k3t = pp * w3 + slip
-        w4 = w + dt * k3w
-        k4w = (net - b * w4) * inv_j
-        k4t = pp * w4 + slip
-
-        omega_new = w + dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
-        theta_new = state.synchronous_angle + dt * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
-        return replace(
-            state,
-            rotor_speed=omega_new,
-            synchronous_angle=theta_new,
-            simulated_time=state.simulated_time + dt,
         )
 
     # -- losses and power ---------------------------------------------------
@@ -357,8 +290,9 @@ class InductionMachine:
         """One RK4 step of the coupled flux / mechanical / current-lag ODEs.
 
         Commands and load torque are held constant over the step (zero-order
-        hold). With a zero tracking time constant the currents follow their
-        commands exactly and drop out of the integrated state.
+        hold). With a zero tracking time constant the currents start at their
+        commands and have a zero derivative, so they equal the commands
+        exactly. The new flux is clamped to the flux floor.
         """
         p = self.params
         tau_r = p.rotor_time_constant
@@ -367,71 +301,43 @@ class InductionMachine:
         k_t = p.torque_constant_flux
         inv_j = 1.0 / p.inertia
         b = p.friction
-        pp = float(p.pole_pairs)
-        floor = self.flux_floor
-        slip_coeff = l_m / tau_r
 
+        if tau_i > 0.0:
+            i_d, i_q, inv_tau_i = state.i_ds, state.i_qs, 1.0 / tau_i
+        else:
+            i_d, i_q, inv_tau_i = i_ds_cmd, i_qs_cmd, 0.0
         psi = state.rotor_flux
         w = state.rotor_speed
 
-        if tau_i > 0.0:
-            i_d = state.i_ds
-            i_q = state.i_qs
-            inv_tau_i = 1.0 / tau_i
-
-            def deriv(psi_, w_, id_, iq_):
-                dpsi = (l_m * id_ - psi_) / tau_r
-                dw = (k_t * psi_ * iq_ - t_load - b * w_) * inv_j
-                did = (i_ds_cmd - id_) * inv_tau_i
-                diq = (i_qs_cmd - iq_) * inv_tau_i
-                psi_s = psi_ if psi_ > floor else floor
-                dth = pp * w_ + slip_coeff * iq_ / psi_s
-                return dpsi, dw, did, diq, dth
-
-            k1 = deriv(psi, w, i_d, i_q)
-            k2 = deriv(psi + 0.5 * dt * k1[0], w + 0.5 * dt * k1[1],
-                       i_d + 0.5 * dt * k1[2], i_q + 0.5 * dt * k1[3])
-            k3 = deriv(psi + 0.5 * dt * k2[0], w + 0.5 * dt * k2[1],
-                       i_d + 0.5 * dt * k2[2], i_q + 0.5 * dt * k2[3])
-            k4 = deriv(psi + dt * k3[0], w + dt * k3[1],
-                       i_d + dt * k3[2], i_q + dt * k3[3])
-            sixth = dt / 6.0
-            psi_new = psi + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            w_new = w + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            id_new = i_d + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-            iq_new = i_q + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-            theta_new = state.synchronous_angle + sixth * (
-                k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4]
-            )
-        else:
-            id_new = i_ds_cmd
-            iq_new = i_qs_cmd
-
-            def deriv3(psi_, w_):
-                dpsi = (l_m * i_ds_cmd - psi_) / tau_r
-                dw = (k_t * psi_ * i_qs_cmd - t_load - b * w_) * inv_j
-                psi_s = psi_ if psi_ > floor else floor
-                dth = pp * w_ + slip_coeff * i_qs_cmd / psi_s
-                return dpsi, dw, dth
-
-            k1 = deriv3(psi, w)
-            k2 = deriv3(psi + 0.5 * dt * k1[0], w + 0.5 * dt * k1[1])
-            k3 = deriv3(psi + 0.5 * dt * k2[0], w + 0.5 * dt * k2[1])
-            k4 = deriv3(psi + dt * k3[0], w + dt * k3[1])
-            sixth = dt / 6.0
-            psi_new = psi + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            w_new = w + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            theta_new = state.synchronous_angle + sixth * (
-                k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]
+        def deriv(psi_, w_, id_, iq_):
+            return (
+                (l_m * id_ - psi_) / tau_r,
+                (k_t * psi_ * iq_ - t_load - b * w_) * inv_j,
+                (i_ds_cmd - id_) * inv_tau_i,
+                (i_qs_cmd - iq_) * inv_tau_i,
             )
 
-        if psi_new < floor:
-            psi_new = floor
+        h = 0.5 * dt
+        k1 = deriv(psi, w, i_d, i_q)
+        k2 = deriv(psi + h * k1[0], w + h * k1[1], i_d + h * k1[2], i_q + h * k1[3])
+        k3 = deriv(psi + h * k2[0], w + h * k2[1], i_d + h * k2[2], i_q + h * k2[3])
+        k4 = deriv(psi + dt * k3[0], w + dt * k3[1], i_d + dt * k3[2], i_q + dt * k3[3])
+        sixth = dt / 6.0
+        psi_new, w_new, id_new, iq_new = [
+            x + sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            for x, s1, s2, s3, s4 in zip((psi, w, i_d, i_q), k1, k2, k3, k4)
+        ]
+        if inv_tau_i == 0.0:
+            # the same float objects as the commands: telemetry rows that hold
+            # both then share them instead of holding equal copies
+            id_new, iq_new = i_ds_cmd, i_qs_cmd
+
+        if psi_new < self.flux_floor:
+            psi_new = self.flux_floor
         return MachineState(
             rotor_flux=psi_new,
             rotor_speed=w_new,
             i_ds=id_new,
             i_qs=iq_new,
-            synchronous_angle=theta_new,
             simulated_time=state.simulated_time + dt,
         )

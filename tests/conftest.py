@@ -57,12 +57,3 @@ def table_runs(config) -> tuple[PairedRun, ...]:
         )
     return tuple(runs)
 
-
-def steady_mean_power(result: SimulationResult, window: float = 1.0) -> tuple[float, float]:
-    records = result.records
-    t_end = records[-1].time
-    tail = [r for r in records if r.time > t_end - window]
-    return (
-        sum(r.p_in for r in tail) / len(tail),
-        sum(r.p_out for r in tail) / len(tail),
-    )

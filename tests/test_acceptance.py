@@ -24,10 +24,8 @@ from fluxseek import (
     infer,
     input_gain,
 )
-from fluxseek.harness import Scenario, constant_scenario, csv_bytes, simulate
+from fluxseek.harness import Scenario, constant_scenario, csv_bytes, simulate, steady_window_mean
 from fluxseek.harness.runner import CSV_HEADER
-
-from conftest import steady_mean_power
 
 GOLDEN_HEADER = (
     "time,omega_ref,omega_r,i_ds_cmd,i_qs_cmd,i_ds,i_qs,psi_dr,torque,"
@@ -58,7 +56,7 @@ def first_decrement_window(result, rated: float):
 def test_criterion_1_oracle_equivalence(table_runs):
     with criterion(1, "oracle equivalence"):
         for run in table_runs:
-            p_in, _ = steady_mean_power(run.on)
+            p_in, _ = steady_window_mean(run.on.records, 1.0)
             ratio = p_in / run.oracle.min_input_power
             assert run.on.converged, f"load {run.torque}: search did not converge"
             assert run.on.samples_to_convergence <= 50, (
@@ -103,8 +101,8 @@ def test_criterion_2_trend_match(table_runs):
     with criterion(2, "part-load trend match"):
         improvements = []
         for run in table_runs:
-            p_in_off, p_out_off = steady_mean_power(run.off)
-            p_in_on, p_out_on = steady_mean_power(run.on)
+            p_in_off, p_out_off = steady_window_mean(run.off.records, 1.0)
+            p_in_on, p_out_on = steady_window_mean(run.on.records, 1.0)
             eff_off = p_out_off / p_in_off
             eff_on = p_out_on / p_in_on
             assert eff_on > eff_off, (
@@ -131,14 +129,11 @@ def test_criterion_3_flux_ode_fidelity(config):
             # coupled integrator, commands held, shaft unloaded
             from fluxseek.machine import MachineState
 
-            state = MachineState(psi0, 0.0, i_target, 0.0, 0.0, 0.0)
-            isolated = MachineState(psi0, 0.0, i_target, 0.0, 0.0, 0.0)
+            state = MachineState(psi0, 0.0, i_target, 0.0, 0.0)
             for k in range(round(5.0 * tau / dt)):
                 state = machine.step(state, i_target, 0.0, 0.0, dt)
-                isolated = machine.step_rotor_flux(isolated, i_target, dt)
                 expected = goal + (psi0 - goal) * math.exp(-state.simulated_time / tau)
                 assert abs(state.rotor_flux - expected) <= 1e-4 * abs(expected)
-                assert abs(isolated.rotor_flux - expected) <= 1e-4 * abs(expected)
 
 
 # -- 4: compensation exactness ----------------------------------------------------------
@@ -192,7 +187,7 @@ def test_sensorless_predicted_flux_variant(config, table_runs):
         sensorless,
     )
     assert run.converged
-    p_in, _ = steady_mean_power(run)
+    p_in, _ = steady_window_mean(run.records, 1.0)
     quarter = table_runs[0]
     assert p_in / quarter.oracle.min_input_power <= 1.02
     search = [r for r in run.records if r.mode == "search"]

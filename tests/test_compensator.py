@@ -20,9 +20,7 @@ from fluxseek import (
 
 
 def anchors(psi=1.0, iqs=10.0) -> CompensatorState:
-    return CompensatorState(
-        psi_at_step=psi, iqs_at_step=iqs, enabled=True, flux_source="measured"
-    )
+    return CompensatorState(psi_at_step=psi, iqs_at_step=iqs)
 
 
 # -- continuous form -----------------------------------------------------------
@@ -195,8 +193,6 @@ def test_reset_clears_anchors(config):
 
 
 def test_state_validates_flux_source(config):
-    with pytest.raises(ValueError):
-        CompensatorState(0.7, 3.0, True, "guessed")
     with pytest.raises(ValueError):
         TorqueCompensator(config.machine, flux_source="guessed")
     with pytest.raises(ValueError):

@@ -3,49 +3,41 @@ settling at rated flux."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxseek import SpeedLoopState, make_drive_command, rated_flux_command, speed_pi_step
-from fluxseek.harness import constant_scenario, simulate
+from fluxseek import speed_pi_step
+from fluxseek.harness import Scenario, constant_scenario, simulate
+
+LIMIT = 25.0
 
 
-def loop(kp=2.0, ki=40.0, integrator=0.0, limit=25.0) -> SpeedLoopState:
-    return SpeedLoopState(kp=kp, ki=ki, integrator=integrator, output_limit=limit)
+def pi(integrator, error, kp=2.0, ki=40.0, dt=1e-4):
+    return speed_pi_step(integrator, error, kp, ki, LIMIT, dt)
 
 
 def test_zero_error_zero_integrator_gives_zero():
-    _, out = speed_pi_step(loop(), 100.0, 100.0, 1e-4)
+    _, out = pi(0.0, 100.0 - 100.0)
     assert out == 0.0
 
 
 def test_proportional_only_hand_case():
-    _, out = speed_pi_step(loop(kp=2.0, ki=0.0), 1.5, 0.0, 1e-4)
+    _, out = pi(0.0, 1.5, kp=2.0, ki=0.0)
     assert out == 3.0
 
 
 def test_saturation_freezes_integrator():
-    initial = loop(integrator=1.0)
-    new, out = speed_pi_step(initial, 1000.0, 0.0, 1e-4)
-    assert out == initial.output_limit
-    assert new.integrator == initial.integrator
+    integrator, out = pi(1.0, 1000.0)
+    assert out == LIMIT
+    assert integrator == 1.0
 
 
 def test_integrator_unwinds_when_saturated_against_error():
     # Output pinned high by the integrator while the error is negative: the
     # integrator must keep integrating (down), not freeze.
-    initial = loop(kp=0.0, ki=10.0, integrator=25.0)
-    new, out = speed_pi_step(initial, 0.0, 1.0, 1e-2)
-    assert out == initial.output_limit
-    assert new.integrator < initial.integrator
-
-
-def test_integrator_validation():
-    with pytest.raises(ValueError):
-        SpeedLoopState(kp=-1.0, ki=0.0, integrator=0.0, output_limit=25.0)
-    with pytest.raises(ValueError):
-        SpeedLoopState(kp=1.0, ki=1.0, integrator=30.0, output_limit=25.0)
+    integrator, out = pi(25.0, -1.0, kp=0.0, ki=10.0, dt=1e-2)
+    assert out == LIMIT
+    assert integrator < 25.0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -57,30 +49,33 @@ def test_integrator_validation():
     )
 )
 def test_integrator_never_exceeds_output_limit(sequence):
-    state = loop(ki=80.0)
+    integrator = 0.0
     for ref, meas in sequence:
-        state, out = speed_pi_step(state, ref, meas, 1e-3)
-        assert abs(state.integrator) <= state.output_limit
-        assert abs(out) <= state.output_limit
-
-
-def test_rated_flux_command_is_stateless_field_access(config):
-    params = config.machine
-    assert rated_flux_command(params) == params.rated_excitation_current
-    assert rated_flux_command(params) == rated_flux_command(params)
-    assert params.rated_flux / params.magnetizing_inductance == pytest.approx(
-        rated_flux_command(params), rel=1e-12
-    )
+        integrator, out = pi(integrator, ref - meas, ki=80.0, dt=1e-3)
+        assert abs(integrator) <= LIMIT
+        assert abs(out) <= LIMIT
 
 
 def test_drive_command_clamps_into_limits(config):
+    # A reference step far beyond what the torque limit can follow pins the
+    # torque-current command at both limits; the search drives the excitation
+    # command down towards its minimum, never out of [min, rated].
     params = config.machine
-    cmd = make_drive_command(params, 150.0, 99.0, -99.0)
-    assert cmd.i_ds_command == params.rated_excitation_current
-    assert cmd.i_qs_command == -params.max_torque_current
-    cmd = make_drive_command(params, 150.0, 0.0, 3.0)
-    assert cmd.i_ds_command == params.min_excitation_current
-    assert cmd.i_qs_command == 3.0
+    scenario = Scenario(
+        name="clamp",
+        duration=3.0,
+        dt=1e-4,
+        speed_reference=((0.0, 150.0), (2.5, -150.0)),
+        load_torque=((0.0, 1.0),),
+    )
+    records = simulate(scenario, config, decimation=1).records
+    i_qs = [r.i_qs_cmd for r in records]
+    i_ds = [r.i_ds_cmd for r in records]
+    assert max(i_qs) == params.max_torque_current
+    assert min(i_qs) == -params.max_torque_current
+    assert max(i_ds) == params.rated_excitation_current
+    assert min(i_ds) >= params.min_excitation_current
+    assert min(i_ds) < params.rated_excitation_current
 
 
 def test_speed_step_settles_with_zero_steady_state_error(config):

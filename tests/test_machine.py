@@ -1,5 +1,6 @@
-"""Machine model: parameter invariants, flux/mechanical integration against
-closed forms, loss formulas, and power bookkeeping."""
+"""Machine model: parameter invariants, the coupled step's flux and
+mechanical integration against closed forms, loss formulas, and power
+bookkeeping."""
 
 from __future__ import annotations
 
@@ -50,7 +51,6 @@ def make_state(psi=0.7, omega=150.0, i_ds=5.0, i_qs=12.0) -> MachineState:
         rotor_speed=omega,
         i_ds=i_ds,
         i_qs=i_qs,
-        synchronous_angle=0.0,
         simulated_time=0.0,
     )
 
@@ -118,26 +118,32 @@ def test_loss_breakdown_total_is_exact_sum():
 
 
 # -- rotor flux ----------------------------------------------------------------
+#
+# With ideal current tracking and no torque current, the coupled step's flux
+# obeys dPsi/dt = (L_m * i_ds - Psi) / tau_r alone.
+
+
+def ideal_machine(**overrides) -> tuple[MachineParams, InductionMachine]:
+    p = build_params(current_tracking_time_constant=0.0, **overrides)
+    return p, InductionMachine(p)
 
 
 def test_flux_equilibrium_is_a_fixed_point():
-    p = build_params()
-    m = InductionMachine(p)
-    state = make_state(psi=p.magnetizing_inductance * 3.0, i_ds=3.0)
-    stepped = m.step_rotor_flux(state, 3.0, 1e-4)
+    p, m = ideal_machine()
+    state = make_state(psi=p.magnetizing_inductance * 3.0, i_ds=3.0, i_qs=0.0)
+    stepped = m.step(state, 3.0, 0.0, 0.0, 1e-4)
     assert stepped.rotor_flux == state.rotor_flux
 
 
 def test_flux_decay_matches_closed_form_at_one_time_constant():
     # Oracle: Psi(t) = target + (Psi0 - target) * exp(-t / tau_r).
-    p = build_params()
-    m = InductionMachine(p)
+    p, m = ideal_machine()
     dt = 1e-4
     i_ds = p.rated_excitation_current / 2.0
-    state = make_state(psi=p.rated_flux, i_ds=i_ds)
+    state = make_state(psi=p.rated_flux, i_ds=i_ds, i_qs=0.0)
     n = round(p.rotor_time_constant / dt)
     for _ in range(n):
-        state = m.step_rotor_flux(state, i_ds, dt)
+        state = m.step(state, i_ds, 0.0, 0.0, dt)
     expected = p.rated_flux * (0.5 + 0.5 * math.exp(-1.0))
     assert state.rotor_flux == pytest.approx(expected, rel=1e-4)
 
@@ -145,47 +151,43 @@ def test_flux_decay_matches_closed_form_at_one_time_constant():
 def test_flux_settles_within_one_percent_after_five_time_constants():
     # exp(-5) < 0.01, so both the residual gap fraction and the deviation
     # relative to the new target are under 1% for a step to half rated.
-    p = build_params()
-    m = InductionMachine(p)
+    p, m = ideal_machine()
     dt = 1e-4
     i_ds = p.rated_excitation_current / 2.0
     target = p.magnetizing_inductance * i_ds
-    state = make_state(psi=p.rated_flux, i_ds=i_ds)
+    state = make_state(psi=p.rated_flux, i_ds=i_ds, i_qs=0.0)
     for _ in range(round(5.0 * p.rotor_time_constant / dt)):
-        state = m.step_rotor_flux(state, i_ds, dt)
+        state = m.step(state, i_ds, 0.0, 0.0, dt)
     assert abs(state.rotor_flux - target) < 0.01 * (p.rated_flux - target)
     assert state.rotor_flux == pytest.approx(target, rel=0.01)
 
 
 def test_flux_converges_to_tenth_percent_after_seven_time_constants():
-    p = build_params()
-    m = InductionMachine(p)
+    p, m = ideal_machine()
     dt = 1e-4
     i_ds = 4.0
     target = p.magnetizing_inductance * i_ds
-    state = make_state(psi=p.rated_flux, i_ds=i_ds)
+    state = make_state(psi=p.rated_flux, i_ds=i_ds, i_qs=0.0)
     for _ in range(round(7.0 * p.rotor_time_constant / dt)):
-        state = m.step_rotor_flux(state, i_ds, dt)
+        state = m.step(state, i_ds, 0.0, 0.0, dt)
     assert abs(state.rotor_flux - target) / target < 1e-3
 
 
 def test_flux_step_preconditions():
-    p = build_params()
-    m = InductionMachine(p)
+    # A non-finite command reaches the new state and is rejected there, in
+    # both the lagged and the ideal-tracking form of the step.
     state = make_state()
-    with pytest.raises(ValueError):
-        m.step_rotor_flux(state, 5.0, 0.0)
-    with pytest.raises(ValueError):
-        m.step_rotor_flux(state, 5.0, p.rotor_time_constant)  # > tau_r / 10
-    with pytest.raises(NonFiniteError):
-        m.step_rotor_flux(state, float("nan"), 1e-4)
+    for m in (InductionMachine(build_params()), ideal_machine()[1]):
+        with pytest.raises(NonFiniteError):
+            m.step(state, float("nan"), 12.0, 6.0, 1e-4)
+        with pytest.raises(NonFiniteError):
+            m.step(state, 5.0, float("inf"), 6.0, 1e-4)
 
 
 def test_flux_clamped_at_floor():
-    p = build_params()
-    m = InductionMachine(p)
-    state = make_state(psi=p.flux_floor, i_ds=0.0)
-    stepped = m.step_rotor_flux(state, 0.0, 1e-4)
+    p, m = ideal_machine()
+    state = make_state(psi=p.flux_floor, i_ds=0.0, i_qs=0.0)
+    stepped = m.step(state, 0.0, 0.0, 0.0, 1e-4)
     assert stepped.rotor_flux == p.flux_floor
 
 
@@ -238,54 +240,49 @@ def test_slip_sign_follows_torque_current():
 
 
 # -- mechanics ---------------------------------------------------------------------
+#
+# With ideal current tracking, either no torque current or flux at its fixed
+# point keeps the developed torque constant over the run.
 
 
 def test_mechanical_balance_keeps_speed():
-    p = build_params(friction=0.0)
-    m = InductionMachine(p)
-    state = make_state(omega=100.0)
-    stepped = m.step_mechanical(state, 6.0, 6.0, 1e-4)
+    p, m = ideal_machine(friction=0.0)
+    psi = p.magnetizing_inductance * 5.0
+    state = make_state(psi=psi, omega=100.0, i_ds=5.0, i_qs=12.0)
+    # the load equals the developed torque, in the step's own product order
+    t_load = p.torque_constant_flux * psi * 12.0
+    stepped = m.step(state, 5.0, 12.0, t_load, 1e-4)
+    assert stepped.rotor_flux == psi
     assert stepped.rotor_speed == state.rotor_speed
 
 
 def test_constant_acceleration_closed_form():
-    # Oracle: omega = (T / J) * t for B = 0.
-    p = build_params(inertia=0.1, friction=0.0)
-    m = InductionMachine(p)
-    state = make_state(omega=0.0)
+    # Oracle: omega = (T / J) * t for B = 0; with no torque current, a
+    # negative load of 1 N m is the only torque.
+    p, m = ideal_machine(inertia=0.1, friction=0.0)
+    state = make_state(omega=0.0, i_ds=5.0, i_qs=0.0)
     dt = 1e-4
     for _ in range(round(1.0 / dt)):
-        state = m.step_mechanical(state, 1.0, 0.0, dt)
+        state = m.step(state, 5.0, 0.0, -1.0, dt)
     assert state.rotor_speed == pytest.approx(10.0, rel=1e-4)
 
 
 def test_friction_decay_closed_form():
     # Oracle: omega(t) = omega0 * exp(-B t / J) with no applied torque.
-    p = build_params(inertia=0.05, friction=0.01)
-    m = InductionMachine(p)
+    p, m = ideal_machine(inertia=0.05, friction=0.01)
     tau = p.inertia / p.friction
     omega0 = 120.0
-    state = make_state(omega=omega0)
+    state = make_state(omega=omega0, i_ds=5.0, i_qs=0.0)
     dt = 1e-3
     for _ in range(round(3.0 * tau / dt)):
-        state = m.step_mechanical(state, 0.0, 0.0, dt)
+        state = m.step(state, 5.0, 0.0, 0.0, dt)
     assert state.rotor_speed == pytest.approx(omega0 * math.exp(-3.0), rel=1e-3)
-
-
-def test_synchronous_angle_advances_with_slip():
-    p = build_params(friction=0.0)
-    m = InductionMachine(p)
-    state = make_state(omega=100.0, i_qs=12.0, psi=0.7)
-    dt = 1e-4
-    stepped = m.step_mechanical(state, 6.0, 6.0, dt)
-    expected = (p.pole_pairs * 100.0 + m.slip_frequency(12.0, 0.7)) * dt
-    assert stepped.synchronous_angle == pytest.approx(expected, rel=1e-12)
 
 
 def test_mechanical_rejects_non_finite():
     m = InductionMachine(build_params())
     with pytest.raises(NonFiniteError):
-        m.step_mechanical(make_state(), float("inf"), 0.0, 1e-4)
+        m.step(make_state(), 5.0, 12.0, float("inf"), 1e-4)
 
 
 # -- losses and power ------------------------------------------------------------------

@@ -15,8 +15,6 @@ from fluxseek.harness import (
     Scenario,
     constant_scenario,
     csv_bytes,
-    profile_value,
-    run_scenario,
     simulate,
 )
 from fluxseek.harness.runner import TelemetryRecord, format_record
@@ -51,15 +49,7 @@ def test_golden_telemetry_bytes(config):
 
 def test_zero_duration_scenario_yields_empty_stream(config):
     scenario = constant_scenario("empty", 0.0, 1e-4, 150.0, 6.0)
-    assert run_scenario(scenario, config) == []
-
-
-def test_profile_value_lookup():
-    profile = ((0.0, 1.0), (2.0, 5.0), (4.0, -1.0))
-    assert profile_value(profile, 0.0) == 1.0
-    assert profile_value(profile, 1.999) == 1.0
-    assert profile_value(profile, 2.0) == 5.0
-    assert profile_value(profile, 100.0) == -1.0
+    assert simulate(scenario, config).records == ()
 
 
 def test_scenario_validation():
@@ -159,8 +149,7 @@ def test_profile_steps_are_honored(config):
         speed_reference=((0.0, 100.0), (0.5, 120.0)),
         load_torque=((0.0, 6.0), (0.25, 9.0)),
     )
-    records = run_scenario(scenario, config)
-    assert profile_value(scenario.speed_reference, 0.4) == 100.0
+    records = simulate(scenario, config).records
     by_time = {round(r.time, 4): r for r in records}
     assert by_time[0.25].load_torque == 6.0 or by_time[0.2501].load_torque == 9.0
     assert by_time[0.4].omega_ref == 100.0
