@@ -39,7 +39,6 @@ from .machine import (
     InductionMachine,
     LossBreakdown,
     MachineParams,
-    MachineState,
 )
 from .optimizer import (
     DriveMode,
@@ -66,7 +65,6 @@ __all__ = [
     "InferenceError",
     "LossBreakdown",
     "MachineParams",
-    "MachineState",
     "MembershipFunction",
     "NonFiniteError",
     "ScalingGains",

@@ -31,6 +31,11 @@ from .scenario import Scenario
 
 ENV_CONFIG_VAR = "FLUXSEEK_CONFIG"
 
+# RK4 on dx/dt = -x / tau multiplies x by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+# z = -dt / tau; |R| <= 1 until R(z) = 1 at the real root of 1 + z/2 + z^2/6 +
+# z^3/24, z = -2.785..., beyond which every step grows x.
+RK4_STABILITY_LIMIT = 2.785293563405282
+
 _MACHINE_KEYS = {
     "stator_resistance",
     "rotor_resistance",
@@ -306,8 +311,14 @@ def _parse_profile(node, path: str) -> tuple[tuple[float, float], ...]:
     return tuple(profile)
 
 
-def _parse_scenarios(node, path: str) -> tuple[Scenario, ...]:
+def _parse_scenarios(node, path: str, machine: MachineParams) -> tuple[Scenario, ...]:
     entries = _sequence(node, path)
+    # the fastest decay the step integrates: the current lag, if any, or the
+    # rotor flux
+    tau = machine.rotor_time_constant
+    if machine.current_tracking_time_constant > 0.0:
+        tau = min(tau, machine.current_tracking_time_constant)
+    max_dt = RK4_STABILITY_LIMIT * tau
     scenarios = []
     names: set[str] = set()
     for i, raw in enumerate(entries):
@@ -332,6 +343,12 @@ def _parse_scenarios(node, path: str) -> tuple[Scenario, ...]:
             )
         except ValueError as exc:
             raise ConfigError(str(exc), key=entry_path) from exc
+        if scenario.dt >= max_dt:
+            raise ConfigError(
+                f"must be below {max_dt!r} s, the RK4 stability limit for the"
+                f" {tau!r} s time constant",
+                key=f"{entry_path}.dt",
+            )
         if scenario.name in names:
             raise ConfigError(f"duplicate scenario name {scenario.name!r}", key=entry_path)
         names.add(scenario.name)
@@ -378,7 +395,7 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
     if decimation < 1:
         raise ConfigError("must be >= 1", key="telemetry.decimation")
 
-    scenarios = _parse_scenarios(_require(root, "scenarios", source), "scenarios")
+    scenarios = _parse_scenarios(_require(root, "scenarios", source), "scenarios", machine)
 
     return DriveConfig(
         machine=machine,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..machine import InductionMachine, LossBreakdown, MachineState
+from ..machine import InductionMachine, LossBreakdown
 from .config import DriveConfig
 
 
@@ -55,13 +55,10 @@ def steady_state_point(
             input_power=float("inf"), losses=None, feasible=False,
         )
     omega_e = p.pole_pairs * speed + machine.slip_frequency(i_qs, psi)
-    state = MachineState(
-        rotor_flux=psi, rotor_speed=speed, i_ds=i_ds, i_qs=i_qs, simulated_time=0.0,
-    )
-    losses = machine.compute_losses(state, omega_e)
+    losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
     return OraclePoint(
         i_ds=i_ds, i_qs=i_qs, rotor_flux=psi,
-        input_power=machine.input_power(state, t_e, losses),
+        input_power=machine.input_power(speed, t_e, losses),
         losses=losses, feasible=True,
     )
 

@@ -2,21 +2,24 @@
 
 Step order: command profiles -> speed PI (a pure float update) -> mode
 supervisor / excitation switch (rated excitation outside the search) ->
-feedforward compensation -> current limiting, inline -> coupled machine step
--> losses and power bookkeeping. Telemetry is emitted every decimation
-interval. Everything is deterministic: identical scenario + config produce
-byte-identical CSV output.
+feedforward compensation -> torque-current limiting, inline -> coupled
+machine step -> losses and power bookkeeping. The machine state, the PI
+integrator and the commands are loop-local floats, not state objects; a
+telemetry row, a named tuple, is emitted every decimation interval. Everything
+is deterministic: identical scenario + config produce byte-identical CSV
+output.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..compensator import TorqueCompensator
 from ..errors import NonFiniteError, SimulationDivergedError
 from ..foc import speed_pi_step
-from ..machine import InductionMachine, MachineParams, MachineState
+from ..machine import InductionMachine
 from ..optimizer import (
     DriveMode,
     SearchState,
@@ -34,8 +37,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
+class TelemetryRecord(NamedTuple):
     """One decimated integration step's signals."""
 
     time: float
@@ -72,17 +74,6 @@ class SimulationResult:
     final_i_ds_cmd: float
 
 
-def initial_state(params: MachineParams) -> MachineState:
-    """Pre-magnetized standstill: rated flux established, shaft at rest."""
-    return MachineState(
-        rotor_flux=params.rated_flux,
-        rotor_speed=0.0,
-        i_ds=params.rated_excitation_current,
-        i_qs=0.0,
-        simulated_time=0.0,
-    )
-
-
 def simulate(
     scenario: Scenario, config: DriveConfig, *, decimation: int | None = None
 ) -> SimulationResult:
@@ -100,7 +91,6 @@ def simulate(
     flc = scenario.flc_enabled
     kp = config.speed_kp
     ki = config.speed_ki
-    i_ds_min = params.min_excitation_current
     i_ds_rated = params.rated_excitation_current
     i_qs_max = params.max_torque_current
     integrator = 0.0
@@ -110,8 +100,14 @@ def simulate(
         if scenario.compensator_enabled
         else None
     )
-    state = initial_state(params)
+    # pre-magnetized standstill: rated flux established, shaft at rest
+    psi = params.rated_flux
+    omega_r = 0.0
+    i_ds = i_ds_rated
+    i_qs = 0.0
+    simulated_time = 0.0
     i_ds_cmd = i_ds_rated
+    step = machine.step
 
     speed_prof = scenario.speed_reference
     load_prof = scenario.load_torque
@@ -136,7 +132,7 @@ def simulate(
         prev_ref = omega_ref
         prev_load = t_load
 
-        error = omega_ref - state.rotor_speed
+        error = omega_ref - omega_r
         integrator, iqs_pi = speed_pi_step(integrator, error, kp, ki, i_qs_max, dt)
 
         if flc:
@@ -146,60 +142,53 @@ def simulate(
                 if comp is not None:
                     comp.reset()
             if advance_sample_timer(search, settings, dt):
-                omega_e = machine.electrical_frequency(state)
-                losses = machine.compute_losses(state, omega_e)
-                t_e = machine.developed_torque(state.rotor_flux, state.i_qs)
-                p_d = machine.input_power(state, t_e, losses)
-                comp_now = comp.output(state.rotor_flux, t) if comp is not None else 0.0
+                omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
+                losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
+                t_e = machine.developed_torque(psi, i_qs)
+                p_d = machine.input_power(omega_r, t_e, losses)
+                comp_now = comp.output(psi, t) if comp is not None else 0.0
                 iqs_cmd_now = min(max(iqs_pi + comp_now, -i_qs_max), i_qs_max)
                 search, i_ds_cmd = search_sample(
-                    search, settings, ctrl, p_d, state.rotor_speed, i_ds_cmd, iqs_cmd_now
+                    search, settings, ctrl, p_d, omega_r, i_ds_cmd, iqs_cmd_now
                 )
                 sample_count += 1
                 if search.converged and samples_to_convergence is None:
                     samples_to_convergence = sample_count
                     convergence_time = t
                 if comp is not None:
-                    comp.latch(state.rotor_flux, iqs_pi, i_ds_cmd, t)
+                    comp.latch(psi, iqs_pi, i_ds_cmd, t)
         else:
             i_ds_cmd = i_ds_rated
 
         searching = flc and search.mode is DriveMode.STEADY_SEARCH
-        comp_out = comp.output(state.rotor_flux, t) if (comp is not None and searching) else 0.0
-        i_ds_lim = min(max(i_ds_cmd, i_ds_min), i_ds_rated)
-        i_qs_lim = min(max(iqs_pi + comp_out, -i_qs_max), i_qs_max)
+        comp_out = comp.output(psi, t) if (comp is not None and searching) else 0.0
+        # i_ds_cmd needs no clamp: it is rated or what search_sample clamped
+        i_qs_cmd = min(max(iqs_pi + comp_out, -i_qs_max), i_qs_max)
 
         try:
-            state = machine.step(state, i_ds_lim, i_qs_lim, t_load, dt)
+            psi, omega_r, i_ds, i_qs = step(
+                psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt
+            )
         except NonFiniteError as exc:
-            raise SimulationDivergedError(k, str(exc)) from exc
+            raise SimulationDivergedError(
+                k, str(exc), psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load
+            ) from exc
+        simulated_time += dt
 
         if (k + 1) % decim == 0:
-            omega_e = machine.electrical_frequency(state)
-            losses = machine.compute_losses(state, omega_e)
-            t_e = machine.developed_torque(state.rotor_flux, state.i_qs)
-            p_in = machine.input_power(state, t_e, losses)
-            p_out = t_load * state.rotor_speed
+            omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
+            losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
+            t_e = machine.developed_torque(psi, i_qs)
+            p_in = machine.input_power(omega_r, t_e, losses)
+            p_out = t_load * omega_r
             records.append(
                 TelemetryRecord(
-                    time=state.simulated_time,
-                    omega_ref=omega_ref,
-                    omega_r=state.rotor_speed,
-                    i_ds_cmd=i_ds_lim,
-                    i_qs_cmd=i_qs_lim,
-                    i_ds=state.i_ds,
-                    i_qs=state.i_qs,
-                    psi_dr=state.rotor_flux,
-                    torque=t_e,
-                    load_torque=t_load,
-                    loss_stator_copper=losses.stator_copper,
-                    loss_rotor_copper=losses.rotor_copper,
-                    loss_iron=losses.iron,
-                    loss_converter=losses.converter,
-                    p_in=p_in,
-                    p_out=p_out,
-                    efficiency=p_out / p_in if p_in > 0.0 else None,
-                    mode=search.mode.value if flc else DriveMode.TRANSIENT_RATED_FLUX.value,
+                    simulated_time, omega_ref, omega_r, i_ds_cmd, i_qs_cmd,
+                    i_ds, i_qs, psi, t_e, t_load,
+                    losses.stator_copper, losses.rotor_copper, losses.iron,
+                    losses.converter, p_in, p_out,
+                    p_out / p_in if p_in > 0.0 else None,
+                    search.mode.value if flc else DriveMode.TRANSIENT_RATED_FLUX.value,
                 )
             )
 
@@ -219,28 +208,8 @@ def format_record(record: TelemetryRecord) -> str:
     """One CSV line; floats use shortest round-trip formatting so repeated
     runs are byte-identical."""
     eff = "" if record.efficiency is None else repr(record.efficiency)
-    return ",".join(
-        (
-            repr(record.time),
-            repr(record.omega_ref),
-            repr(record.omega_r),
-            repr(record.i_ds_cmd),
-            repr(record.i_qs_cmd),
-            repr(record.i_ds),
-            repr(record.i_qs),
-            repr(record.psi_dr),
-            repr(record.torque),
-            repr(record.load_torque),
-            repr(record.loss_stator_copper),
-            repr(record.loss_rotor_copper),
-            repr(record.loss_iron),
-            repr(record.loss_converter),
-            repr(record.p_in),
-            repr(record.p_out),
-            eff,
-            record.mode,
-        )
-    )
+    # every field before efficiency is a float
+    return ",".join((*map(repr, record[:16]), eff, record.mode))
 
 
 def write_csv(records, target) -> None:

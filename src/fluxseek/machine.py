@@ -1,8 +1,9 @@
 """Synchronous-frame induction machine model with explicit losses.
 
-The model keeps the four signals the control layer needs: rotor flux, rotor
-speed and the tracked dq currents.
-Rotor flux follows the first-order field-orientation dynamics
+The model has four signals: rotor flux, rotor speed and the tracked dq
+currents. They are plain floats that the caller keeps; ``step`` advances them
+by one straight-line RK4 step and returns the new four. Rotor flux follows
+the first-order field-orientation dynamics
 
     dPsi/dt = (L_m * i_ds - Psi) / tau_r
 
@@ -16,7 +17,8 @@ term; input power is shaft power plus total loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FluxFloorError, NonFiniteError
 
@@ -173,65 +175,50 @@ class MachineParams:
         return FLUX_FLOOR_FRACTION * self.rated_flux
 
 
-@dataclass(frozen=True)
-class MachineState:
-    """Instantaneous machine state in the synchronous frame."""
-
-    rotor_flux: float        # Wb
-    rotor_speed: float       # rad/s mechanical
-    i_ds: float              # A, actual d-axis current
-    i_qs: float              # A, actual q-axis current
-    simulated_time: float    # s
-
-    def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.rotor_flux)
-            and math.isfinite(self.rotor_speed)
-            and math.isfinite(self.i_ds)
-            and math.isfinite(self.i_qs)
-        ):
-            raise NonFiniteError(
-                f"MachineState is not finite: rotor_flux={self.rotor_flux!r},"
-                f" rotor_speed={self.rotor_speed!r}, i_ds={self.i_ds!r},"
-                f" i_qs={self.i_qs!r}"
-            )
-        if self.rotor_flux < 0.0:
-            raise ValueError("rotor_flux must be >= 0")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """One operating point's losses in watts. ``total`` is always the exact
-    sum of the four components."""
-
+class _LossFields(NamedTuple):
     stator_copper: float
     rotor_copper: float
     iron: float
     converter: float
-    total: float = field(init=False)
+    total: float
 
-    def __post_init__(self) -> None:
-        for name in ("stator_copper", "rotor_copper", "iron", "converter"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        object.__setattr__(
-            self,
-            "total",
-            self.stator_copper + self.rotor_copper + self.iron + self.converter,
+
+class LossBreakdown(_LossFields):
+    """One operating point's losses in watts, an immutable named tuple built
+    from the four components. ``total`` is always their exact sum."""
+
+    __slots__ = ()
+
+    def __new__(cls, stator_copper: float, rotor_copper: float, iron: float, converter: float):
+        if stator_copper < 0.0 or rotor_copper < 0.0 or iron < 0.0 or converter < 0.0:
+            raise ValueError(
+                f"losses must be >= 0: stator_copper={stator_copper!r},"
+                f" rotor_copper={rotor_copper!r}, iron={iron!r}, converter={converter!r}"
+            )
+        return _LossFields.__new__(
+            cls, stator_copper, rotor_copper, iron, converter,
+            stator_copper + rotor_copper + iron + converter,
         )
 
 
 class InductionMachine:
-    """Stateless operations over :class:`MachineState` for one parameter set.
+    """Stateless operations over the machine's four float signals for one
+    parameter set.
 
-    :meth:`step` is pure state-in/state-out; a single state instance is
-    advanced by one caller at a time, and independent machines can run
-    concurrently.
+    :meth:`step` is pure floats-in/floats-out; the caller keeps the state,
+    and independent machines can run concurrently.
     """
 
     def __init__(self, params: MachineParams):
         self.params = params
         self.flux_floor = params.flux_floor
+        tau_i = params.current_tracking_time_constant
+        # the step's constants, taken once: tau_r, L_m, K_t, 1/J, B, 1/tau_i
+        self._step_constants = (
+            params.rotor_time_constant, params.magnetizing_inductance,
+            params.torque_constant_flux, 1.0 / params.inertia, params.friction,
+            1.0 / tau_i if tau_i > 0.0 else 0.0,
+        )
 
     # -- algebraic relations ----------------------------------------------
 
@@ -249,95 +236,103 @@ class InductionMachine:
             self.params.rotor_time_constant * psi_dr
         )
 
-    def electrical_frequency(self, state: MachineState) -> float:
+    def electrical_frequency(self, psi_dr: float, omega_r: float, i_qs: float) -> float:
         """Synchronous electrical frequency p * omega_r + omega_slip."""
-        return self.params.pole_pairs * state.rotor_speed + self.slip_frequency(
-            state.i_qs, state.rotor_flux
-        )
+        return self.params.pole_pairs * omega_r + self.slip_frequency(i_qs, psi_dr)
 
     # -- losses and power ---------------------------------------------------
 
-    def compute_losses(self, state: MachineState, omega_e: float) -> LossBreakdown:
-        """Loss breakdown at the given state and electrical frequency."""
+    def compute_losses(
+        self, psi_dr: float, i_ds: float, i_qs: float, omega_e: float
+    ) -> LossBreakdown:
+        """Loss breakdown at the given flux, currents and electrical frequency."""
         p = self.params
-        i_sq = state.i_ds * state.i_ds + state.i_qs * state.i_qs
-        psi_sq = state.rotor_flux * state.rotor_flux
+        i_sq = i_ds * i_ds + i_qs * i_qs
+        psi_sq = psi_dr * psi_dr
         lm_over_lr = p.magnetizing_inductance / p.rotor_inductance
         return LossBreakdown(
             stator_copper=1.5 * p.stator_resistance * i_sq,
             rotor_copper=1.5 * p.rotor_resistance * (lm_over_lr * lm_over_lr)
-            * state.i_qs * state.i_qs,
+            * i_qs * i_qs,
             iron=(p.iron_loss_eddy_coeff * omega_e * omega_e
                   + p.iron_loss_hysteresis_coeff * abs(omega_e)) * psi_sq,
             converter=p.converter_fixed_loss + p.converter_resistive_coeff * i_sq,
         )
 
-    def input_power(self, state: MachineState, t_e: float, losses: LossBreakdown) -> float:
+    def input_power(self, omega_r: float, t_e: float, losses: LossBreakdown) -> float:
         """DC-link power model: shaft power plus total loss. May be negative
         during regeneration; the shipped scenarios stay motoring."""
-        return t_e * state.rotor_speed + losses.total
+        return t_e * omega_r + losses.total
 
     # -- coupled step --------------------------------------------------------
 
     def step(
-        self,
-        state: MachineState,
-        i_ds_cmd: float,
-        i_qs_cmd: float,
-        t_load: float,
-        dt: float,
-    ) -> MachineState:
+        self, psi: float, w: float, i_d: float, i_q: float,
+        i_ds_cmd: float, i_qs_cmd: float, t_load: float, dt: float,
+    ) -> tuple[float, float, float, float]:
         """One RK4 step of the coupled flux / mechanical / current-lag ODEs.
 
-        Commands and load torque are held constant over the step (zero-order
-        hold). With a zero tracking time constant the currents start at their
-        commands and have a zero derivative, so they equal the commands
-        exactly. The new flux is clamped to the flux floor.
+        Takes and returns (rotor flux, rotor speed, i_ds, i_qs). Commands and
+        load torque are held constant over the step (zero-order hold). With a
+        zero tracking time constant the currents start at their commands and
+        have a zero derivative, and the command floats themselves are
+        returned. Raises :class:`NonFiniteError` if a new value is not
+        finite; the new flux is clamped to the flux floor.
         """
-        p = self.params
-        tau_r = p.rotor_time_constant
-        tau_i = p.current_tracking_time_constant
-        l_m = p.magnetizing_inductance
-        k_t = p.torque_constant_flux
-        inv_j = 1.0 / p.inertia
-        b = p.friction
+        tau_r, l_m, k_t, inv_j, b, inv_tau_i = self._step_constants
+        if inv_tau_i == 0.0:
+            i_d = i_ds_cmd
+            i_q = i_qs_cmd
 
-        if tau_i > 0.0:
-            i_d, i_q, inv_tau_i = state.i_ds, state.i_qs, 1.0 / tau_i
-        else:
-            i_d, i_q, inv_tau_i = i_ds_cmd, i_qs_cmd, 0.0
-        psi = state.rotor_flux
-        w = state.rotor_speed
-
-        def deriv(psi_, w_, id_, iq_):
-            return (
-                (l_m * id_ - psi_) / tau_r,
-                (k_t * psi_ * iq_ - t_load - b * w_) * inv_j,
-                (i_ds_cmd - id_) * inv_tau_i,
-                (i_qs_cmd - iq_) * inv_tau_i,
-            )
-
+        # the derivative, written out at each of the four stages
         h = 0.5 * dt
-        k1 = deriv(psi, w, i_d, i_q)
-        k2 = deriv(psi + h * k1[0], w + h * k1[1], i_d + h * k1[2], i_q + h * k1[3])
-        k3 = deriv(psi + h * k2[0], w + h * k2[1], i_d + h * k2[2], i_q + h * k2[3])
-        k4 = deriv(psi + dt * k3[0], w + dt * k3[1], i_d + dt * k3[2], i_q + dt * k3[3])
+        psi1 = (l_m * i_d - psi) / tau_r
+        w1 = (k_t * psi * i_q - t_load - b * w) * inv_j
+        d1 = (i_ds_cmd - i_d) * inv_tau_i
+        q1 = (i_qs_cmd - i_q) * inv_tau_i
+
+        x_psi = psi + h * psi1
+        x_d = i_d + h * d1
+        x_q = i_q + h * q1
+        psi2 = (l_m * x_d - x_psi) / tau_r
+        w2 = (k_t * x_psi * x_q - t_load - b * (w + h * w1)) * inv_j
+        d2 = (i_ds_cmd - x_d) * inv_tau_i
+        q2 = (i_qs_cmd - x_q) * inv_tau_i
+
+        x_psi = psi + h * psi2
+        x_d = i_d + h * d2
+        x_q = i_q + h * q2
+        psi3 = (l_m * x_d - x_psi) / tau_r
+        w3 = (k_t * x_psi * x_q - t_load - b * (w + h * w2)) * inv_j
+        d3 = (i_ds_cmd - x_d) * inv_tau_i
+        q3 = (i_qs_cmd - x_q) * inv_tau_i
+
+        x_psi = psi + dt * psi3
+        x_d = i_d + dt * d3
+        x_q = i_q + dt * q3
+        psi4 = (l_m * x_d - x_psi) / tau_r
+        w4 = (k_t * x_psi * x_q - t_load - b * (w + dt * w3)) * inv_j
+        d4 = (i_ds_cmd - x_d) * inv_tau_i
+        q4 = (i_qs_cmd - x_q) * inv_tau_i
+
         sixth = dt / 6.0
-        psi_new, w_new, id_new, iq_new = [
-            x + sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            for x, s1, s2, s3, s4 in zip((psi, w, i_d, i_q), k1, k2, k3, k4)
-        ]
+        psi_new = psi + sixth * (psi1 + 2.0 * psi2 + 2.0 * psi3 + psi4)
+        w_new = w + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
         if inv_tau_i == 0.0:
             # the same float objects as the commands: telemetry rows that hold
             # both then share them instead of holding equal copies
-            id_new, iq_new = i_ds_cmd, i_qs_cmd
+            id_new = i_ds_cmd
+            iq_new = i_qs_cmd
+        else:
+            id_new = i_d + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            iq_new = i_q + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
 
+        if not (math.isfinite(psi_new) and math.isfinite(w_new)
+                and math.isfinite(id_new) and math.isfinite(iq_new)):
+            raise NonFiniteError(
+                f"machine state is not finite: rotor_flux={psi_new!r},"
+                f" rotor_speed={w_new!r}, i_ds={id_new!r}, i_qs={iq_new!r}"
+            )
         if psi_new < self.flux_floor:
             psi_new = self.flux_floor
-        return MachineState(
-            rotor_flux=psi_new,
-            rotor_speed=w_new,
-            i_ds=id_new,
-            i_qs=iq_new,
-            simulated_time=state.simulated_time + dt,
-        )
+        return psi_new, w_new, id_new, iq_new

@@ -127,13 +127,13 @@ def test_criterion_3_flux_ode_fidelity(config):
             psi0 = params.rated_flux if i_target < params.rated_excitation_current else params.flux_floor * 4.0
             goal = params.magnetizing_inductance * i_target
             # coupled integrator, commands held, shaft unloaded
-            from fluxseek.machine import MachineState
-
-            state = MachineState(psi0, 0.0, i_target, 0.0, 0.0)
+            psi, omega, i_ds, i_qs = psi0, 0.0, i_target, 0.0
+            t = 0.0
             for k in range(round(5.0 * tau / dt)):
-                state = machine.step(state, i_target, 0.0, 0.0, dt)
-                expected = goal + (psi0 - goal) * math.exp(-state.simulated_time / tau)
-                assert abs(state.rotor_flux - expected) <= 1e-4 * abs(expected)
+                psi, omega, i_ds, i_qs = machine.step(psi, omega, i_ds, i_qs, i_target, 0.0, 0.0, dt)
+                t += dt
+                expected = goal + (psi0 - goal) * math.exp(-t / tau)
+                assert abs(psi - expected) <= 1e-4 * abs(expected)
 
 
 # -- 4: compensation exactness ----------------------------------------------------------

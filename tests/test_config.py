@@ -123,6 +123,23 @@ def test_bad_numbers_rejected_with_path(default_text, needle, replacement, key_p
         parse_config(broken)
 
 
+def test_unstable_step_size_rejected(default_text):
+    # short-demo at dt = 0.01 is past the RK4 limit on the 2 ms current lag
+    # (it used to finish at 1e113 rad/s); at dt = 0.005 it is inside it.
+    demo = "name: short-demo\n    duration: 1.0\n    dt: "
+    assert demo + "1.0e-4" in default_text
+    with pytest.raises(ConfigError, match=r"scenarios\[3\]\.dt: .*stability limit"):
+        parse_config(default_text.replace(demo + "1.0e-4", demo + "0.01"))
+    assert parse_config(default_text.replace(demo + "1.0e-4", demo + "0.005"))
+    # with ideal tracking the rotor time constant (0.15 s) sets the limit
+    ideal = default_text.replace(
+        "current_tracking_time_constant: 0.002", "current_tracking_time_constant: 0.0"
+    )
+    assert parse_config(ideal.replace(demo + "1.0e-4", demo + "0.4"))
+    with pytest.raises(ConfigError, match=r"scenarios\[3\]\.dt"):
+        parse_config(ideal.replace(demo + "1.0e-4", demo + "0.42"))
+
+
 def test_wrong_type_rejected(default_text):
     broken = default_text.replace("pole_pairs: 2", "pole_pairs: two")
     with pytest.raises(ConfigError, match="pole_pairs"):

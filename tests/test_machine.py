@@ -1,6 +1,6 @@
 """Machine model: parameter invariants, the coupled step's flux and
-mechanical integration against closed forms, loss formulas, and power
-bookkeeping."""
+mechanical integration against closed forms and against a generic RK4, loss
+formulas, and power bookkeeping."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from fluxseek import (
     InductionMachine,
     LossBreakdown,
     MachineParams,
-    MachineState,
     NonFiniteError,
 )
 
@@ -45,14 +44,9 @@ def build_params(**overrides) -> MachineParams:
     return MachineParams.build(**kwargs)
 
 
-def make_state(psi=0.7, omega=150.0, i_ds=5.0, i_qs=12.0) -> MachineState:
-    return MachineState(
-        rotor_flux=psi,
-        rotor_speed=omega,
-        i_ds=i_ds,
-        i_qs=i_qs,
-        simulated_time=0.0,
-    )
+def make_state(psi=0.7, omega=150.0, i_ds=5.0, i_qs=12.0) -> tuple[float, float, float, float]:
+    """(rotor flux, rotor speed, i_ds, i_qs), the order ``step`` takes and returns."""
+    return psi, omega, i_ds, i_qs
 
 
 # -- parameter invariants -----------------------------------------------------
@@ -101,15 +95,6 @@ def test_positive_constants_enforced(field):
         build_params(**{field: 0.0})
 
 
-def test_state_rejects_non_finite_and_negative_flux():
-    with pytest.raises(NonFiniteError):
-        make_state(psi=float("nan"))
-    with pytest.raises(NonFiniteError):
-        make_state(omega=float("inf"))
-    with pytest.raises(ValueError):
-        make_state(psi=-0.1)
-
-
 def test_loss_breakdown_total_is_exact_sum():
     loss = LossBreakdown(stator_copper=1.25, rotor_copper=2.5, iron=3.75, converter=0.5)
     assert loss.total == 1.25 + 2.5 + 3.75 + 0.5
@@ -131,8 +116,8 @@ def ideal_machine(**overrides) -> tuple[MachineParams, InductionMachine]:
 def test_flux_equilibrium_is_a_fixed_point():
     p, m = ideal_machine()
     state = make_state(psi=p.magnetizing_inductance * 3.0, i_ds=3.0, i_qs=0.0)
-    stepped = m.step(state, 3.0, 0.0, 0.0, 1e-4)
-    assert stepped.rotor_flux == state.rotor_flux
+    stepped = m.step(*state, 3.0, 0.0, 0.0, 1e-4)
+    assert stepped[0] == state[0]
 
 
 def test_flux_decay_matches_closed_form_at_one_time_constant():
@@ -143,9 +128,9 @@ def test_flux_decay_matches_closed_form_at_one_time_constant():
     state = make_state(psi=p.rated_flux, i_ds=i_ds, i_qs=0.0)
     n = round(p.rotor_time_constant / dt)
     for _ in range(n):
-        state = m.step(state, i_ds, 0.0, 0.0, dt)
+        state = m.step(*state, i_ds, 0.0, 0.0, dt)
     expected = p.rated_flux * (0.5 + 0.5 * math.exp(-1.0))
-    assert state.rotor_flux == pytest.approx(expected, rel=1e-4)
+    assert state[0] == pytest.approx(expected, rel=1e-4)
 
 
 def test_flux_settles_within_one_percent_after_five_time_constants():
@@ -157,9 +142,9 @@ def test_flux_settles_within_one_percent_after_five_time_constants():
     target = p.magnetizing_inductance * i_ds
     state = make_state(psi=p.rated_flux, i_ds=i_ds, i_qs=0.0)
     for _ in range(round(5.0 * p.rotor_time_constant / dt)):
-        state = m.step(state, i_ds, 0.0, 0.0, dt)
-    assert abs(state.rotor_flux - target) < 0.01 * (p.rated_flux - target)
-    assert state.rotor_flux == pytest.approx(target, rel=0.01)
+        state = m.step(*state, i_ds, 0.0, 0.0, dt)
+    assert abs(state[0] - target) < 0.01 * (p.rated_flux - target)
+    assert state[0] == pytest.approx(target, rel=0.01)
 
 
 def test_flux_converges_to_tenth_percent_after_seven_time_constants():
@@ -169,8 +154,8 @@ def test_flux_converges_to_tenth_percent_after_seven_time_constants():
     target = p.magnetizing_inductance * i_ds
     state = make_state(psi=p.rated_flux, i_ds=i_ds, i_qs=0.0)
     for _ in range(round(7.0 * p.rotor_time_constant / dt)):
-        state = m.step(state, i_ds, 0.0, 0.0, dt)
-    assert abs(state.rotor_flux - target) / target < 1e-3
+        state = m.step(*state, i_ds, 0.0, 0.0, dt)
+    assert abs(state[0] - target) / target < 1e-3
 
 
 def test_flux_step_preconditions():
@@ -179,16 +164,16 @@ def test_flux_step_preconditions():
     state = make_state()
     for m in (InductionMachine(build_params()), ideal_machine()[1]):
         with pytest.raises(NonFiniteError):
-            m.step(state, float("nan"), 12.0, 6.0, 1e-4)
+            m.step(*state, float("nan"), 12.0, 6.0, 1e-4)
         with pytest.raises(NonFiniteError):
-            m.step(state, 5.0, float("inf"), 6.0, 1e-4)
+            m.step(*state, 5.0, float("inf"), 6.0, 1e-4)
 
 
 def test_flux_clamped_at_floor():
     p, m = ideal_machine()
     state = make_state(psi=p.flux_floor, i_ds=0.0, i_qs=0.0)
-    stepped = m.step(state, 0.0, 0.0, 0.0, 1e-4)
-    assert stepped.rotor_flux == p.flux_floor
+    stepped = m.step(*state, 0.0, 0.0, 0.0, 1e-4)
+    assert stepped[0] == p.flux_floor
 
 
 # -- torque and slip -------------------------------------------------------------
@@ -251,9 +236,9 @@ def test_mechanical_balance_keeps_speed():
     state = make_state(psi=psi, omega=100.0, i_ds=5.0, i_qs=12.0)
     # the load equals the developed torque, in the step's own product order
     t_load = p.torque_constant_flux * psi * 12.0
-    stepped = m.step(state, 5.0, 12.0, t_load, 1e-4)
-    assert stepped.rotor_flux == psi
-    assert stepped.rotor_speed == state.rotor_speed
+    stepped = m.step(*state, 5.0, 12.0, t_load, 1e-4)
+    assert stepped[0] == psi
+    assert stepped[1] == state[1]
 
 
 def test_constant_acceleration_closed_form():
@@ -263,8 +248,8 @@ def test_constant_acceleration_closed_form():
     state = make_state(omega=0.0, i_ds=5.0, i_qs=0.0)
     dt = 1e-4
     for _ in range(round(1.0 / dt)):
-        state = m.step(state, 5.0, 0.0, -1.0, dt)
-    assert state.rotor_speed == pytest.approx(10.0, rel=1e-4)
+        state = m.step(*state, 5.0, 0.0, -1.0, dt)
+    assert state[1] == pytest.approx(10.0, rel=1e-4)
 
 
 def test_friction_decay_closed_form():
@@ -275,14 +260,14 @@ def test_friction_decay_closed_form():
     state = make_state(omega=omega0, i_ds=5.0, i_qs=0.0)
     dt = 1e-3
     for _ in range(round(3.0 * tau / dt)):
-        state = m.step(state, 5.0, 0.0, 0.0, dt)
-    assert state.rotor_speed == pytest.approx(omega0 * math.exp(-3.0), rel=1e-3)
+        state = m.step(*state, 5.0, 0.0, 0.0, dt)
+    assert state[1] == pytest.approx(omega0 * math.exp(-3.0), rel=1e-3)
 
 
 def test_mechanical_rejects_non_finite():
     m = InductionMachine(build_params())
-    with pytest.raises(NonFiniteError):
-        m.step(make_state(), 5.0, 12.0, float("inf"), 1e-4)
+    with pytest.raises(NonFiniteError, match="rotor_speed=nan"):
+        m.step(*make_state(), 5.0, 12.0, float("inf"), 1e-4)
 
 
 # -- losses and power ------------------------------------------------------------------
@@ -291,8 +276,7 @@ def test_mechanical_rejects_non_finite():
 def test_losses_at_zero_excitation():
     p = build_params()
     m = InductionMachine(p)
-    state = make_state(psi=0.0, omega=0.0, i_ds=0.0, i_qs=0.0)
-    loss = m.compute_losses(state, 0.0)
+    loss = m.compute_losses(0.0, 0.0, 0.0, 0.0)
     assert loss.stator_copper == 0.0
     assert loss.rotor_copper == 0.0
     assert loss.iron == 0.0
@@ -304,8 +288,8 @@ def test_halving_flux_quarters_iron_loss():
     p = build_params()
     m = InductionMachine(p)
     omega_e = 300.0
-    full = m.compute_losses(make_state(psi=0.7), omega_e).iron
-    half = m.compute_losses(make_state(psi=0.5 * 0.7), omega_e).iron
+    full = m.compute_losses(0.7, 5.0, 12.0, omega_e).iron
+    half = m.compute_losses(0.5 * 0.7, 5.0, 12.0, omega_e).iron
     assert half == 0.25 * full
 
 
@@ -314,9 +298,8 @@ def test_losses_hand_sum_at_rated_point():
     # i_ds = 5, i_qs = 12, Psi = 0.7, omega_e = 2 * 150 + 16 = 316.
     p = build_params()
     m = InductionMachine(p)
-    state = make_state()
     omega_e = 2.0 * 150.0 + 16.0
-    loss = m.compute_losses(state, omega_e)
+    loss = m.compute_losses(0.7, 5.0, 12.0, omega_e)
     assert loss.stator_copper == pytest.approx(177.45, rel=1e-12)
     assert loss.rotor_copper == pytest.approx(192.0, rel=1e-12)
     assert loss.iron == pytest.approx(763.299264, rel=1e-12)
@@ -327,14 +310,14 @@ def test_losses_hand_sum_at_rated_point():
 def test_iron_loss_strictly_decreasing_in_flux():
     m = InductionMachine(build_params())
     omega_e = 316.0
-    values = [m.compute_losses(make_state(psi=psi), omega_e).iron for psi in (0.7, 0.5, 0.3, 0.1)]
+    values = [m.compute_losses(psi, 5.0, 12.0, omega_e).iron for psi in (0.7, 0.5, 0.3, 0.1)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_copper_loss_strictly_increasing_in_torque_current():
     m = InductionMachine(build_params())
     losses = [
-        m.compute_losses(make_state(i_qs=i_qs), 316.0) for i_qs in (1.0, 3.0, 9.0, 15.0)
+        m.compute_losses(0.7, 5.0, i_qs, 316.0) for i_qs in (1.0, 3.0, 9.0, 15.0)
     ]
     copper = [l.stator_copper + l.rotor_copper for l in losses]
     assert all(a < b for a, b in zip(copper, copper[1:]))
@@ -343,20 +326,19 @@ def test_copper_loss_strictly_increasing_in_torque_current():
 def test_input_power_cases():
     m = InductionMachine(build_params())
     zero = LossBreakdown(0.0, 0.0, 0.0, 0.0)
-    assert m.input_power(make_state(omega=0.0), 0.0, zero) == 0.0
+    assert m.input_power(0.0, 0.0, zero) == 0.0
     # shaft 1000 W + losses 400 W
-    state = make_state(omega=100.0)
     loss = LossBreakdown(100.0, 100.0, 100.0, 100.0)
-    assert m.input_power(state, 10.0, loss) == 1400.0
+    assert m.input_power(100.0, 10.0, loss) == 1400.0
 
 
 def test_energy_bookkeeping_is_exact():
     m = InductionMachine(build_params())
-    state = make_state()
-    loss = m.compute_losses(state, 316.0)
-    t_e = m.developed_torque(state.rotor_flux, state.i_qs)
-    p_in = m.input_power(state, t_e, loss)
-    assert p_in - t_e * state.rotor_speed - loss.total == 0.0
+    psi, omega, i_ds, i_qs = make_state()
+    loss = m.compute_losses(psi, i_ds, i_qs, 316.0)
+    t_e = m.developed_torque(psi, i_qs)
+    p_in = m.input_power(omega, t_e, loss)
+    assert p_in - t_e * omega - loss.total == 0.0
 
 
 # -- coupled step ----------------------------------------------------------------------
@@ -369,7 +351,7 @@ def test_coupled_step_is_deterministic():
     def run():
         state = make_state(psi=0.7, omega=10.0, i_ds=5.0, i_qs=2.0)
         for _ in range(500):
-            state = m.step(state, 3.0, 8.0, 6.0, 1e-4)
+            state = m.step(*state, 3.0, 8.0, 6.0, 1e-4)
         return state
 
     a, b = run(), run()
@@ -381,17 +363,17 @@ def test_coupled_step_tracks_commands_through_lag():
     m = InductionMachine(p)
     state = make_state(psi=0.7, omega=0.0, i_ds=5.0, i_qs=0.0)
     for _ in range(round(10 * p.current_tracking_time_constant / 1e-4)):
-        state = m.step(state, 3.0, 8.0, 0.0, 1e-4)
-    assert state.i_ds == pytest.approx(3.0, rel=1e-4)
-    assert state.i_qs == pytest.approx(8.0, rel=1e-4)
+        state = m.step(*state, 3.0, 8.0, 0.0, 1e-4)
+    assert state[2] == pytest.approx(3.0, rel=1e-4)
+    assert state[3] == pytest.approx(8.0, rel=1e-4)
 
 
 def test_coupled_step_zero_lag_applies_commands_exactly():
     p = build_params(current_tracking_time_constant=0.0)
     m = InductionMachine(p)
-    state = m.step(make_state(), 3.0, 8.0, 6.0, 1e-4)
-    assert state.i_ds == 3.0
-    assert state.i_qs == 8.0
+    state = m.step(*make_state(), 3.0, 8.0, 6.0, 1e-4)
+    assert state[2] == 3.0
+    assert state[3] == 8.0
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -405,7 +387,69 @@ def test_coupled_step_keeps_state_finite_and_floored(i_ds_cmd, i_qs_cmd, t_load)
     m = InductionMachine(p)
     state = make_state(psi=0.7, omega=50.0, i_ds=5.0, i_qs=0.0)
     for _ in range(200):
-        state = m.step(state, i_ds_cmd, i_qs_cmd, t_load, 1e-4)
-    assert state.rotor_flux >= p.flux_floor
-    assert math.isfinite(state.rotor_speed)
-    assert math.isfinite(state.i_qs)
+        state = m.step(*state, i_ds_cmd, i_qs_cmd, t_load, 1e-4)
+    assert state[0] >= p.flux_floor
+    assert math.isfinite(state[1])
+    assert math.isfinite(state[3])
+
+
+# -- the step against a generic RK4 ------------------------------------------------
+#
+# The telemetry's golden hash depends on the step's exact arithmetic. A
+# textbook four-stage RK4 over the same derivative, with the same operation
+# order, must give the same doubles, flux floor included.
+
+
+def generic_rk4(f, y, dt):
+    h = 0.5 * dt
+    k1 = f(y)
+    k2 = f([x + h * k for x, k in zip(y, k1)])
+    k3 = f([x + h * k for x, k in zip(y, k2)])
+    k4 = f([x + dt * k for x, k in zip(y, k3)])
+    sixth = dt / 6.0
+    return [
+        x + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for x, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ]
+
+
+@pytest.mark.parametrize("tau_i", [0.002, 0.0], ids=["lagged", "ideal"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    psi=st.floats(0.0, 1.0),
+    omega=st.floats(-200.0, 200.0),
+    i_ds=st.floats(-30.0, 30.0),
+    i_qs=st.floats(-30.0, 30.0),
+    i_ds_cmd=st.floats(0.0, 6.0),
+    i_qs_cmd=st.floats(-25.0, 25.0),
+    t_load=st.floats(-30.0, 30.0),
+    dt=st.floats(1e-6, 5e-3),
+)
+def test_step_equals_generic_rk4_bit_for_bit(
+    tau_i, psi, omega, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt
+):
+    p = build_params(current_tracking_time_constant=tau_i)
+    inv_tau_i = 1.0 / tau_i if tau_i > 0.0 else 0.0
+    inv_j = 1.0 / p.inertia
+
+    def f(y):
+        psi_, w_, i_d, i_q = y
+        return (
+            (p.magnetizing_inductance * i_d - psi_) / p.rotor_time_constant,
+            (p.torque_constant_flux * psi_ * i_q - t_load - p.friction * w_) * inv_j,
+            (i_ds_cmd - i_d) * inv_tau_i,
+            (i_qs_cmd - i_q) * inv_tau_i,
+        )
+
+    # a short trajectory, so rounding differences have room to show
+    machine = InductionMachine(p)
+    got = (psi, omega, i_ds, i_qs)
+    expected = [psi, omega, i_ds, i_qs]
+    for _ in range(20):
+        got = machine.step(*got, i_ds_cmd, i_qs_cmd, t_load, dt)
+        if tau_i == 0.0:
+            # ideal tracking starts the currents at their commands
+            expected[2:] = [i_ds_cmd, i_qs_cmd]
+        expected = generic_rk4(f, expected, dt)
+        expected[0] = max(expected[0], p.flux_floor)
+        assert list(got) == expected

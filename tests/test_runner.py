@@ -163,7 +163,23 @@ def test_divergence_reports_step_index(config):
     scenario = constant_scenario("blowup", 10.0, 0.1, 150.0, 6.0, flc_enabled=False)
     with pytest.raises(SimulationDivergedError) as err:
         simulate(scenario, config)
-    assert err.value.step_index >= 0
+    error = err.value
+    assert error.step_index >= 0
+    # the last finite state and the failing step's inputs, as attributes and
+    # in the message
+    context = {
+        "rotor_flux": error.rotor_flux,
+        "rotor_speed": error.rotor_speed,
+        "i_ds": error.i_ds,
+        "i_qs": error.i_qs,
+        "i_ds_cmd": error.i_ds_cmd,
+        "i_qs_cmd": error.i_qs_cmd,
+        "load_torque": error.load_torque,
+    }
+    assert all(math.isfinite(value) for value in context.values())
+    assert error.load_torque == 6.0
+    for name, value in context.items():
+        assert f"{name}={value!r}" in str(error)
 
 
 def test_efficiency_absent_when_input_power_nonpositive():
