@@ -87,6 +87,11 @@ class TorqueCompensator:
         self.latch_time = 0.0
         self.target_i_ds = 0.0
 
+    @property
+    def time_varying(self) -> bool:
+        """True when ``output`` depends on ``t`` between latches."""
+        return self.flux_source == "predicted" and self.mode == "continuous"
+
     def reset(self) -> None:
         self.state = None
         self.base = 0.0

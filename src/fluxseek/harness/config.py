@@ -311,14 +311,20 @@ def _parse_profile(node, path: str) -> tuple[tuple[float, float], ...]:
     return tuple(profile)
 
 
-def _parse_scenarios(node, path: str, machine: MachineParams) -> tuple[Scenario, ...]:
-    entries = _sequence(node, path)
-    # the fastest decay the step integrates: the current lag, if any, or the
-    # rotor flux
+def check_step_size(dt: float, machine: MachineParams) -> None:
+    """Raise ValueError unless ``dt`` is below the RK4 stability limit of the
+    fastest decay the step integrates: the current lag if any, else the rotor flux."""
     tau = machine.rotor_time_constant
     if machine.current_tracking_time_constant > 0.0:
         tau = min(tau, machine.current_tracking_time_constant)
     max_dt = RK4_STABILITY_LIMIT * tau
+    if dt >= max_dt:
+        raise ValueError(f"dt={dt!r} s must be below {max_dt!r} s, the RK4 stability"
+                         f" limit for the {tau!r} s time constant")
+
+
+def _parse_scenarios(node, path: str, machine: MachineParams) -> tuple[Scenario, ...]:
+    entries = _sequence(node, path)
     scenarios = []
     names: set[str] = set()
     for i, raw in enumerate(entries):
@@ -343,12 +349,10 @@ def _parse_scenarios(node, path: str, machine: MachineParams) -> tuple[Scenario,
             )
         except ValueError as exc:
             raise ConfigError(str(exc), key=entry_path) from exc
-        if scenario.dt >= max_dt:
-            raise ConfigError(
-                f"must be below {max_dt!r} s, the RK4 stability limit for the"
-                f" {tau!r} s time constant",
-                key=f"{entry_path}.dt",
-            )
+        try:
+            check_step_size(scenario.dt, machine)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=f"{entry_path}.dt") from exc
         if scenario.name in names:
             raise ConfigError(f"duplicate scenario name {scenario.name!r}", key=entry_path)
         names.add(scenario.name)

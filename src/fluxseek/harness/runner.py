@@ -1,13 +1,16 @@
 """Fixed-step closed-loop execution of one scenario.
 
-Step order: command profiles -> speed PI (a pure float update) -> mode
-supervisor / excitation switch (rated excitation outside the search) ->
-feedforward compensation -> torque-current limiting, inline -> coupled
-machine step -> losses and power bookkeeping. The machine state, the PI
-integrator and the commands are loop-local floats, not state objects; a
-telemetry row, a named tuple, is emitted every decimation interval. Everything
-is deterministic: identical scenario + config produce byte-identical CSV
-output.
+Step order: command profiles -> mode supervisor (rated excitation and a
+compensator reset outside the search, then the sample timer) -> speed PI ->
+search sample and compensator latch, when due -> feedforward compensation ->
+inline torque-current limiting -> coupled machine step -> losses and power
+for the telemetry row, a named tuple, every decimation interval.
+
+A step that left psi, omega, i_d, i_q and the PI integrator unchanged bit for
+bit is a fixed point, so the next step is *held*: it reuses the state and the
+row fields without the PI, compensator, clamp or machine step, unless a
+command, the mode or a search sample changes. The supervisor runs on every
+step. The CSV output is byte-identical for identical scenario and config.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from ..optimizer import (
     search_sample,
     update_mode,
 )
-from .config import DriveConfig
+from .config import DriveConfig, check_step_size
 from .scenario import Scenario
 
 CSV_HEADER = (
@@ -87,6 +90,7 @@ def simulate(
     decim = config.telemetry_decimation if decimation is None else decimation
     if decim < 1:
         raise ValueError("decimation must be >= 1")
+    check_step_size(dt, params)
 
     flc = scenario.flc_enabled
     kp = config.speed_kp
@@ -100,6 +104,7 @@ def simulate(
         if scenario.compensator_enabled
         else None
     )
+    may_hold = comp is None or not comp.time_varying
     # pre-magnetized standstill: rated flux established, shaft at rest
     psi = params.rated_flux
     omega_r = 0.0
@@ -119,6 +124,8 @@ def simulate(
     sample_count = 0
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
+    fixed = False  # the last computed step left its state unchanged
+    tail = None    # the row fields after ``time`` for the present state
 
     for k in range(n_steps):
         t = k * dt
@@ -128,20 +135,27 @@ def simulate(
             li += 1
         omega_ref = speed_prof[si][1]
         t_load = load_prof[li][1]
+        # identity, not ==: a held step must see the very same command floats
+        hold = fixed and omega_ref is prev_ref and t_load is prev_load
         command_changed = omega_ref != prev_ref or t_load != prev_load
-        prev_ref = omega_ref
-        prev_load = t_load
+        prev_ref, prev_load = omega_ref, t_load
 
         error = omega_ref - omega_r
-        integrator, iqs_pi = speed_pi_step(integrator, error, kp, ki, i_qs_max, dt)
-
+        sample_due = False
         if flc:
+            mode = search.mode
             update_mode(search, settings, error, command_changed)
             if search.mode is not DriveMode.STEADY_SEARCH:
                 i_ds_cmd = i_ds_rated
                 if comp is not None:
                     comp.reset()
-            if advance_sample_timer(search, settings, dt):
+            sample_due = advance_sample_timer(search, settings, dt)
+            hold = hold and search.mode is mode and not sample_due
+
+        if not hold:
+            before = (psi, omega_r, i_ds, i_qs, integrator)
+            integrator, iqs_pi = speed_pi_step(integrator, error, kp, ki, i_qs_max, dt)
+            if sample_due:
                 omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
                 losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
                 t_e = machine.developed_torque(psi, i_qs)
@@ -157,40 +171,31 @@ def simulate(
                     convergence_time = t
                 if comp is not None:
                     comp.latch(psi, iqs_pi, i_ds_cmd, t)
-        else:
-            i_ds_cmd = i_ds_rated
 
-        searching = flc and search.mode is DriveMode.STEADY_SEARCH
-        comp_out = comp.output(psi, t) if (comp is not None and searching) else 0.0
-        # i_ds_cmd needs no clamp: it is rated or what search_sample clamped
-        i_qs_cmd = min(max(iqs_pi + comp_out, -i_qs_max), i_qs_max)
+            searching = search.mode is DriveMode.STEADY_SEARCH
+            comp_out = comp.output(psi, t) if (comp is not None and searching) else 0.0
+            # i_ds_cmd needs no clamp: it is rated or what search_sample clamped
+            i_qs_cmd = min(max(iqs_pi + comp_out, -i_qs_max), i_qs_max)
 
-        try:
-            psi, omega_r, i_ds, i_qs = step(
-                psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt
-            )
-        except NonFiniteError as exc:
-            raise SimulationDivergedError(
-                k, str(exc), psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load
-            ) from exc
+            try:
+                psi, omega_r, i_ds, i_qs = step(
+                    psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt
+                )
+            except NonFiniteError as exc:
+                raise SimulationDivergedError(
+                    k, str(exc), psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load
+                ) from exc
+            fixed = may_hold and _repeats(before, (psi, omega_r, i_ds, i_qs, integrator))
+            tail = None
         simulated_time += dt
 
         if (k + 1) % decim == 0:
-            omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
-            losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
-            t_e = machine.developed_torque(psi, i_qs)
-            p_in = machine.input_power(omega_r, t_e, losses)
-            p_out = t_load * omega_r
-            records.append(
-                TelemetryRecord(
-                    simulated_time, omega_ref, omega_r, i_ds_cmd, i_qs_cmd,
-                    i_ds, i_qs, psi, t_e, t_load,
-                    losses.stator_copper, losses.rotor_copper, losses.iron,
-                    losses.converter, p_in, p_out,
-                    p_out / p_in if p_in > 0.0 else None,
-                    search.mode.value if flc else DriveMode.TRANSIENT_RATED_FLUX.value,
+            if tail is None:
+                tail = _row_tail(
+                    machine, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs,
+                    psi, t_load, search.mode.value,
                 )
-            )
+            records.append(TelemetryRecord(simulated_time, *tail))
 
     return SimulationResult(
         scenario_name=scenario.name,
@@ -199,9 +204,29 @@ def simulate(
         converged=search.converged,
         samples_to_convergence=samples_to_convergence,
         convergence_time=convergence_time,
-        final_mode=search.mode.value if flc else DriveMode.TRANSIENT_RATED_FLUX.value,
+        final_mode=search.mode.value,
         final_i_ds_cmd=i_ds_cmd,
     )
+
+
+def _repeats(before: tuple[float, ...], after: tuple[float, ...]) -> bool:
+    """``after`` is ``before`` bit for bit; as -0.0 == 0.0, zeros never count."""
+    return before == after and 0.0 not in after
+
+
+def _row_tail(
+    machine: InductionMachine, omega_ref: float, omega_r: float, i_ds_cmd: float,
+    i_qs_cmd: float, i_ds: float, i_qs: float, psi: float, t_load: float, mode: str,
+) -> tuple:
+    """A telemetry row's fields after ``time``, in ``TelemetryRecord`` order."""
+    omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
+    losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
+    t_e = machine.developed_torque(psi, i_qs)
+    p_in = machine.input_power(omega_r, t_e, losses)
+    p_out = t_load * omega_r
+    return (omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_e, t_load,
+            losses.stator_copper, losses.rotor_copper, losses.iron, losses.converter,
+            p_in, p_out, p_out / p_in if p_in > 0.0 else None, mode)
 
 
 def format_record(record: TelemetryRecord) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 
@@ -132,6 +133,10 @@ def test_table_renders_and_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == REPORT_CSV_HEADER
     assert len(lines) == 9  # header + 4 off rows + 4 on rows
+    # the whole report, bit for bit: 8 closed-loop runs, 720k steps
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "46402df2133f9031d19602f134036a7c2e3e83dff596d53a883f388c17012d01"
+    )
 
 
 def test_run_flux_source_override(tmp_path):

@@ -197,3 +197,13 @@ def test_state_validates_flux_source(config):
         TorqueCompensator(config.machine, flux_source="guessed")
     with pytest.raises(ValueError):
         TorqueCompensator(config.machine, mode="sometimes")
+
+
+@pytest.mark.parametrize("flux_source", ["measured", "predicted"])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_time_varying_says_whether_output_moves_between_latches(config, flux_source, mode):
+    comp = TorqueCompensator(config.machine, flux_source=flux_source, mode=mode)
+    comp.latch(0.7, 3.0, 4.0, 0.0)
+    comp.latch(0.69, 3.0, 3.5, 0.5)
+    moves = comp.output(0.68, 0.6) != comp.output(0.68, 0.9)
+    assert comp.time_varying == moves == (flux_source == "predicted" and mode == "continuous")

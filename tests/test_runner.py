@@ -8,6 +8,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxseek import InductionMachine, SimulationDivergedError
 from fluxseek.harness import (
@@ -17,6 +19,7 @@ from fluxseek.harness import (
     csv_bytes,
     simulate,
 )
+from fluxseek.harness import runner
 from fluxseek.harness.runner import TelemetryRecord, format_record
 
 GOLDEN_HEADER = (
@@ -158,9 +161,9 @@ def test_profile_steps_are_honored(config):
 
 
 def test_divergence_reports_step_index(config):
-    # A step far beyond the current-lag stability limit blows up the lag
-    # states; the runner must abort with the failing step index.
-    scenario = constant_scenario("blowup", 10.0, 0.1, 150.0, 6.0, flc_enabled=False)
+    # A finite but absurd load torque overflows the speed derivative in the
+    # first step; the runner must abort with the failing step index.
+    scenario = constant_scenario("blowup", 10.0, 1e-4, 150.0, 1e308, flc_enabled=False)
     with pytest.raises(SimulationDivergedError) as err:
         simulate(scenario, config)
     error = err.value
@@ -177,9 +180,107 @@ def test_divergence_reports_step_index(config):
         "load_torque": error.load_torque,
     }
     assert all(math.isfinite(value) for value in context.values())
-    assert error.load_torque == 6.0
+    assert error.load_torque == 1e308
     for name, value in context.items():
         assert f"{name}={value!r}" in str(error)
+
+
+def test_simulate_rejects_unstable_step_size(config):
+    # A scenario built in code skips parse_config; dt = 6 ms is past the RK4
+    # limit on the 2 ms current lag and used to finish at 2e46 rad/s.
+    scenario = constant_scenario("x", 2.0, 0.006, 150.0, 6.0)
+    with pytest.raises(ValueError, match=r"dt=0\.006 s must be below 0\.00557"):
+        simulate(scenario, config, decimation=1)
+
+
+def test_repeats_compares_bits():
+    assert runner._repeats((0.7, 150.0, 5.0), (0.7, 150.0, 5.0))
+    assert not runner._repeats((0.7, 150.0, 5.0), (0.7, 150.0, 5.000000000000001))
+    # +0.0 == -0.0, but their reprs differ: a zero never counts as repeated
+    assert not runner._repeats((0.7, 0.0), (0.7, -0.0))
+    assert not runner._repeats((0.7, 0.0), (0.7, 0.0))
+
+
+# the search's scaling gains hold for speeds in [0, 160] rad/s only
+SPEEDS = (0.0, -0.0, 150.0, 100.0)
+LOADS = (0.0, -0.0, 6.0, 12.0, -6.0)  # negative: regenerating
+
+
+@st.composite
+def held_cases(draw):
+    """A scenario, the config fields it runs with, and a decimation."""
+    duration = draw(st.sampled_from((1.5, 3.0)))
+
+    def profile(values):
+        times = sorted(draw(st.lists(st.floats(0.1, duration), max_size=2, unique=True)))
+        return tuple((t, draw(st.sampled_from(values))) for t in [0.0, *times])
+
+    flc = draw(st.booleans())
+    scenario = Scenario(
+        name="held",
+        duration=duration,
+        dt=draw(st.sampled_from((5e-4, 1e-3, 2e-3))),
+        speed_reference=profile(SPEEDS if flc else (*SPEEDS, -60.0)),
+        load_torque=profile(LOADS),
+        flc_enabled=flc,
+        compensator_enabled=draw(st.booleans()),
+    )
+    return (
+        scenario,
+        draw(st.sampled_from((0.002, 0.0))),  # current_tracking_time_constant
+        draw(st.sampled_from(("measured", "predicted"))),
+        draw(st.sampled_from(("continuous", "discrete"))),
+        draw(st.sampled_from((200, 2000))),  # steady_steps
+        draw(st.sampled_from((1, 7))),
+    )
+
+
+def _settled(load_torque, **kwargs):
+    return Scenario("held", 3.0, 1e-3, ((0.0, 150.0),), load_torque, **kwargs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=held_cases())
+# the load's sign flips at a settled state: == sees no command change
+@example(case=(
+    _settled(((0.0, 0.0), (2.0, -0.0)), flc_enabled=False),
+    0.002, "measured", "continuous", 200, 1,
+))
+# the search starts after the speed has settled bit for bit
+@example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "continuous", 2000, 1))
+def test_held_steps_match_computed_steps(config, case):
+    # Skipping a step that repeats the last one must change no output bit:
+    # compare with the same run where no step is ever held.
+    scenario, tau_i, flux_source, compensation_mode, steady_steps, decimation = case
+    cfg = dataclasses.replace(
+        config,
+        machine=dataclasses.replace(config.machine, current_tracking_time_constant=tau_i),
+        search=dataclasses.replace(config.search, steady_steps=steady_steps),
+        flux_source=flux_source,
+        compensation_mode=compensation_mode,
+    )
+    held = simulate(scenario, cfg, decimation=decimation)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_repeats", lambda before, after: False)
+        computed = simulate(scenario, cfg, decimation=decimation)
+    assert csv_bytes(held.records) == csv_bytes(computed.records)
+    # repr tells +0.0 from -0.0, which == does not
+    assert repr(held) == repr(computed)
+
+
+def test_hold_engages_at_steady_state(config, monkeypatch):
+    calls = 0
+    step = InductionMachine.step
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(InductionMachine, "step", counting)
+    simulate(config.scenario("rated-flux-baseline"), config)
+    # 40000 steps, most of them after the speed has settled bit for bit
+    assert calls < 40000
 
 
 def test_efficiency_absent_when_input_power_nonpositive():
