@@ -97,9 +97,7 @@ class TorqueCompensator:
         self.base = 0.0
 
     def _anchor_flux_now(self, psi_measured: float, t: float) -> float:
-        if self.state is None:
-            return psi_measured
-        if self.flux_source == "measured":
+        if self.state is None or self.flux_source == "measured":
             return psi_measured
         return predicted_flux_trajectory(
             self.params, self.state.psi_at_step, self.target_i_ds, t - self.latch_time
@@ -133,7 +131,8 @@ class TorqueCompensator:
             return 0.0
         if self.mode == "discrete":
             return self.base
-        psi_now = self._anchor_flux_now(psi_measured, t)
+        psi_now = (psi_measured if self.flux_source == "measured"
+                   else self._anchor_flux_now(psi_measured, t))
         return self.base + continuous_compensation(
             self.state, psi_now - self.state.psi_at_step
         )

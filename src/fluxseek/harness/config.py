@@ -24,6 +24,7 @@ from ..fuzzy import (
     FuzzyRuleBase,
     MembershipFunction,
     ScalingGains,
+    input_gain,
 )
 from ..machine import MachineParams
 from ..optimizer import SearchSettings
@@ -323,7 +324,15 @@ def check_step_size(dt: float, machine: MachineParams) -> None:
                          f" limit for the {tau!r} s time constant")
 
 
-def _parse_scenarios(node, path: str, machine: MachineParams) -> tuple[Scenario, ...]:
+def check_search_speeds(scenario: Scenario, gains: ScalingGains) -> None:
+    """Raise ConfigError if the scenario runs the search and its speed reference
+    commands a speed where the power base P_b (``fuzzy.input_gain``) is not positive."""
+    if scenario.flc_enabled:
+        for _, speed in scenario.speed_reference:
+            input_gain(gains, speed)
+
+
+def _parse_scenarios(node, path: str, machine: MachineParams, gains: ScalingGains) -> tuple[Scenario, ...]:
     entries = _sequence(node, path)
     scenarios = []
     names: set[str] = set()
@@ -353,6 +362,10 @@ def _parse_scenarios(node, path: str, machine: MachineParams) -> tuple[Scenario,
             check_step_size(scenario.dt, machine)
         except ValueError as exc:
             raise ConfigError(str(exc), key=f"{entry_path}.dt") from exc
+        try:
+            check_search_speeds(scenario, gains)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), key=f"{entry_path}.speed_reference") from exc
         if scenario.name in names:
             raise ConfigError(f"duplicate scenario name {scenario.name!r}", key=entry_path)
         names.add(scenario.name)
@@ -399,7 +412,7 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
     if decimation < 1:
         raise ConfigError("must be >= 1", key="telemetry.decimation")
 
-    scenarios = _parse_scenarios(_require(root, "scenarios", source), "scenarios", machine)
+    scenarios = _parse_scenarios(_require(root, "scenarios", source), "scenarios", machine, gains)
 
     return DriveConfig(
         machine=machine,

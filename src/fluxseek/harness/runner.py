@@ -1,6 +1,7 @@
 """Fixed-step closed-loop execution of one scenario.
 
-Step order: command profiles -> mode supervisor (rated excitation and a
+Step order: commands (every profile breakpoint is resolved at entry to the
+step index where it starts) -> mode supervisor (rated excitation and a
 compensator reset outside the search, then the sample timer) -> speed PI ->
 search sample and compensator latch, when due -> feedforward compensation ->
 inline torque-current limiting -> coupled machine step -> losses and power
@@ -16,6 +17,8 @@ step. The CSV output is byte-identical for identical scenario and config.
 from __future__ import annotations
 
 import io
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +33,7 @@ from ..optimizer import (
     search_sample,
     update_mode,
 )
-from .config import DriveConfig, check_step_size
+from .config import DriveConfig, check_search_speeds, check_step_size
 from .scenario import Scenario
 
 CSV_HEADER = (
@@ -91,12 +94,14 @@ def simulate(
     if decim < 1:
         raise ValueError("decimation must be >= 1")
     check_step_size(dt, params)
+    check_search_speeds(scenario, config.gains)
 
     flc = scenario.flc_enabled
     kp = config.speed_kp
     ki = config.speed_ki
     i_ds_rated = params.rated_excitation_current
     i_qs_max = params.max_torque_current
+    i_qs_min = -i_qs_max
     integrator = 0.0
     search = SearchState()
     comp = (
@@ -113,12 +118,11 @@ def simulate(
     simulated_time = 0.0
     i_ds_cmd = i_ds_rated
     step = machine.step
+    searching_mode = DriveMode.STEADY_SEARCH
 
-    speed_prof = scenario.speed_reference
-    load_prof = scenario.load_torque
-    si = li = 0
-    prev_ref = speed_prof[0][1]
-    prev_load = load_prof[0][1]
+    schedule = iter(_command_schedule(scenario, n_steps))
+    _, omega_ref, t_load = next(schedule)
+    next_change, ref, load = next(schedule)
 
     records: list[TelemetryRecord] = []
     sample_count = 0
@@ -128,24 +132,21 @@ def simulate(
     tail = None    # the row fields after ``time`` for the present state
 
     for k in range(n_steps):
-        t = k * dt
-        while si + 1 < len(speed_prof) and t >= speed_prof[si + 1][0]:
-            si += 1
-        while li + 1 < len(load_prof) and t >= load_prof[li + 1][0]:
-            li += 1
-        omega_ref = speed_prof[si][1]
-        t_load = load_prof[li][1]
-        # identity, not ==: a held step must see the very same command floats
-        hold = fixed and omega_ref is prev_ref and t_load is prev_load
-        command_changed = omega_ref != prev_ref or t_load != prev_load
-        prev_ref, prev_load = omega_ref, t_load
+        hold = fixed
+        command_changed = False
+        if k == next_change:
+            command_changed = ref != omega_ref or load != t_load
+            # identity, not ==: a held step must see the very same command floats
+            hold = fixed and ref is omega_ref and load is t_load
+            omega_ref, t_load = ref, load
+            next_change, ref, load = next(schedule)
 
         error = omega_ref - omega_r
         sample_due = False
         if flc:
             mode = search.mode
             update_mode(search, settings, error, command_changed)
-            if search.mode is not DriveMode.STEADY_SEARCH:
+            if search.mode is not searching_mode:
                 i_ds_cmd = i_ds_rated
                 if comp is not None:
                     comp.reset()
@@ -153,6 +154,7 @@ def simulate(
             hold = hold and search.mode is mode and not sample_due
 
         if not hold:
+            t = k * dt
             before = (psi, omega_r, i_ds, i_qs, integrator)
             integrator, iqs_pi = speed_pi_step(integrator, error, kp, ki, i_qs_max, dt)
             if sample_due:
@@ -172,10 +174,15 @@ def simulate(
                 if comp is not None:
                     comp.latch(psi, iqs_pi, i_ds_cmd, t)
 
-            searching = search.mode is DriveMode.STEADY_SEARCH
-            comp_out = comp.output(psi, t) if (comp is not None and searching) else 0.0
-            # i_ds_cmd needs no clamp: it is rated or what search_sample clamped
-            i_qs_cmd = min(max(iqs_pi + comp_out, -i_qs_max), i_qs_max)
+            compensating = comp is not None and search.mode is searching_mode
+            comp_out = comp.output(psi, t) if compensating else 0.0
+            # i_ds_cmd needs no clamp: it is rated or what search_sample clamped.
+            # The same float as min(max(v, -i_qs_max), i_qs_max), without the calls.
+            i_qs_cmd = iqs_pi + comp_out
+            if i_qs_cmd < i_qs_min:
+                i_qs_cmd = i_qs_min
+            elif i_qs_cmd > i_qs_max:
+                i_qs_cmd = i_qs_max
 
             try:
                 psi, omega_r, i_ds, i_qs = step(
@@ -193,7 +200,7 @@ def simulate(
             if tail is None:
                 tail = _row_tail(
                     machine, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs,
-                    psi, t_load, search.mode.value,
+                    psi, t_load, search.mode,
                 )
             records.append(TelemetryRecord(simulated_time, *tail))
 
@@ -204,14 +211,39 @@ def simulate(
         converged=search.converged,
         samples_to_convergence=samples_to_convergence,
         convergence_time=convergence_time,
-        final_mode=search.mode.value,
+        final_mode=search.mode,
         final_i_ds_cmd=i_ds_cmd,
     )
 
 
+def _breakpoint_step(t_b: float, dt: float, n_steps: int) -> int:
+    """The first step k < n_steps with ``k * dt >= t_b``, else n_steps; exact,
+    as ``k * dt`` is monotone in k."""
+    return bisect_left(range(n_steps), t_b, key=lambda k: k * dt)
+
+
+def _command_schedule(scenario: Scenario, n_steps: int) -> list[tuple]:
+    """(k, omega_ref, t_load): the commands from step k on, for k = 0 and each
+    later step where one changes, then (n_steps, None, None). Of breakpoints on
+    one step the last wins; those past the end never start."""
+    dt = scenario.dt
+    ref_at = {_breakpoint_step(t, dt, n_steps): v for t, v in scenario.speed_reference[1:]}
+    load_at = {_breakpoint_step(t, dt, n_steps): v for t, v in scenario.load_torque[1:]}
+    omega_ref = scenario.speed_reference[0][1]
+    t_load = scenario.load_torque[0][1]
+    schedule = [(0, omega_ref, t_load)]
+    for k in sorted((ref_at.keys() | load_at.keys()) - {n_steps}):
+        omega_ref = ref_at.get(k, omega_ref)
+        t_load = load_at.get(k, t_load)
+        schedule.append((k, omega_ref, t_load))
+    schedule.append((n_steps, None, None))
+    return schedule
+
+
 def _repeats(before: tuple[float, ...], after: tuple[float, ...]) -> bool:
-    """``after`` is ``before`` bit for bit; as -0.0 == 0.0, zeros never count."""
-    return before == after and 0.0 not in after
+    """``after`` is ``before`` bit for bit: equal, and as -0.0 == 0.0, equal
+    reprs where a zero is present."""
+    return before == after and (0.0 not in after or repr(before) == repr(after))
 
 
 def _row_tail(

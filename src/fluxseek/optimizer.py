@@ -11,13 +11,15 @@ load command change abandons the search immediately and clears its history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import SearchModeError
 from .fuzzy import EfficiencyController, efficiency_step
 
 
-class DriveMode(Enum):
+class DriveMode:
+    """The drive's two positions, as the strings telemetry rows carry; a
+    ``SearchState.mode`` holds only these two objects, so ``is`` compares."""
+
     TRANSIENT_RATED_FLUX = "transient"
     STEADY_SEARCH = "search"
 
@@ -52,7 +54,7 @@ class SearchSettings:
 class SearchState:
     """Mutable supervisor state, owned and advanced by one simulation loop."""
 
-    mode: DriveMode = DriveMode.TRANSIENT_RATED_FLUX
+    mode: str = DriveMode.TRANSIENT_RATED_FLUX
     previous_power: float | None = None
     last_di_ds: float = 0.0
     steady_counter: int = 0

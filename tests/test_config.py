@@ -140,6 +140,23 @@ def test_unstable_step_size_rejected(default_text):
         parse_config(ideal.replace(demo + "1.0e-4", demo + "0.42"))
 
 
+def test_search_speed_outside_scaling_rejected(default_text):
+    # The power base P_b = 0.4 w + 15 is negative at -80 rad/s: a searching
+    # scenario that commands it is rejected where it enters, with its key.
+    step_down = "speed_reference: [[0.0, 150.0], [0.5, -80.0]]"
+    demo = "name: short-demo\n    duration: 1.0\n    dt: 1.0e-4\n    speed_reference: [[0.0, 150.0]]"
+    assert demo in default_text
+    broken = default_text.replace(demo, demo.replace("speed_reference: [[0.0, 150.0]]", step_down))
+    with pytest.raises(ConfigError, match=r"scenarios\[3\]\.speed_reference: .*P_b = -17"):
+        parse_config(broken)
+    # without the search any speed is accepted
+    baseline = "name: rated-flux-baseline\n    duration: 4.0\n    dt: 1.0e-4\n    speed_reference: [[0.0, 150.0]]"
+    assert baseline in default_text
+    assert parse_config(default_text.replace(
+        baseline, baseline.replace("speed_reference: [[0.0, 150.0]]", step_down)
+    ))
+
+
 def test_wrong_type_rejected(default_text):
     broken = default_text.replace("pole_pairs: 2", "pole_pairs: two")
     with pytest.raises(ConfigError, match="pole_pairs"):

@@ -59,13 +59,15 @@ def test_integrator_never_exceeds_output_limit(sequence):
 def test_drive_command_clamps_into_limits(config):
     # A reference step far beyond what the torque limit can follow pins the
     # torque-current command at both limits; the search drives the excitation
-    # command down towards its minimum, never out of [min, rated].
+    # command down towards its minimum, never out of [min, rated]. The step
+    # stops the drive: the search cannot run at reverse speeds past -37.5
+    # rad/s, where its power base P_b is no longer positive.
     params = config.machine
     scenario = Scenario(
         name="clamp",
         duration=3.0,
         dt=1e-4,
-        speed_reference=((0.0, 150.0), (2.5, -150.0)),
+        speed_reference=((0.0, 150.0), (2.5, 0.0)),
         load_torque=((0.0, 1.0),),
     )
     records = simulate(scenario, config, decimation=1).records

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluxseek import InductionMachine, SimulationDivergedError
+from fluxseek import ConfigError, InductionMachine, SimulationDivergedError
 from fluxseek.harness import (
     CSV_HEADER,
     Scenario,
@@ -193,12 +193,64 @@ def test_simulate_rejects_unstable_step_size(config):
         simulate(scenario, config, decimation=1)
 
 
+def test_simulate_rejects_search_outside_scaling(config, monkeypatch):
+    # A scenario built in code skips parse_config; with the search on, a
+    # speed where P_b <= 0 used to fail only at the first search sample.
+    steps = _count_steps(monkeypatch)
+    scenario = constant_scenario("rev", 2.0, 1e-4, -80.0, 6.0)
+    with pytest.raises(ConfigError, match=r"fuzzy\.scaling: input gain P_b = -17 at omega = -80"):
+        simulate(scenario, config)
+    assert steps() == 0
+    # the search off, any speed runs
+    simulate(dataclasses.replace(scenario, flc_enabled=False), config)
+
+
 def test_repeats_compares_bits():
     assert runner._repeats((0.7, 150.0, 5.0), (0.7, 150.0, 5.0))
     assert not runner._repeats((0.7, 150.0, 5.0), (0.7, 150.0, 5.000000000000001))
-    # +0.0 == -0.0, but their reprs differ: a zero never counts as repeated
+    # +0.0 == -0.0, but their reprs differ: a zero repeats only with its sign
     assert not runner._repeats((0.7, 0.0), (0.7, -0.0))
-    assert not runner._repeats((0.7, 0.0), (0.7, 0.0))
+    assert not runner._repeats((0.7, -0.0, 0.0), (0.7, -0.0, -0.0))
+    assert runner._repeats((0.7, 0.0), (0.7, 0.0))
+    assert runner._repeats((-0.0, 0.0), (-0.0, 0.0))
+
+
+def _first_step(t_b, dt, n_steps):
+    """The definition: the first step k whose time k * dt reaches t_b."""
+    return next((k for k in range(n_steps) if k * dt >= t_b), n_steps)
+
+
+@st.composite
+def breakpoint_cases(draw):
+    """dt, a step count, and a strictly increasing profile: breakpoints on,
+    next to and between step times, two inside one step, some past the end."""
+    dt = draw(st.sampled_from((1e-4, 1e-3, 0.1, 1 / 3, 2e-3 / 7)))
+    n_steps = draw(st.integers(0, 120))
+    step_time = st.builds(lambda k, off: k * dt + off * dt, st.integers(0, n_steps + 3),
+                          st.sampled_from((0.0, 0.25, 0.5)))
+    grid_neighbour = st.builds(lambda k, up: math.nextafter(k * dt, math.inf if up else 0.0),
+                               st.integers(1, n_steps + 3), st.booleans())
+    anywhere = st.floats(1e-12, (n_steps + 3) * dt)
+    times = draw(st.lists(st.one_of(step_time, grid_neighbour, anywhere), max_size=6))
+    times = sorted({t for t in times if t > 0.0})
+    return dt, n_steps, ((0.0, 1.0), *((t, float(i + 2)) for i, t in enumerate(times)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=breakpoint_cases())
+@example(case=(0.1, 10, ((0.0, 1.0), (0.3, 2.0), (0.30000000000000004, 3.0), (0.35, 4.0))))
+@example(case=(1e-4, 5, ((0.0, 1.0), (3e-4, 2.0), (5e-4, 3.0), (1.0, 4.0))))
+def test_breakpoints_resolve_to_first_reaching_step(case):
+    dt, n_steps, profile = case
+    for t_b, _ in profile[1:]:
+        assert runner._breakpoint_step(t_b, dt, n_steps) == _first_step(t_b, dt, n_steps)
+    # the schedule gives every step the value the last reached breakpoint set
+    scenario = Scenario("bp", n_steps * dt, dt, profile, ((0.0, 6.0),))
+    schedule = runner._command_schedule(scenario, n_steps)
+    assert schedule[-1] == (n_steps, None, None)
+    per_step = [ref for (k, ref, _), (end, _, _) in zip(schedule, schedule[1:])
+                for _ in range(k, end)]
+    assert per_step == [[v for t, v in profile if k * dt >= t][-1] for k in range(n_steps)]
 
 
 # the search's scaling gains hold for speeds in [0, 160] rad/s only
@@ -248,6 +300,8 @@ def _settled(load_torque, **kwargs):
 ))
 # the search starts after the speed has settled bit for bit
 @example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "continuous", 2000, 1))
+# a load step between two step times, once the search runs
+@example(case=(_settled(((0.0, 6.0), (2.5003, 9.0))), 0.002, "measured", "continuous", 200, 1))
 def test_held_steps_match_computed_steps(config, case):
     # Skipping a step that repeats the last one must change no output bit:
     # compare with the same run where no step is ever held.
@@ -268,7 +322,8 @@ def test_held_steps_match_computed_steps(config, case):
     assert repr(held) == repr(computed)
 
 
-def test_hold_engages_at_steady_state(config, monkeypatch):
+def _count_steps(monkeypatch):
+    """Count ``InductionMachine.step`` calls; returns the counter's reader."""
     calls = 0
     step = InductionMachine.step
 
@@ -278,9 +333,26 @@ def test_hold_engages_at_steady_state(config, monkeypatch):
         return step(self, *args)
 
     monkeypatch.setattr(InductionMachine, "step", counting)
+    return lambda: calls
+
+
+def test_hold_engages_at_steady_state(config, monkeypatch):
+    steps = _count_steps(monkeypatch)
     simulate(config.scenario("rated-flux-baseline"), config)
     # 40000 steps, most of them after the speed has settled bit for bit
-    assert calls < 40000
+    assert steps() < 40000
+
+
+def test_hold_engages_at_standstill(config, monkeypatch):
+    # At rest with no load every state value but the flux is +0.0 from the
+    # first step on; the hold must tell a zero's sign, not refuse zeros.
+    steps = _count_steps(monkeypatch)
+    scenario = constant_scenario(
+        "still", 1.0, 1e-4, 0.0, 0.0, flc_enabled=False, compensator_enabled=False
+    )
+    result = simulate(scenario, config)
+    assert steps() < 100  # of 10000
+    assert result.records[-1].omega_r == 0.0
 
 
 def test_efficiency_absent_when_input_power_nonpositive():
