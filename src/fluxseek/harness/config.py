@@ -25,6 +25,7 @@ from ..fuzzy import (
     MembershipFunction,
     ScalingGains,
     input_gain,
+    output_gain,
 )
 from ..machine import MachineParams
 from ..optimizer import SearchSettings
@@ -324,12 +325,31 @@ def check_step_size(dt: float, machine: MachineParams) -> None:
                          f" limit for the {tau!r} s time constant")
 
 
-def check_search_speeds(scenario: Scenario, gains: ScalingGains) -> None:
-    """Raise ConfigError if the scenario runs the search and its speed reference
-    commands a speed where the power base P_b (``fuzzy.input_gain``) is not positive."""
-    if scenario.flc_enabled:
-        for _, speed in scenario.speed_reference:
+def check_search_speeds(
+    scenario: Scenario, gains: ScalingGains, friction: float, path: str = ""
+) -> None:
+    """Raise ConfigError if the scenario runs the search outside the scaling
+    gains' envelope: keyed ``path + "speed_reference"`` where it commands a
+    speed with power base P_b (``fuzzy.input_gain``) not positive, and
+    ``path + "load_torque"`` where a speed and a load in effect together give
+    the excitation-step base I_b (``fuzzy.output_gain``) not positive at the
+    steady-state torque load + friction * speed."""
+    if not scenario.flc_enabled:
+        return
+    speeds, loads = scenario.speed_reference, scenario.load_torque
+    try:
+        for _, speed in speeds:
             input_gain(gains, speed)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), key=f"{path}speed_reference") from exc
+    try:
+        # the values in effect at each breakpoint of either profile
+        for t in sorted({t for t, _ in speeds} | {t for t, _ in loads}):
+            speed = [v for t_b, v in speeds if t_b <= t][-1]
+            load = [v for t_b, v in loads if t_b <= t][-1]
+            output_gain(gains, speed, load + friction * speed)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), key=f"{path}load_torque") from exc
 
 
 def _parse_scenarios(node, path: str, machine: MachineParams, gains: ScalingGains) -> tuple[Scenario, ...]:
@@ -362,10 +382,7 @@ def _parse_scenarios(node, path: str, machine: MachineParams, gains: ScalingGain
             check_step_size(scenario.dt, machine)
         except ValueError as exc:
             raise ConfigError(str(exc), key=f"{entry_path}.dt") from exc
-        try:
-            check_search_speeds(scenario, gains)
-        except ConfigError as exc:
-            raise ConfigError(str(exc), key=f"{entry_path}.speed_reference") from exc
+        check_search_speeds(scenario, gains, machine.friction, f"{entry_path}.")
         if scenario.name in names:
             raise ConfigError(f"duplicate scenario name {scenario.name!r}", key=entry_path)
         names.add(scenario.name)

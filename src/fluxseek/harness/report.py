@@ -4,11 +4,12 @@ efficiency columns."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..errors import FluxseekError
 from .config import DriveConfig
-from .runner import SimulationResult, TelemetryRecord, simulate
+from .runner import PackedRecords, SimulationResult, simulate
 from .scenario import constant_scenario
 
 DEFAULT_LOAD_FRACTIONS = (0.25, 1.0 / 3.0, 0.5, 0.75)
@@ -37,16 +38,15 @@ class EfficiencyReport:
     flc_on: tuple[EfficiencyRow, ...]
 
 
-def steady_window_mean(
-    records: tuple[TelemetryRecord, ...], window: float
-) -> tuple[float, float]:
-    """Mean (p_in, p_out) over the trailing ``window`` seconds of telemetry."""
+def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, float]:
+    """Mean (p_in, p_out) over the rows of the trailing ``window`` seconds of
+    telemetry, those with time > t_end - window; summed in row order."""
     if not records:
         raise FluxseekError("no telemetry records to average")
-    t_end = records[-1].time
-    tail = [r for r in records if r.time > t_end - window]
-    n = len(tail)
-    return sum(r.p_in for r in tail) / n, sum(r.p_out for r in tail) / n
+    times = records.column("time")  # non-decreasing
+    start = bisect_right(times, times[-1] - window)
+    n = len(times) - start
+    return sum(records.column("p_in", start)) / n, sum(records.column("p_out", start)) / n
 
 
 def _row(

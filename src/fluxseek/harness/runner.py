@@ -5,7 +5,15 @@ step index where it starts) -> mode supervisor (rated excitation and a
 compensator reset outside the search, then the sample timer) -> speed PI ->
 search sample and compensator latch, when due -> feedforward compensation ->
 inline torque-current limiting -> coupled machine step -> losses and power
-for the telemetry row, a named tuple, every decimation interval.
+for the telemetry row, every decimation interval.
+
+Rows are packed: each row's 16 floats (time through p_out) go into one
+``array("d")`` and its mode into a byte, so a per-step run keeps 129 bytes a
+row instead of a tuple of boxed floats. Reading a row builds a
+``TelemetryRecord`` and recomputes the efficiency from p_in and p_out. The CSV
+writer and the report read the packed columns directly, and the writer formats
+the shared fields of a held stretch once: a row whose fields after ``time``
+repeat the previous row's bit for bit reuses that row's text.
 
 A step that left psi, omega, i_d, i_q and the PI integrator unchanged bit for
 bit is a fixed point, so the next step is *held*: it reuses the state and the
@@ -18,7 +26,10 @@ from __future__ import annotations
 
 import io
 import math
+import struct
+from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,12 +77,69 @@ class TelemetryRecord(NamedTuple):
     mode: str
 
 
+# a packed row: the record's fields before efficiency as doubles, and the
+# mode as a byte indexing _MODES
+_WIDTH = 16
+_COLUMNS = TelemetryRecord._fields[:_WIDTH]
+_MODES = (DriveMode.TRANSIENT_RATED_FLUX, DriveMode.STEADY_SEARCH)
+
+
+class PackedRecords(Sequence):
+    """A run's telemetry rows, packed; a read-only sequence of
+    ``TelemetryRecord`` whose slices are tuples. Equal to another
+    ``PackedRecords`` with equal floats and modes, and to the tuple of its
+    records."""
+
+    __slots__ = ("_values", "_modes")
+
+    def __init__(self, values: array, modes: bytearray):
+        self._values = values
+        self._modes = modes
+
+    def __len__(self) -> int:
+        return len(self._modes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        n = len(self)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError("record index out of range")
+        row = self._values[i * _WIDTH:(i + 1) * _WIDTH]
+        p_in = row[14]
+        p_out = row[15]
+        return TelemetryRecord(
+            *row, p_out / p_in if p_in > 0.0 else None, _MODES[self._modes[i]]
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedRecords):
+            return self._modes == other._modes and self._values == other._values
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"PackedRecords({tuple(self)!r})"
+
+    def column(self, name: str, start: int = 0) -> array:
+        """One float field of rows ``start`` on, e.g. ``column("p_in")``."""
+        return self._values[start * _WIDTH + _COLUMNS.index(name)::_WIDTH]
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Records plus search bookkeeping the report generator needs."""
 
     scenario_name: str
-    records: tuple[TelemetryRecord, ...]
+    records: PackedRecords
     sample_count: int
     converged: bool
     samples_to_convergence: int | None
@@ -94,7 +162,7 @@ def simulate(
     if decim < 1:
         raise ValueError("decimation must be >= 1")
     check_step_size(dt, params)
-    check_search_speeds(scenario, config.gains)
+    check_search_speeds(scenario, config.gains, params.friction)
 
     flc = scenario.flc_enabled
     kp = config.speed_kp
@@ -124,12 +192,17 @@ def simulate(
     _, omega_ref, t_load = next(schedule)
     next_change, ref, load = next(schedule)
 
-    records: list[TelemetryRecord] = []
+    values = array("d")
+    modes = bytearray()
+    add_row = values.frombytes
+    pack_row = struct.Struct(f"{_WIDTH}d").pack  # native doubles, as in the array
+    add_mode = modes.append
     sample_count = 0
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
     fixed = False  # the last computed step left its state unchanged
-    tail = None    # the row fields after ``time`` for the present state
+    tail = None    # the row floats after ``time`` for the present state
+    mode_code = 0  # and the index of its mode in _MODES
 
     for k in range(n_steps):
         hold = fixed
@@ -199,14 +272,15 @@ def simulate(
         if (k + 1) % decim == 0:
             if tail is None:
                 tail = _row_tail(
-                    machine, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs,
-                    psi, t_load, search.mode,
+                    machine, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load
                 )
-            records.append(TelemetryRecord(simulated_time, *tail))
+                mode_code = _MODES.index(search.mode)
+            add_row(pack_row(simulated_time, *tail))
+            add_mode(mode_code)
 
     return SimulationResult(
         scenario_name=scenario.name,
-        records=tuple(records),
+        records=PackedRecords(values, modes),
         sample_count=sample_count,
         converged=search.converged,
         samples_to_convergence=samples_to_convergence,
@@ -248,9 +322,9 @@ def _repeats(before: tuple[float, ...], after: tuple[float, ...]) -> bool:
 
 def _row_tail(
     machine: InductionMachine, omega_ref: float, omega_r: float, i_ds_cmd: float,
-    i_qs_cmd: float, i_ds: float, i_qs: float, psi: float, t_load: float, mode: str,
+    i_qs_cmd: float, i_ds: float, i_qs: float, psi: float, t_load: float,
 ) -> tuple:
-    """A telemetry row's fields after ``time``, in ``TelemetryRecord`` order."""
+    """A telemetry row's floats after ``time``, in ``TelemetryRecord`` order."""
     omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
     losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
     t_e = machine.developed_torque(psi, i_qs)
@@ -258,7 +332,7 @@ def _row_tail(
     p_out = t_load * omega_r
     return (omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_e, t_load,
             losses.stator_copper, losses.rotor_copper, losses.iron, losses.converter,
-            p_in, p_out, p_out / p_in if p_in > 0.0 else None, mode)
+            p_in, p_out)
 
 
 def format_record(record: TelemetryRecord) -> str:
@@ -276,9 +350,30 @@ def write_csv(records, target) -> None:
             write_csv(records, handle)
         return
     assert isinstance(target, io.TextIOBase) or hasattr(target, "write")
-    target.write(CSV_HEADER + "\n")
-    for record in records:
-        target.write(format_record(record) + "\n")
+    write = target.write
+    write(CSV_HEADER + "\n")
+    if not isinstance(records, PackedRecords):
+        for record in records:
+            write(format_record(record) + "\n")
+        return
+    values = records._values
+    size = values.itemsize
+    shared = None  # the previous row's fields after time, as bytes, and mode
+    text = ""      # and its line after the time field
+    # bytes, not ==: 0.0 == -0.0, but their reprs differ
+    with memoryview(values) as view, view.cast("B") as raw:
+        for i, code in enumerate(records._modes):
+            start = i * _WIDTH * size
+            fields = (raw[start + size:start + _WIDTH * size].tobytes(), code)
+            k = i * _WIDTH
+            if fields != shared:
+                shared = fields
+                row = values[k + 1:k + _WIDTH]
+                p_in = row[13]
+                p_out = row[14]
+                eff = repr(p_out / p_in) if p_in > 0.0 else ""
+                text = f",{','.join(map(repr, row))},{eff},{_MODES[code]}\n"
+            write(repr(values[k]) + text)
 
 
 def csv_bytes(records) -> bytes:

@@ -157,6 +157,28 @@ def test_search_speed_outside_scaling_rejected(default_text):
     ))
 
 
+def test_search_load_outside_scaling_rejected(default_text):
+    # I_b = 0.0015 w - 0.02 T + 0.52 at the steady torque T = load + 0.002 w:
+    # negative at 150 rad/s and 40 N m, where the search used to fail at its
+    # first sample. The check covers each speed and load in effect together:
+    # 150 rad/s at 35 N m holds, but the speed step to 100 rad/s does not.
+    demo = "name: short-demo\n    duration: 1.0\n    dt: 1.0e-4\n    speed_reference: [[0.0, 150.0]]\n    load_torque: [[0.0, 6.0]]"
+    assert demo in default_text
+    heavy = demo.replace("[[0.0, 6.0]]", "[[0.0, 40.0]]")
+    with pytest.raises(ConfigError, match=r"scenarios\[3\]\.load_torque: .*I_b = -0\.061"):
+        parse_config(default_text.replace(demo, heavy))
+    assert parse_config(default_text.replace(demo, demo.replace("[[0.0, 6.0]]", "[[0.0, 35.0]]")))
+    slower = demo.replace("[[0.0, 150.0]]", "[[0.0, 150.0], [0.5, 100.0]]").replace(
+        "[[0.0, 6.0]]", "[[0.0, 35.0]]"
+    )
+    with pytest.raises(ConfigError, match=r"scenarios\[3\]\.load_torque: .*omega = 100, torque = 35\.2"):
+        parse_config(default_text.replace(demo, slower))
+    # without the search any load is accepted
+    searching = demo + "\n    flc_enabled: true"
+    assert searching in default_text
+    assert parse_config(default_text.replace(searching, heavy + "\n    flc_enabled: false"))
+
+
 def test_wrong_type_rejected(default_text):
     broken = default_text.replace("pole_pairs: 2", "pole_pairs: two")
     with pytest.raises(ConfigError, match="pole_pairs"):

@@ -6,9 +6,17 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxseek.errors import FluxseekError
-from fluxseek.harness import efficiency_table, render_text, steady_window_mean
+from fluxseek.harness import (
+    Scenario,
+    efficiency_table,
+    render_text,
+    simulate,
+    steady_window_mean,
+)
 from fluxseek.harness.report import REPORT_CSV_HEADER, write_report_csv
 
 
@@ -64,3 +72,33 @@ def test_report_csv_schema(small_report):
 def test_steady_window_mean_requires_records():
     with pytest.raises(FluxseekError):
         steady_window_mean((), 1.0)
+
+
+@st.composite
+def window_cases(draw):
+    """A short run with a load step, a decimation, and a window: anywhere,
+    or exactly reaching back to a row's time."""
+    dt = draw(st.sampled_from((1e-4, 5e-4, 1e-3)))
+    duration = draw(st.sampled_from((0.05, 0.2, 0.5)))
+    loads = ((0.0, draw(st.sampled_from((0.0, 6.0, -6.0)))),
+             (duration / 2, draw(st.sampled_from((6.0, 12.0)))))
+    scenario = Scenario("window", duration, dt, ((0.0, 150.0),), loads,
+                        flc_enabled=draw(st.booleans()), compensator_enabled=False)
+    return scenario, draw(st.sampled_from((1, 3, 10))), draw(st.one_of(
+        st.floats(1e-6, 2 * duration), st.integers(0, 40),
+    ))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=window_cases())
+def test_steady_window_mean_matches_per_record_mean(config, case):
+    # The columns' bisect and sums give the bits of the mean over records.
+    scenario, decimation, window = case
+    records = simulate(scenario, config, decimation=decimation).records
+    rows = tuple(records)
+    t_end = rows[-1].time
+    if isinstance(window, int):  # reach back to a row's time exactly
+        window = t_end - rows[max(0, len(rows) - 2 - window)].time
+    tail = [r for r in rows if r.time > t_end - window]
+    expected = (sum(r.p_in for r in tail) / len(tail), sum(r.p_out for r in tail) / len(tail))
+    assert repr(steady_window_mean(records, window)) == repr(expected)

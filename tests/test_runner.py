@@ -6,6 +6,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,8 @@ from fluxseek.harness import (
     simulate,
 )
 from fluxseek.harness import runner
-from fluxseek.harness.runner import TelemetryRecord, format_record
+from fluxseek.harness.report import steady_window_mean
+from fluxseek.harness.runner import PackedRecords, TelemetryRecord, format_record
 
 GOLDEN_HEADER = (
     "time,omega_ref,omega_r,i_ds_cmd,i_qs_cmd,i_ds,i_qs,psi_dr,torque,"
@@ -205,6 +208,18 @@ def test_simulate_rejects_search_outside_scaling(config, monkeypatch):
     simulate(dataclasses.replace(scenario, flc_enabled=False), config)
 
 
+def test_simulate_rejects_search_above_torque_envelope(config, monkeypatch):
+    # A scenario built in code skips parse_config; with the search on, a load
+    # where I_b <= 0 at the steady torque used to fail at the first sample.
+    steps = _count_steps(monkeypatch)
+    scenario = constant_scenario("h", 3.0, 1e-4, 150.0, 40.0)
+    with pytest.raises(ConfigError, match=r"load_torque: fuzzy\.scaling: output gain I_b = -0\.061"):
+        simulate(scenario, config)
+    assert steps() == 0
+    # the search off, the load runs
+    simulate(dataclasses.replace(scenario, duration=0.1, flc_enabled=False), config)
+
+
 def test_repeats_compares_bits():
     assert runner._repeats((0.7, 150.0, 5.0), (0.7, 150.0, 5.0))
     assert not runner._repeats((0.7, 150.0, 5.0), (0.7, 150.0, 5.000000000000001))
@@ -367,6 +382,98 @@ def test_efficiency_absent_when_input_power_nonpositive():
     fields = line.split(",")
     assert fields[-2] == ""  # efficiency column empty
     assert fields[-1] == "transient"
+
+
+def test_packed_records_read_as_a_sequence_of_records(config):
+    result = simulate(config.scenario("short-demo"), config)
+    records = result.records
+    rows = tuple(records)
+    assert len(records) == len(rows) == 1000
+    assert all(type(r) is TelemetryRecord for r in rows)
+    assert records[-1] == rows[-1] and records[-1000] == rows[0]
+    for index in (1000, -1001):
+        with pytest.raises(IndexError):
+            records[index]
+    assert records[10:20] == rows[10:20] and records[-3:] == rows[-3:]
+    assert records[::7] == rows[::7] and records[5:2] == ()
+    assert records == rows and records != rows[:-1]
+    # efficiency is not stored: it reads back as computed from p_in and p_out
+    assert all(r.efficiency == r.p_out / r.p_in for r in rows)
+    assert result == simulate(config.scenario("short-demo"), config)
+    assert result != simulate(config.scenario("short-demo"), config, decimation=5)
+
+
+def test_regenerating_rows_have_no_efficiency(config):
+    # A driving load makes p_in negative: efficiency reads back as None and
+    # its CSV field is empty, as format_record writes it.
+    scenario = constant_scenario(
+        "regen", 1.0, 1e-4, 150.0, -12.0, flc_enabled=False, compensator_enabled=False
+    )
+    records = simulate(scenario, config).records
+    regen = [i for i, r in enumerate(records) if r.p_in <= 0.0]
+    assert len(regen) > 800
+    lines = csv_bytes(records).decode().splitlines()[1:]
+    for i in regen:
+        assert records[i].efficiency is None
+        assert lines[i].split(",")[16] == ""
+        assert lines[i] == format_record(records[i])
+
+
+def test_written_rows_match_format_record(config):
+    # The writer formats packed rows itself and reuses the text of a row whose
+    # fields after time repeat the last row's; format_record on each record is
+    # the reference. The settled run holds, so rows repeat.
+    scenario = constant_scenario(
+        "settled", 2.0, 1e-3, 150.0, 6.0, flc_enabled=False, compensator_enabled=False
+    )
+    records = simulate(scenario, config, decimation=1).records
+    rows = tuple(records)
+    assert sum(a[1:] == b[1:] for a, b in zip(rows, rows[1:])) > 500
+    assert csv_bytes(records) == csv_bytes(rows)
+
+
+def test_text_reuse_compares_bits():
+    # +0.0 == -0.0, but their reprs differ: a row's fields repeat the last
+    # row's only with the same signs
+    row = [150.0, 150.0, 5.0, 0.0, 5.0, 0.0, 0.7, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 7.0, 0.0]
+    signed = row.copy()
+    signed[3] = -0.0  # i_qs_cmd
+    tails = (row, signed, signed, row, row)
+    records = runner.PackedRecords(
+        array("d", [v for t, tail in enumerate(tails) for v in (0.1 * t, *tail)]),
+        bytearray(len(tails)),
+    )
+    lines = csv_bytes(records).decode().splitlines()[1:]
+    assert [line.split(",")[4] for line in lines] == ["0.0", "-0.0", "-0.0", "0.0", "0.0"]
+    assert csv_bytes(records) == csv_bytes(tuple(records))
+
+
+def test_hot_readers_build_no_records(config, monkeypatch):
+    records = simulate(config.scenario("short-demo"), config).records
+    text = csv_bytes(records)
+    mean = steady_window_mean(records, 0.5)
+
+    def no_record(self, index):
+        raise AssertionError("a TelemetryRecord was built")
+
+    monkeypatch.setattr(PackedRecords, "__getitem__", no_record)
+    assert csv_bytes(records) == text
+    assert steady_window_mean(records, 0.5) == mean
+
+
+def test_per_step_records_stay_packed(config):
+    # A boxed row (a tuple of 18 fields and its floats) kept 536 bytes a row;
+    # packed it keeps 16 doubles and a mode byte.
+    scenario = config.scenario("short-demo")
+    simulate(dataclasses.replace(scenario, duration=0.01), config, decimation=1)
+    tracemalloc.start()
+    try:
+        result = simulate(scenario, config, decimation=1)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 10000
+    assert kept / len(result.records) < 200
 
 
 def test_simulation_result_metadata(config):
