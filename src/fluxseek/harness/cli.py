@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import sys
 
+from ..compensator import FLUX_SOURCES
 from ..errors import FluxseekError
 from .config import ENV_CONFIG_VAR, load_config
 from .oracle import oracle_sweep
@@ -48,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--flux-source",
-        choices=("measured", "predicted"),
+        choices=FLUX_SOURCES,
         default=None,
         help="compensator flux source override (predicted = sensorless)",
     )
@@ -80,9 +81,10 @@ def _cmd_run(args) -> int:
     if args.flux_source is not None:
         config = dataclasses.replace(config, flux_source=args.flux_source)
     scenario = config.scenario(args.scenario)
-    scenario = scenario.with_overrides(
-        flc_enabled=False if args.no_flc else None,
-        compensator_enabled=False if args.no_comp else None,
+    scenario = dataclasses.replace(
+        scenario,
+        flc_enabled=scenario.flc_enabled and not args.no_flc,
+        compensator_enabled=scenario.compensator_enabled and not args.no_comp,
     )
     result = simulate(scenario, config, decimation=1 if args.per_step else None)
     write_csv(result.records, args.out)

@@ -3,8 +3,15 @@
 One YAML file holds everything tunable: machine and loss constants, speed loop
 gains, the fuzzy partition and rule table, scaling gains with their validity
 envelope, supervisor thresholds, compensator switches, telemetry decimation
-and the scenario list. Every constructed object is validated on load, unknown
-keys are rejected, and every diagnostic carries the dotted key path.
+and the scenario list.
+
+Each section is one table, key -> (kind, bound[, default]), and this is the
+only place a key, its kind or its bound is written. One reader applies every
+table: it rejects a node that is not a mapping, unknown keys and missing
+required keys, parses each value by its kind and checks it against its bound.
+A section's constructor then applies the rules that tie keys together, and
+``parse_config`` the rules that tie sections together. Every diagnostic
+carries the dotted key path.
 """
 
 from __future__ import annotations
@@ -38,60 +45,6 @@ ENV_CONFIG_VAR = "FLUXSEEK_CONFIG"
 # z^3/24, z = -2.785..., beyond which every step grows x.
 RK4_STABILITY_LIMIT = 2.785293563405282
 
-_MACHINE_KEYS = {
-    "stator_resistance",
-    "rotor_resistance",
-    "magnetizing_inductance",
-    "rotor_inductance",
-    "pole_pairs",
-    "inertia",
-    "friction",
-    "iron_loss_eddy_coeff",
-    "iron_loss_hysteresis_coeff",
-    "converter_fixed_loss",
-    "converter_resistive_coeff",
-    "current_tracking_time_constant",
-    "rated_excitation_current",
-    "min_excitation_current",
-    "max_torque_current",
-    "rated_speed",
-    "rated_torque",
-}
-_CONTROL_KEYS = {"speed_kp", "speed_ki"}
-_FUZZY_KEYS = {"scaling", "envelope", "power_change", "last_action", "output", "rules"}
-_SCALING_KEYS = {"a", "b", "c1", "c2", "c3"}
-_ENVELOPE_KEYS = {"speed", "torque"}
-_SET_KEYS = {"label", "left", "center", "right"}
-_RULE_KEYS = {"power", "last", "output"}
-_OPTIMIZER_KEYS = {
-    "search_period",
-    "steady_speed_tolerance_fraction",
-    "steady_steps",
-    "convergence_step_fraction",
-    "convergence_samples",
-    "initial_step_fraction",
-}
-_COMPENSATOR_KEYS = {"flux_source", "mode"}
-_TELEMETRY_KEYS = {"decimation"}
-_SCENARIO_KEYS = {
-    "name",
-    "duration",
-    "dt",
-    "speed_reference",
-    "load_torque",
-    "flc_enabled",
-    "compensator_enabled",
-}
-_TOP_KEYS = {
-    "machine",
-    "control",
-    "fuzzy",
-    "optimizer",
-    "compensator",
-    "telemetry",
-    "scenarios",
-}
-
 
 @dataclass(frozen=True)
 class DriveConfig:
@@ -119,36 +72,12 @@ class DriveConfig:
         raise ConfigError(f"unknown scenario {name!r}; configured: {known}", key="scenarios")
 
 
-# -- low-level node checks ---------------------------------------------------
+# -- kinds: each parses one YAML value, or raises a ConfigError at its key ------
 
 
-def _mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError("expected a mapping", key=path)
-    return node
-
-
-def _sequence(node, path: str) -> list:
-    if not isinstance(node, list):
-        raise ConfigError("expected a list", key=path)
-    return node
-
-
-def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s): {', '.join(unknown)}", key=path)
-
-
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError("missing required key", key=f"{path}.{key}")
-    return mapping[key]
-
-
-def _finite(value, key: str) -> float:
-    """``value`` as a float, or a ConfigError at ``key`` unless it is a finite
-    YAML number (an integer too large for a float counts as infinite)."""
+def _number(value, key: str) -> float:
+    """``value`` as a float, unless it is not a finite YAML number (an integer
+    too large for a float counts as infinite)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("expected a number", key=key)
     try:
@@ -160,157 +89,208 @@ def _finite(value, key: str) -> float:
     return number
 
 
-def _num(mapping: dict, key: str, path: str) -> float:
-    return _finite(_require(mapping, key, path), f"{path}.{key}")
-
-
-def _int(mapping: dict, key: str, path: str) -> int:
-    value = _require(mapping, key, path)
+def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("expected an integer", key=f"{path}.{key}")
+        raise ConfigError("expected an integer", key=key)
     return value
 
 
-def _str(mapping: dict, key: str, path: str) -> str:
-    value = _require(mapping, key, path)
+def _string(value, key: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError("expected a string", key=f"{path}.{key}")
+        raise ConfigError("expected a string", key=key)
     return value
 
 
-def _bool(mapping: dict, key: str, path: str, default: bool) -> bool:
-    if key not in mapping:
-        return default
-    value = mapping[key]
+def _boolean(value, key: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError("expected a boolean", key=f"{path}.{key}")
+        raise ConfigError("expected a boolean", key=key)
     return value
 
 
-# -- section parsers -----------------------------------------------------------
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError("expected a list", key=key)
+    return value
 
 
-def _parse_machine(node, path: str) -> MachineParams:
-    section = _mapping(node, path)
-    _reject_unknown(section, _MACHINE_KEYS, path)
-    kwargs = {key: _num(section, key, path) for key in _MACHINE_KEYS - {"pole_pairs"}}
-    kwargs["pole_pairs"] = _int(section, "pole_pairs", path)
-    try:
-        return MachineParams.build(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key=path) from exc
+def _profile(value, key: str) -> tuple[tuple[float, float], ...]:
+    """[[time, value], ...] breakpoints."""
+    profile = []
+    for i, raw in enumerate(_list(value, key)):
+        pair = _list(raw, f"{key}[{i}]")
+        if len(pair) != 2:
+            raise ConfigError("expected a [time, value] pair", key=f"{key}[{i}]")
+        profile.append(tuple(_number(v, f"{key}[{i}]") for v in pair))
+    return tuple(profile)
 
 
-def _parse_membership(node, path: str) -> tuple[MembershipFunction, ...]:
-    entries = _sequence(node, path)
-    sets = []
-    for i, raw in enumerate(entries):
-        entry_path = f"{path}[{i}]"
-        entry = _mapping(raw, entry_path)
-        _reject_unknown(entry, _SET_KEYS, entry_path)
+def _range(value, key: str) -> tuple[float, float]:
+    """[low, high] with low < high."""
+    pair = _list(value, key)
+    if len(pair) != 2:
+        raise ConfigError("expected [low, high] numbers", key=key)
+    low, high = (_number(v, key) for v in pair)
+    if not low < high:
+        raise ConfigError("range must satisfy low < high", key=key)
+    return low, high
+
+
+def _section(table: dict, make=dict):
+    """The kind of a mapping read by ``table`` and built by ``make(**values)``;
+    a ValueError from ``make`` is a ConfigError at the mapping's key."""
+    def kind(node, key: str):
+        values = _read(node, table, key)
         try:
-            sets.append(
-                MembershipFunction(
-                    label=_str(entry, "label", entry_path),
-                    left_foot=_num(entry, "left", entry_path),
-                    center=_num(entry, "center", entry_path),
-                    right_foot=_num(entry, "right", entry_path),
-                )
-            )
+            return make(**values)
         except ValueError as exc:
-            raise ConfigError(str(exc), key=entry_path) from exc
-    return tuple(sets)
+            raise ConfigError(str(exc), key=key) from exc
+    return kind
 
 
-def _parse_rules(node, path: str) -> tuple[FuzzyRule, ...]:
-    entries = _sequence(node, path)
-    rules = []
-    for i, raw in enumerate(entries):
-        entry_path = f"{path}[{i}]"
-        entry = _mapping(raw, entry_path)
-        _reject_unknown(entry, _RULE_KEYS, entry_path)
-        rules.append(
-            FuzzyRule(
-                power=_str(entry, "power", entry_path),
-                last_action=_str(entry, "last", entry_path),
-                output=_str(entry, "output", entry_path),
-            )
-        )
-    return tuple(rules)
-
-
-def _parse_fuzzy(node, path: str, machine: MachineParams) -> tuple[ScalingGains, FuzzyRuleBase]:
-    section = _mapping(node, path)
-    _reject_unknown(section, _FUZZY_KEYS, path)
-
-    scaling_path = f"{path}.scaling"
-    scaling = _mapping(_require(section, "scaling", path), scaling_path)
-    _reject_unknown(scaling, _SCALING_KEYS, scaling_path)
-    gains = ScalingGains(
-        a=_num(scaling, "a", scaling_path),
-        b=_num(scaling, "b", scaling_path),
-        c1=_num(scaling, "c1", scaling_path),
-        c2=_num(scaling, "c2", scaling_path),
-        c3=_num(scaling, "c3", scaling_path),
+def _entries(table: dict, make):
+    """The kind of a list of ``_section(table, make)`` mappings, keyed ``key[i]``."""
+    entry = _section(table, make)
+    return lambda node, key: tuple(
+        entry(raw, f"{key}[{i}]") for i, raw in enumerate(_list(node, key))
     )
 
-    env_path = f"{path}.envelope"
-    envelope = _mapping(_require(section, "envelope", path), env_path)
-    _reject_unknown(envelope, _ENVELOPE_KEYS, env_path)
 
-    def _range(key: str) -> tuple[float, float]:
-        pair = _sequence(_require(envelope, key, env_path), f"{env_path}.{key}")
-        if len(pair) != 2:
-            raise ConfigError("expected [low, high] numbers", key=f"{env_path}.{key}")
-        lo, hi = (_finite(v, f"{env_path}.{key}") for v in pair)
-        if not lo < hi:
-            raise ConfigError("range must satisfy low < high", key=f"{env_path}.{key}")
-        return lo, hi
-
-    gains.validate_envelope(_range("speed"), _range("torque"))
-
-    try:
-        rulebase = FuzzyRuleBase(
-            power_change_sets=_parse_membership(_require(section, "power_change", path), f"{path}.power_change"),
-            last_action_sets=_parse_membership(_require(section, "last_action", path), f"{path}.last_action"),
-            output_sets=_parse_membership(_require(section, "output", path), f"{path}.output"),
-            rules=_parse_rules(_require(section, "rules", path), f"{path}.rules"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key=path) from exc
-    return gains, rulebase
+def _read(node, table: dict, path: str, prefix: str | None = None) -> dict:
+    """The values of mapping ``node`` by ``table``, in table order. A key's
+    path is ``prefix + key``, by default ``path + "." + key``."""
+    if not isinstance(node, dict):
+        raise ConfigError("expected a mapping", key=path)
+    unknown = sorted(set(node) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key(s): {', '.join(unknown)}", key=path)
+    prefix = f"{path}." if prefix is None else prefix
+    values = {}
+    for key, (kind, bound, *default) in table.items():
+        if key not in node:
+            if not default:
+                raise ConfigError("missing required key", key=f"{path}.{key}")
+            values[key] = default[0]
+            continue
+        value = kind(node[key], prefix + key)
+        if bound is not None and not bound[1](value):
+            raise ConfigError(f"must be {bound[0]}", key=prefix + key)
+        values[key] = value
+    return values
 
 
-def _parse_optimizer(node, path: str, machine: MachineParams) -> SearchSettings:
-    section = _mapping(node, path)
-    _reject_unknown(section, _OPTIMIZER_KEYS, path)
-    tolerance_fraction = _num(section, "steady_speed_tolerance_fraction", path)
-    if not 0.0 < tolerance_fraction < 1.0:
-        raise ConfigError(
-            "must be in (0, 1)", key=f"{path}.steady_speed_tolerance_fraction"
-        )
-    try:
-        return SearchSettings(
-            search_period=_num(section, "search_period", path),
-            steady_speed_tolerance=tolerance_fraction * machine.rated_speed,
-            steady_steps=_int(section, "steady_steps", path),
-            convergence_step_fraction=_num(section, "convergence_step_fraction", path),
-            convergence_samples=_int(section, "convergence_samples", path),
-            initial_step_fraction=_num(section, "initial_step_fraction", path),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key=path) from exc
+# -- bounds: (condition, test); a value failing the test "must be <condition>" --
+
+_POSITIVE = ("> 0", lambda v: v > 0.0)
+_NONNEGATIVE = (">= 0", lambda v: v >= 0.0)
+_COUNT = (">= 1", lambda v: v >= 1)
+_FRACTION = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
+_FRACTION_OR_ONE = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
-def _parse_profile(node, path: str) -> tuple[tuple[float, float], ...]:
-    entries = _sequence(node, path)
-    profile = []
-    for i, raw in enumerate(entries):
-        pair = _sequence(raw, f"{path}[{i}]")
-        if len(pair) != 2:
-            raise ConfigError("expected a [time, value] pair", key=f"{path}[{i}]")
-        profile.append(tuple(_finite(v, f"{path}[{i}]") for v in pair))
-    return tuple(profile)
+def _one_of(choices: tuple[str, ...]) -> tuple:
+    return f"one of {choices}", choices.__contains__
+
+
+# -- the schema ------------------------------------------------------------------
+
+
+def _speed_gains(speed_kp: float, speed_ki: float) -> tuple[float, float]:
+    if speed_kp < 0.0 or speed_ki < 0.0:
+        raise ValueError("speed loop gains must be >= 0")
+    return speed_kp, speed_ki
+
+
+def _membership(label: str, left: float, center: float, right: float) -> MembershipFunction:
+    return MembershipFunction(label, left, center, right)
+
+
+def _rule(power: str, last: str, output: str) -> FuzzyRule:
+    return FuzzyRule(power, last, output)
+
+
+def _fuzzy(scaling, envelope, power_change, last_action, output, rules):
+    scaling.validate_envelope(envelope["speed"], envelope["torque"])
+    return scaling, FuzzyRuleBase(power_change, last_action, output, rules)
+
+
+_MACHINE = {
+    "stator_resistance": (_number, _POSITIVE),
+    "rotor_resistance": (_number, _POSITIVE),
+    "magnetizing_inductance": (_number, _POSITIVE),
+    "rotor_inductance": (_number, _POSITIVE),
+    "pole_pairs": (_integer, _COUNT),
+    "inertia": (_number, _POSITIVE),
+    "friction": (_number, _NONNEGATIVE),
+    "iron_loss_eddy_coeff": (_number, _NONNEGATIVE),
+    "iron_loss_hysteresis_coeff": (_number, _NONNEGATIVE),
+    "converter_fixed_loss": (_number, _NONNEGATIVE),
+    "converter_resistive_coeff": (_number, _NONNEGATIVE),
+    "current_tracking_time_constant": (_number, _NONNEGATIVE),
+    "rated_excitation_current": (_number, _POSITIVE),
+    "min_excitation_current": (_number, None),  # 0 < min < rated: MachineParams
+    "max_torque_current": (_number, _POSITIVE),
+    "rated_speed": (_number, _POSITIVE),
+    "rated_torque": (_number, _POSITIVE),
+}
+_CONTROL = {"speed_kp": (_number, None), "speed_ki": (_number, None)}
+_SCALING = {
+    "a": (_number, None),
+    "b": (_number, None),
+    "c1": (_number, None),
+    "c2": (_number, None),
+    "c3": (_number, None),
+}
+_ENVELOPE = {"speed": (_range, None), "torque": (_range, None)}
+_SET = {
+    "label": (_string, None),
+    "left": (_number, None),
+    "center": (_number, None),
+    "right": (_number, None),
+}
+_RULE = {"power": (_string, None), "last": (_string, None), "output": (_string, None)}
+_FUZZY = {
+    "scaling": (_section(_SCALING, ScalingGains), None),
+    "envelope": (_section(_ENVELOPE), None),
+    "power_change": (_entries(_SET, _membership), None),
+    "last_action": (_entries(_SET, _membership), None),
+    "output": (_entries(_SET, _membership), None),
+    "rules": (_entries(_RULE, _rule), None),
+}
+_OPTIMIZER = {
+    "search_period": (_number, _POSITIVE),
+    "steady_speed_tolerance_fraction": (_number, _FRACTION),
+    "steady_steps": (_integer, _COUNT),
+    "convergence_step_fraction": (_number, _FRACTION),
+    "convergence_samples": (_integer, _COUNT),
+    "initial_step_fraction": (_number, _FRACTION_OR_ONE),
+}
+_COMPENSATOR = {
+    "flux_source": (_string, _one_of(FLUX_SOURCES)),
+    "mode": (_string, _one_of(COMPENSATION_MODES)),
+}
+_TELEMETRY = {"decimation": (_integer, _COUNT)}
+_SCENARIO = {
+    "name": (_string, None),
+    "duration": (_number, None),
+    "dt": (_number, None),
+    "speed_reference": (_profile, None),
+    "load_torque": (_profile, None),
+    "flc_enabled": (_boolean, None, True),
+    "compensator_enabled": (_boolean, None, True),
+}
+# the document; its sections' paths carry no prefix
+_ROOT = {
+    "machine": (_section(_MACHINE, MachineParams), None),
+    "control": (_section(_CONTROL, _speed_gains), None),
+    "fuzzy": (_section(_FUZZY, _fuzzy), None),
+    "optimizer": (_section(_OPTIMIZER), None),
+    "compensator": (_section(_COMPENSATOR), None),
+    "telemetry": (_section(_TELEMETRY), None),
+    "scenarios": (_entries(_SCENARIO, Scenario), None),
+}
+
+
+# -- rules across sections ------------------------------------------------------
 
 
 def check_step_size(dt: float, machine: MachineParams) -> None:
@@ -352,44 +332,6 @@ def check_search_speeds(
         raise ConfigError(str(exc), key=f"{path}load_torque") from exc
 
 
-def _parse_scenarios(node, path: str, machine: MachineParams, gains: ScalingGains) -> tuple[Scenario, ...]:
-    entries = _sequence(node, path)
-    scenarios = []
-    names: set[str] = set()
-    for i, raw in enumerate(entries):
-        entry_path = f"{path}[{i}]"
-        entry = _mapping(raw, entry_path)
-        _reject_unknown(entry, _SCENARIO_KEYS, entry_path)
-        try:
-            scenario = Scenario(
-                name=_str(entry, "name", entry_path),
-                duration=_num(entry, "duration", entry_path),
-                dt=_num(entry, "dt", entry_path),
-                speed_reference=_parse_profile(
-                    _require(entry, "speed_reference", entry_path),
-                    f"{entry_path}.speed_reference",
-                ),
-                load_torque=_parse_profile(
-                    _require(entry, "load_torque", entry_path),
-                    f"{entry_path}.load_torque",
-                ),
-                flc_enabled=_bool(entry, "flc_enabled", entry_path, True),
-                compensator_enabled=_bool(entry, "compensator_enabled", entry_path, True),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=entry_path) from exc
-        try:
-            check_step_size(scenario.dt, machine)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=f"{entry_path}.dt") from exc
-        check_search_speeds(scenario, gains, machine.friction, f"{entry_path}.")
-        if scenario.name in names:
-            raise ConfigError(f"duplicate scenario name {scenario.name!r}", key=entry_path)
-        names.add(scenario.name)
-        scenarios.append(scenario)
-    return tuple(scenarios)
-
-
 # -- entry points ----------------------------------------------------------------
 
 
@@ -399,37 +341,25 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
         root = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: not valid YAML: {exc}") from exc
-    root = _mapping(root, source if root is not None else source)
-    _reject_unknown(root, _TOP_KEYS, source)
+    sections = _read(root, _ROOT, source, prefix="")
+    machine = sections["machine"]
+    speed_kp, speed_ki = sections["control"]
+    gains, rulebase = sections["fuzzy"]
+    optimizer = sections["optimizer"]
+    tolerance_fraction = optimizer.pop("steady_speed_tolerance_fraction")
 
-    machine = _parse_machine(_require(root, "machine", source), "machine")
-
-    control = _mapping(_require(root, "control", source), "control")
-    _reject_unknown(control, _CONTROL_KEYS, "control")
-    speed_kp = _num(control, "speed_kp", "control")
-    speed_ki = _num(control, "speed_ki", "control")
-    if speed_kp < 0.0 or speed_ki < 0.0:
-        raise ConfigError("speed loop gains must be >= 0", key="control")
-
-    gains, rulebase = _parse_fuzzy(_require(root, "fuzzy", source), "fuzzy", machine)
-    search = _parse_optimizer(_require(root, "optimizer", source), "optimizer", machine)
-
-    comp = _mapping(_require(root, "compensator", source), "compensator")
-    _reject_unknown(comp, _COMPENSATOR_KEYS, "compensator")
-    flux_source = _str(comp, "flux_source", "compensator")
-    if flux_source not in FLUX_SOURCES:
-        raise ConfigError(f"must be one of {FLUX_SOURCES}", key="compensator.flux_source")
-    compensation_mode = _str(comp, "mode", "compensator")
-    if compensation_mode not in COMPENSATION_MODES:
-        raise ConfigError(f"must be one of {COMPENSATION_MODES}", key="compensator.mode")
-
-    telemetry = _mapping(_require(root, "telemetry", source), "telemetry")
-    _reject_unknown(telemetry, _TELEMETRY_KEYS, "telemetry")
-    decimation = _int(telemetry, "decimation", "telemetry")
-    if decimation < 1:
-        raise ConfigError("must be >= 1", key="telemetry.decimation")
-
-    scenarios = _parse_scenarios(_require(root, "scenarios", source), "scenarios", machine, gains)
+    scenarios = sections["scenarios"]
+    names: set[str] = set()
+    for i, scenario in enumerate(scenarios):
+        path = f"scenarios[{i}]"
+        try:
+            check_step_size(scenario.dt, machine)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=f"{path}.dt") from exc
+        check_search_speeds(scenario, gains, machine.friction, f"{path}.")
+        if scenario.name in names:
+            raise ConfigError(f"duplicate scenario name {scenario.name!r}", key=path)
+        names.add(scenario.name)
 
     return DriveConfig(
         machine=machine,
@@ -437,10 +367,12 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
         speed_ki=speed_ki,
         gains=gains,
         rulebase=rulebase,
-        search=search,
-        flux_source=flux_source,
-        compensation_mode=compensation_mode,
-        telemetry_decimation=decimation,
+        search=SearchSettings(
+            steady_speed_tolerance=tolerance_fraction * machine.rated_speed, **optimizer
+        ),
+        flux_source=sections["compensator"]["flux_source"],
+        compensation_mode=sections["compensator"]["mode"],
+        telemetry_decimation=sections["telemetry"]["decimation"],
         scenarios=scenarios,
     )
 

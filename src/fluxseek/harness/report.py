@@ -4,6 +4,7 @@ efficiency columns."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -41,6 +42,8 @@ class EfficiencyReport:
 def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, float]:
     """Mean (p_in, p_out) over the rows of the trailing ``window`` seconds of
     telemetry, those with time > t_end - window; summed in row order."""
+    if not (math.isfinite(window) and window > 0.0):
+        raise FluxseekError(f"steady window must be finite and > 0 s, got {window!r}")
     if not records:
         raise FluxseekError("no telemetry records to average")
     times = records.column("time")  # non-decreasing

@@ -192,11 +192,14 @@ def simulate(
     _, omega_ref, t_load = next(schedule)
     next_change, ref, load = next(schedule)
 
-    values = array("d")
-    modes = bytearray()
-    add_row = values.frombytes
-    pack_row = struct.Struct(f"{_WIDTH}d").pack  # native doubles, as in the array
-    add_mode = modes.append
+    # every row's slot, allocated once: growing the array row by row makes the
+    # allocator copy it on some reallocations, so the peak memory of a long
+    # per-step run depended on what earlier allocations left in the heap
+    n_rows = n_steps // decim
+    values = array("d", (0.0,)) * (n_rows * _WIDTH)
+    modes = bytearray(n_rows)
+    pack_row = struct.Struct(f"{_WIDTH}d").pack_into  # native doubles, as in the array
+    row_size = _WIDTH * values.itemsize
     sample_count = 0
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
@@ -275,8 +278,9 @@ def simulate(
                     machine, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load
                 )
                 mode_code = _MODES.index(search.mode)
-            add_row(pack_row(simulated_time, *tail))
-            add_mode(mode_code)
+            row = k // decim
+            pack_row(values, row * row_size, simulated_time, *tail)
+            modes[row] = mode_code
 
     return SimulationResult(
         scenario_name=scenario.name,
@@ -374,9 +378,3 @@ def write_csv(records, target) -> None:
                 eff = repr(p_out / p_in) if p_in > 0.0 else ""
                 text = f",{','.join(map(repr, row))},{eff},{_MODES[code]}\n"
             write(repr(values[k]) + text)
-
-
-def csv_bytes(records) -> bytes:
-    buffer = io.StringIO()
-    write_csv(records, buffer)
-    return buffer.getvalue().encode("utf-8")

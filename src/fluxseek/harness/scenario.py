@@ -4,7 +4,7 @@ simulation horizon. Fully deterministic, no randomness anywhere."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 Profile = tuple[tuple[float, float], ...]
 
@@ -42,18 +42,6 @@ class Scenario:
             raise ValueError("dt must be > 0")
         _validate_profile(self.speed_reference, "speed_reference")
         _validate_profile(self.load_torque, "load_torque")
-
-    def with_overrides(
-        self,
-        flc_enabled: bool | None = None,
-        compensator_enabled: bool | None = None,
-    ) -> "Scenario":
-        updates = {}
-        if flc_enabled is not None:
-            updates["flc_enabled"] = flc_enabled
-        if compensator_enabled is not None:
-            updates["compensator_enabled"] = compensator_enabled
-        return replace(self, **updates) if updates else self
 
 
 def constant_scenario(

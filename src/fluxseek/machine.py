@@ -12,12 +12,16 @@ currents track their commands through a first-order lag standing in for the
 current-regulated inverter. Losses are stator/rotor copper, eddy + hysteresis
 iron scaling with flux squared, and an affine-in-current-squared converter
 term; input power is shaft power plus total loss.
+
+``MachineParams`` computes its derived constants (rotor time constant, torque
+constants, rated flux) from the primitive ones, so they always agree; the
+bounds on each constant are checked once, where the configuration is loaded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import FluxFloorError, NonFiniteError
@@ -26,40 +30,17 @@ from .errors import FluxFloorError, NonFiniteError
 # slip and the torque-compensation division diverge as Psi -> 0.
 FLUX_FLOOR_FRACTION = 0.05
 
-_POSITIVE_FIELDS = (
-    "stator_resistance",
-    "rotor_resistance",
-    "magnetizing_inductance",
-    "rotor_inductance",
-    "inertia",
-    "rotor_time_constant",
-    "torque_constant_flux",
-    "torque_constant_current",
-    "rated_flux",
-    "rated_excitation_current",
-    "max_torque_current",
-    "rated_speed",
-    "rated_torque",
-)
-
-_NONNEGATIVE_FIELDS = (
-    "friction",
-    "iron_loss_eddy_coeff",
-    "iron_loss_hysteresis_coeff",
-    "converter_fixed_loss",
-    "converter_resistive_coeff",
-    "current_tracking_time_constant",
-)
-
 
 @dataclass(frozen=True)
 class MachineParams:
     """Electrical, mechanical and loss constants of one machine + converter.
 
-    Derived fields (``rotor_time_constant``, ``torque_constant_flux``,
-    ``torque_constant_current``, ``rated_flux``) are stored explicitly and
-    re-checked against their defining relations on construction; use
-    :meth:`build` to compute them from the primitive constants.
+    Takes the 17 primitive constants; the derived ones
+    (``rotor_time_constant``, ``torque_constant_flux``,
+    ``torque_constant_current``, ``rated_flux``) are computed from them once,
+    on construction. The per-constant bounds are checked where the constants
+    enter, on configuration load (``harness.config``); construction checks
+    only 0 < ``min_excitation_current`` < ``rated_excitation_current``.
     """
 
     stator_resistance: float        # ohm
@@ -69,106 +50,36 @@ class MachineParams:
     pole_pairs: int
     inertia: float                  # kg m^2
     friction: float                 # N m s/rad
-    rotor_time_constant: float      # s, = L_r / R_r
-    torque_constant_flux: float     # N m / (Wb A), multiplies Psi * i_qs
-    torque_constant_current: float  # N m / A^2, multiplies i_ds * i_qs
     iron_loss_eddy_coeff: float     # W s^2 / (rad^2 Wb^2)
     iron_loss_hysteresis_coeff: float  # W s / (rad Wb^2)
     converter_fixed_loss: float     # W
     converter_resistive_coeff: float   # ohm
     current_tracking_time_constant: float  # s, 0 means ideal tracking
-    rated_flux: float               # Wb, = L_m * rated_excitation_current
     rated_excitation_current: float  # A
     min_excitation_current: float   # A
     max_torque_current: float       # A
     rated_speed: float              # rad/s mechanical
     rated_torque: float             # N m
+    rotor_time_constant: float = field(init=False)      # s, L_r / R_r
+    # N m / (Wb A), multiplies Psi * i_qs: the field-orientation torque
+    # constant (3/2) * p * L_m / L_r
+    torque_constant_flux: float = field(init=False)
+    # N m / A^2, multiplies i_ds * i_qs: its steady-state companion K_t * L_m
+    torque_constant_current: float = field(init=False)
+    rated_flux: float = field(init=False)               # Wb, L_m * rated_excitation_current
 
     def __post_init__(self) -> None:
-        for name in _POSITIVE_FIELDS:
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        for name in _NONNEGATIVE_FIELDS:
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.pole_pairs < 1:
-            raise ValueError("pole_pairs must be >= 1")
-        if self.rotor_time_constant != self.rotor_inductance / self.rotor_resistance:
-            raise ValueError(
-                "rotor_time_constant must equal rotor_inductance / rotor_resistance"
-            )
         if not 0.0 < self.min_excitation_current < self.rated_excitation_current:
             raise ValueError(
                 "min_excitation_current must be > 0 and"
                 " < rated_excitation_current"
             )
-        if self.rated_flux != self.magnetizing_inductance * self.rated_excitation_current:
-            raise ValueError(
-                "rated_flux must equal magnetizing_inductance *"
-                " rated_excitation_current"
-            )
-        if self.torque_constant_current != self.torque_constant_flux * self.magnetizing_inductance:
-            raise ValueError(
-                "torque_constant_current must equal torque_constant_flux *"
-                " magnetizing_inductance"
-            )
-
-    @classmethod
-    def build(
-        cls,
-        *,
-        stator_resistance: float,
-        rotor_resistance: float,
-        magnetizing_inductance: float,
-        rotor_inductance: float,
-        pole_pairs: int,
-        inertia: float,
-        friction: float,
-        iron_loss_eddy_coeff: float,
-        iron_loss_hysteresis_coeff: float,
-        converter_fixed_loss: float,
-        converter_resistive_coeff: float,
-        current_tracking_time_constant: float,
-        rated_excitation_current: float,
-        min_excitation_current: float,
-        max_torque_current: float,
-        rated_speed: float,
-        rated_torque: float,
-    ) -> "MachineParams":
-        """Construct params, deriving the dependent constants.
-
-        torque_constant_flux defaults to (3/2) * p * L_m / L_r, the standard
-        field-orientation torque constant; torque_constant_current is its
-        steady-state companion K_t * L_m.
-        """
-        if rotor_resistance <= 0.0:
-            raise ValueError("rotor_resistance must be > 0")
-        if rotor_inductance <= 0.0:
-            raise ValueError("rotor_inductance must be > 0")
-        k_t = 1.5 * pole_pairs * magnetizing_inductance / rotor_inductance
-        return cls(
-            stator_resistance=stator_resistance,
-            rotor_resistance=rotor_resistance,
-            magnetizing_inductance=magnetizing_inductance,
-            rotor_inductance=rotor_inductance,
-            pole_pairs=pole_pairs,
-            inertia=inertia,
-            friction=friction,
-            rotor_time_constant=rotor_inductance / rotor_resistance,
-            torque_constant_flux=k_t,
-            torque_constant_current=k_t * magnetizing_inductance,
-            iron_loss_eddy_coeff=iron_loss_eddy_coeff,
-            iron_loss_hysteresis_coeff=iron_loss_hysteresis_coeff,
-            converter_fixed_loss=converter_fixed_loss,
-            converter_resistive_coeff=converter_resistive_coeff,
-            current_tracking_time_constant=current_tracking_time_constant,
-            rated_flux=magnetizing_inductance * rated_excitation_current,
-            rated_excitation_current=rated_excitation_current,
-            min_excitation_current=min_excitation_current,
-            max_torque_current=max_torque_current,
-            rated_speed=rated_speed,
-            rated_torque=rated_torque,
-        )
+        k_t = 1.5 * self.pole_pairs * self.magnetizing_inductance / self.rotor_inductance
+        derive = object.__setattr__  # the dataclass is frozen
+        derive(self, "rotor_time_constant", self.rotor_inductance / self.rotor_resistance)
+        derive(self, "torque_constant_flux", k_t)
+        derive(self, "torque_constant_current", k_t * self.magnetizing_inductance)
+        derive(self, "rated_flux", self.magnetizing_inductance * self.rated_excitation_current)
 
     @property
     def flux_floor(self) -> float:

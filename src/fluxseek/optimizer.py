@@ -26,7 +26,8 @@ class DriveMode:
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Supervisor thresholds and periods (all config keys)."""
+    """Supervisor thresholds and periods (all config keys, bounds checked on
+    load)."""
 
     search_period: float              # s between power samples
     steady_speed_tolerance: float     # rad/s band for steady-state detection
@@ -34,20 +35,6 @@ class SearchSettings:
     convergence_step_fraction: float  # of I_b; applied steps below it count
     convergence_samples: int          # consecutive small steps to flag converged
     initial_step_fraction: float      # of I_b; exploratory first decrement
-
-    def __post_init__(self) -> None:
-        if self.search_period <= 0.0:
-            raise ValueError("search_period must be > 0")
-        if self.steady_speed_tolerance <= 0.0:
-            raise ValueError("steady_speed_tolerance must be > 0")
-        if self.steady_steps < 1:
-            raise ValueError("steady_steps must be >= 1")
-        if not 0.0 < self.convergence_step_fraction < 1.0:
-            raise ValueError("convergence_step_fraction must be in (0, 1)")
-        if self.convergence_samples < 1:
-            raise ValueError("convergence_samples must be >= 1")
-        if not 0.0 < self.initial_step_fraction <= 1.0:
-            raise ValueError("initial_step_fraction must be in (0, 1]")
 
 
 @dataclass

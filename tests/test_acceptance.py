@@ -14,18 +14,21 @@ from contextlib import contextmanager
 
 import pytest
 
-from fluxseek import (
+from fluxseek.fuzzy import (
     EfficiencyController,
     FuzzyRule,
-    InductionMachine,
     default_rulebase,
     efficiency_step,
     height_defuzzify,
     infer,
     input_gain,
 )
-from fluxseek.harness import Scenario, constant_scenario, csv_bytes, simulate, steady_window_mean
-from fluxseek.harness.runner import CSV_HEADER
+from fluxseek.harness.report import steady_window_mean
+from fluxseek.harness.runner import CSV_HEADER, simulate
+from fluxseek.harness.scenario import Scenario, constant_scenario
+from fluxseek.machine import InductionMachine
+
+from conftest import csv_bytes
 
 GOLDEN_HEADER = (
     "time,omega_ref,omega_r,i_ds_cmd,i_qs_cmd,i_ds,i_qs,psi_dr,torque,"

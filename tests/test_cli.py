@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-from fluxseek.harness import CSV_HEADER, default_config_text
 from fluxseek.harness.cli import main
-from fluxseek.harness.config import ENV_CONFIG_VAR
+from fluxseek.harness.config import ENV_CONFIG_VAR, default_config_text
+from fluxseek.harness.runner import CSV_HEADER
 from fluxseek.harness.report import REPORT_CSV_HEADER
 
 

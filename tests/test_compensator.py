@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxseek import (
+from fluxseek.compensator import (
     CompensatorState,
-    FluxFloorError,
     TorqueCompensator,
     continuous_compensation,
     discrete_compensation,
     predicted_flux_trajectory,
 )
+from fluxseek.errors import FluxFloorError
 
 
 def anchors(psi=1.0, iqs=10.0) -> CompensatorState:

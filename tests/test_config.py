@@ -6,10 +6,12 @@ from __future__ import annotations
 import re
 
 import pytest
+import yaml
 
-from fluxseek import ConfigError, default_rulebase
-from fluxseek.harness import default_config_text, load_config, parse_config
-from fluxseek.harness.config import ENV_CONFIG_VAR
+from fluxseek.errors import ConfigError
+from fluxseek.fuzzy import default_rulebase
+from fluxseek.harness import config as config_module
+from fluxseek.harness.config import ENV_CONFIG_VAR, default_config_text, load_config, parse_config
 
 
 @pytest.fixture()
@@ -221,3 +223,38 @@ def test_commented_default_is_fully_documented(default_text):
     for section in ("machine:", "control:", "fuzzy:", "optimizer:", "compensator:", "telemetry:", "scenarios:"):
         assert re.search(rf"^{section}", default_text, flags=re.M)
     assert default_text.count("#") > 20
+
+
+# Every entry of these tables has a bound, except those bounded only by a rule
+# across keys (checked by its own test above).
+BOUNDED_TABLES = {
+    "machine": config_module._MACHINE,
+    "optimizer": config_module._OPTIMIZER,
+    "compensator": config_module._COMPENSATOR,
+    "telemetry": config_module._TELEMETRY,
+}
+CROSS_KEY_ONLY = {"machine.min_excitation_current"}
+# values just outside each bound, by its condition; "one of" bounds take "bogus"
+OUTSIDE = {"> 0": (0,), ">= 0": (-0.001,), ">= 1": (0,), "in (0, 1)": (0, 1), "in (0, 1]": (0, 1.5)}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        f"{section}.{key}"
+        for section, table in BOUNDED_TABLES.items()
+        for key in table
+        if f"{section}.{key}" not in CROSS_KEY_ONLY
+    ],
+)
+def test_table_bounds_rejected_with_path(default_text, entry):
+    section, key = entry.split(".")
+    bound = BOUNDED_TABLES[section][key][1]
+    assert bound is not None, f"{section}.{key} has no bound"
+    condition = bound[0]
+    for value in ("bogus",) if condition.startswith("one of") else OUTSIDE[condition]:
+        document = yaml.safe_load(default_text)
+        document[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(entry)}: must be {re.escape(condition)}$") as info:
+            parse_config(yaml.safe_dump(document))
+        assert info.value.key == entry

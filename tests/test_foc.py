@@ -6,8 +6,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxseek import speed_pi_step
-from fluxseek.harness import Scenario, constant_scenario, simulate
+from fluxseek.foc import speed_pi_step
+from fluxseek.harness.runner import simulate
+from fluxseek.harness.scenario import Scenario, constant_scenario
 
 LIMIT = 25.0
 

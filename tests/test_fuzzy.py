@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxseek import (
-    ConfigError,
+from fluxseek.errors import ConfigError, InferenceError
+from fluxseek.fuzzy import (
     EfficiencyController,
     FuzzyRule,
     FuzzyRuleBase,
-    InductionMachine,
-    InferenceError,
     MembershipFunction,
     ScalingGains,
     default_rulebase,
@@ -27,6 +25,7 @@ from fluxseek import (
     input_gain,
     output_gain,
 )
+from fluxseek.machine import InductionMachine
 
 THIRD = 1.0 / 3.0
 
@@ -213,11 +212,10 @@ def test_estimate_torque_cases(config):
     params = config.machine
     assert estimate_torque(params, 0.0, 5.0) == 0.0
     assert estimate_torque(params, 5.0, 0.0) == 0.0
-    k_t_flux = 1.2 / params.magnetizing_inductance
+    # K_t' = 1.5 * p * L_m^2 / L_r = 1.2 N m / A^2
     custom = dataclasses.replace(
         params,
-        torque_constant_flux=k_t_flux,
-        torque_constant_current=k_t_flux * params.magnetizing_inductance,
+        rotor_inductance=1.5 * params.pole_pairs * params.magnetizing_inductance ** 2 / 1.2,
     )
     assert estimate_torque(custom, 4.0, 5.0) == pytest.approx(24.0, rel=1e-12)
 

@@ -4,19 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from fluxseek import (
+from fluxseek.errors import SearchModeError
+from fluxseek.fuzzy import EfficiencyController, default_rulebase, estimate_torque, output_gain
+from fluxseek.optimizer import (
     DriveMode,
-    EfficiencyController,
-    SearchModeError,
-    SearchSettings,
     SearchState,
     advance_sample_timer,
-    default_rulebase,
-    output_gain,
     search_sample,
     update_mode,
 )
-from fluxseek.fuzzy import estimate_torque
 
 
 @pytest.fixture(scope="module")
@@ -193,14 +189,3 @@ def test_search_stays_armed_after_convergence(settings, controller):
             break
     assert not state.converged
     assert cmd != 3.0
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SearchSettings(0.0, 0.75, 200, 0.01, 3, 0.5)
-    with pytest.raises(ValueError):
-        SearchSettings(0.5, 0.75, 0, 0.01, 3, 0.5)
-    with pytest.raises(ValueError):
-        SearchSettings(0.5, 0.75, 200, 0.0, 3, 0.5)
-    with pytest.raises(ValueError):
-        SearchSettings(0.5, 0.75, 200, 0.01, 3, 1.5)

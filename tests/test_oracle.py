@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from fluxseek import InductionMachine
-from fluxseek.harness import oracle_sweep, steady_state_point
+from fluxseek.harness.oracle import oracle_sweep, steady_state_point
+from fluxseek.machine import InductionMachine
 
 
 def test_single_point_grid_returns_rated(config):

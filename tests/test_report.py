@@ -4,20 +4,22 @@ non-convergence flag."""
 from __future__ import annotations
 
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxseek.errors import FluxseekError
-from fluxseek.harness import (
-    Scenario,
+from fluxseek.harness.report import (
+    REPORT_CSV_HEADER,
     efficiency_table,
     render_text,
-    simulate,
     steady_window_mean,
+    write_report_csv,
 )
-from fluxseek.harness.report import REPORT_CSV_HEADER, write_report_csv
+from fluxseek.harness.runner import simulate
+from fluxseek.harness.scenario import Scenario, constant_scenario
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,13 @@ def test_report_csv_schema(small_report):
 def test_steady_window_mean_requires_records():
     with pytest.raises(FluxseekError):
         steady_window_mean((), 1.0)
+
+
+@pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+def test_steady_window_must_be_finite_and_positive(config, window):
+    records = simulate(constant_scenario("w", 0.01, 1e-4, 150.0, 6.0), config).records
+    with pytest.raises(FluxseekError, match=rf"window .*{window!r}"):
+        steady_window_mean(records, window)
 
 
 @st.composite

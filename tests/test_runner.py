@@ -4,7 +4,6 @@ algebraic solution, determinism, telemetry schema and decimation."""
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import tracemalloc
 from array import array
@@ -13,17 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluxseek import ConfigError, InductionMachine, SimulationDivergedError
-from fluxseek.harness import (
-    CSV_HEADER,
-    Scenario,
-    constant_scenario,
-    csv_bytes,
-    simulate,
-)
+from fluxseek.errors import ConfigError, SimulationDivergedError
 from fluxseek.harness import runner
 from fluxseek.harness.report import steady_window_mean
-from fluxseek.harness.runner import PackedRecords, TelemetryRecord, format_record
+from fluxseek.harness.runner import (
+    CSV_HEADER,
+    PackedRecords,
+    TelemetryRecord,
+    format_record,
+    simulate,
+)
+from fluxseek.harness.scenario import Scenario, constant_scenario
+from fluxseek.machine import InductionMachine
+
+from conftest import csv_bytes, csv_sha256
 
 GOLDEN_HEADER = (
     "time,omega_ref,omega_r,i_ds_cmd,i_qs_cmd,i_ds,i_qs,psi_dr,torque,"
@@ -41,14 +43,14 @@ def test_golden_telemetry_bytes(config):
     # and a per-step load-step abandon with ideal current tracking. Any change
     # to the integrator, the control law or the CSV formatting shows here.
     search = simulate(config.scenario("quarter-load-search"), config)
-    assert hashlib.sha256(csv_bytes(search.records)).hexdigest() == (
+    assert csv_sha256(search.records) == (
         "8de70a6e68f5d7747b40d340dc4c004b02a417e497db592240be88e3d36578c4"
     )
     ideal = dataclasses.replace(
         config, machine=dataclasses.replace(config.machine, current_tracking_time_constant=0.0)
     )
     abandon = simulate(ideal.scenario("load-step-abandon"), ideal, decimation=1)
-    assert hashlib.sha256(csv_bytes(abandon.records)).hexdigest() == (
+    assert csv_sha256(abandon.records) == (
         "16cce460e45c739f5b2f3392b93146f34fd454f1582ffae61d726a0a01c72634"
     )
 
