@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from .errors import ConfigError, InferenceError
 from .machine import MachineParams
 
-POWER_LABELS = ("NB", "NM", "NS", "ZE", "PS", "PM", "PB")
-LAST_ACTION_LABELS = ("N", "P")
-
-
 @dataclass(frozen=True)
 class MembershipFunction:
     """Triangular membership on the normalized [-1, 1] axis.
@@ -137,45 +133,6 @@ class FuzzyRuleBase:
     @property
     def rule_output_centers(self) -> tuple[float, ...]:
         return self._rule_centers  # type: ignore[attr-defined]
-
-
-def default_rulebase() -> FuzzyRuleBase:
-    """The shipped partition and rule table.
-
-    Seven triangular sets with centers on the thirds grid and 50% overlap
-    (each foot on the neighbor's center, ends shouldered) for power change and
-    output; two last-action sets N/P centered at -+0.5, shouldered outward,
-    overlapping by +-0.05 around zero. Continue with magnitude tracking the
-    power change while it falls; reverse, one level smaller, when it rises.
-    """
-    third = 1.0 / 3.0
-
-    def seven() -> tuple[MembershipFunction, ...]:
-        centers = (-1.0, -2.0 * third, -third, 0.0, third, 2.0 * third, 1.0)
-        sets = []
-        for i, (label, c) in enumerate(zip(POWER_LABELS, centers)):
-            left = centers[i - 1] if i > 0 else c
-            right = centers[i + 1] if i < len(centers) - 1 else c
-            sets.append(MembershipFunction(label, left, c, right))
-        return tuple(sets)
-
-    last = (
-        MembershipFunction("N", -0.5, -0.5, 0.05),
-        MembershipFunction("P", -0.05, 0.5, 0.5),
-    )
-    table_n = ("NB", "NM", "NS", "ZE", "PS", "PS", "PM")
-    table_p = ("PB", "PM", "PS", "ZE", "NS", "NS", "NM")
-    rules = tuple(
-        FuzzyRule(p, "N", out) for p, out in zip(POWER_LABELS, table_n)
-    ) + tuple(
-        FuzzyRule(p, "P", out) for p, out in zip(POWER_LABELS, table_p)
-    )
-    return FuzzyRuleBase(
-        power_change_sets=seven(),
-        last_action_sets=last,
-        output_sets=seven(),
-        rules=rules,
-    )
 
 
 @dataclass(frozen=True)

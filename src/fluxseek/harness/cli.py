@@ -87,7 +87,8 @@ def _cmd_run(args) -> int:
         compensator_enabled=scenario.compensator_enabled and not args.no_comp,
     )
     result = simulate(scenario, config, decimation=1 if args.per_step else None)
-    write_csv(result.records, args.out)
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        write_csv(result.records, handle)
     summary = f"{scenario.name}: {len(result.records)} records -> {args.out}"
     if scenario.flc_enabled:
         summary += (
@@ -123,7 +124,8 @@ def _cmd_table(args) -> int:
     report = efficiency_table(DEFAULT_LOAD_FRACTIONS, speed, config)
     sys.stdout.write(render_text(report))
     if args.out:
-        write_report_csv(report, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            write_report_csv(report, handle)
         print(f"report CSV -> {args.out}")
     return 0
 

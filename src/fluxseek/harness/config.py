@@ -90,8 +90,10 @@ def _number(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
+    """``value``, unless it is not a YAML integer or, as in ``_number``, too large for a float."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("expected an integer", key=key)
+    _number(value, key)
     return value
 
 
@@ -160,7 +162,8 @@ def _read(node, table: dict, path: str, prefix: str | None = None) -> dict:
     path is ``prefix + key``, by default ``path + "." + key``."""
     if not isinstance(node, dict):
         raise ConfigError("expected a mapping", key=path)
-    unknown = sorted(set(node) - set(table))
+    # str: a YAML key need not be a string, and int and str keys do not sort
+    unknown = sorted(map(str, set(node) - set(table)))
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}", key=path)
     prefix = f"{path}." if prefix is None else prefix
@@ -308,28 +311,23 @@ def check_step_size(dt: float, machine: MachineParams) -> None:
 def check_search_speeds(
     scenario: Scenario, gains: ScalingGains, friction: float, path: str = ""
 ) -> None:
-    """Raise ConfigError if the scenario runs the search outside the scaling
-    gains' envelope: keyed ``path + "speed_reference"`` where it commands a
-    speed with power base P_b (``fuzzy.input_gain``) not positive, and
-    ``path + "load_torque"`` where a speed and a load in effect together give
+    """Raise ConfigError if a command that takes effect (``scenario.commands``)
+    runs the search outside the scaling gains' envelope: keyed ``path +
+    "speed_reference"`` where its speed has power base P_b (``fuzzy.input_gain``)
+    not positive, and ``path + "load_torque"`` where its speed and load give
     the excitation-step base I_b (``fuzzy.output_gain``) not positive at the
     steady-state torque load + friction * speed."""
     if not scenario.flc_enabled:
         return
-    speeds, loads = scenario.speed_reference, scenario.load_torque
-    try:
-        for _, speed in speeds:
+    for _, speed, load in scenario.commands[:-1]:
+        try:
             input_gain(gains, speed)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), key=f"{path}speed_reference") from exc
-    try:
-        # the values in effect at each breakpoint of either profile
-        for t in sorted({t for t, _ in speeds} | {t for t, _ in loads}):
-            speed = [v for t_b, v in speeds if t_b <= t][-1]
-            load = [v for t_b, v in loads if t_b <= t][-1]
+        except ConfigError as exc:
+            raise ConfigError(str(exc), key=f"{path}speed_reference") from exc
+        try:
             output_gain(gains, speed, load + friction * speed)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), key=f"{path}load_torque") from exc
+        except ConfigError as exc:
+            raise ConfigError(str(exc), key=f"{path}load_torque") from exc
 
 
 # -- entry points ----------------------------------------------------------------

@@ -32,10 +32,6 @@ class OracleSweepResult:
     min_input_power: float
     points: tuple[OraclePoint, ...]
 
-    @property
-    def feasible_points(self) -> tuple[OraclePoint, ...]:
-        return tuple(p for p in self.points if p.feasible)
-
 
 def steady_state_point(
     machine: InductionMachine, speed: float, load_torque: float, i_ds: float
@@ -54,7 +50,7 @@ def steady_state_point(
             i_ds=i_ds, i_qs=i_qs, rotor_flux=psi,
             input_power=float("inf"), losses=None, feasible=False,
         )
-    omega_e = p.pole_pairs * speed + machine.slip_frequency(i_qs, psi)
+    omega_e = machine.electrical_frequency(psi, speed, i_qs)
     losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
     return OraclePoint(
         i_ds=i_ds, i_qs=i_qs, rotor_flux=psi,

@@ -39,11 +39,15 @@ class EfficiencyReport:
     flc_on: tuple[EfficiencyRow, ...]
 
 
+def _check_window(window: float) -> None:
+    if not (math.isfinite(window) and window > 0.0):
+        raise FluxseekError(f"steady window must be finite and > 0 s, got {window!r}")
+
+
 def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, float]:
     """Mean (p_in, p_out) over the rows of the trailing ``window`` seconds of
     telemetry, those with time > t_end - window; summed in row order."""
-    if not (math.isfinite(window) and window > 0.0):
-        raise FluxseekError(f"steady window must be finite and > 0 s, got {window!r}")
+    _check_window(window)
     if not records:
         raise FluxseekError("no telemetry records to average")
     times = records.column("time")  # non-decreasing
@@ -86,6 +90,7 @@ def efficiency_table(
     Rows of a non-converged search run are flagged (``converged`` False), not
     silently truncated; their steady-window numbers are still reported.
     """
+    _check_window(window)
     off_rows = []
     on_rows = []
     for fraction in load_fractions:
@@ -136,11 +141,7 @@ def render_text(report: EfficiencyReport) -> str:
 
 
 def write_report_csv(report: EfficiencyReport, target) -> None:
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_report_csv(report, handle)
-        return
-    assert hasattr(target, "write")
+    """Write the report as CSV to a text file object (anything with ``write``)."""
     target.write(REPORT_CSV_HEADER + "\n")
     for tag, rows in (("flc_off", report.flc_off), ("flc_on", report.flc_on)):
         for row in rows:

@@ -1,7 +1,7 @@
 """Fixed-step closed-loop execution of one scenario.
 
-Step order: commands (every profile breakpoint is resolved at entry to the
-step index where it starts) -> mode supervisor (rated excitation and a
+Step order: commands (from the scenario's ``commands``, the steps on which a
+speed or load command takes effect) -> mode supervisor (rated excitation and a
 compensator reset outside the search, then the sample timer) -> speed PI ->
 search sample and compensator latch, when due -> feedforward compensation ->
 inline torque-current limiting -> coupled machine step -> losses and power
@@ -24,11 +24,8 @@ step. The CSV output is byte-identical for identical scenario and config.
 
 from __future__ import annotations
 
-import io
-import math
 import struct
 from array import array
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -87,8 +84,8 @@ _MODES = (DriveMode.TRANSIENT_RATED_FLUX, DriveMode.STEADY_SEARCH)
 class PackedRecords(Sequence):
     """A run's telemetry rows, packed; a read-only sequence of
     ``TelemetryRecord`` whose slices are tuples. Equal to another
-    ``PackedRecords`` with equal floats and modes, and to the tuple of its
-    records."""
+    ``PackedRecords`` with the same modes and the same float bits, so a zero's
+    sign counts."""
 
     __slots__ = ("_values", "_modes")
 
@@ -100,12 +97,9 @@ class PackedRecords(Sequence):
         return len(self._modes)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
-        n = len(self)
-        i = index + n if index < 0 else index
-        if not 0 <= i < n:
-            raise IndexError("record index out of range")
+        i = range(len(self))[index]
+        if isinstance(i, range):
+            return tuple(map(self.__getitem__, i))
         row = self._values[i * _WIDTH:(i + 1) * _WIDTH]
         p_in = row[14]
         p_out = row[15]
@@ -117,17 +111,10 @@ class PackedRecords(Sequence):
         return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PackedRecords):
-            return self._modes == other._modes and self._values == other._values
-        if isinstance(other, tuple):
-            return len(self) == len(other) and tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"PackedRecords({tuple(self)!r})"
+        if not isinstance(other, PackedRecords):
+            return NotImplemented
+        # bytes, not ==: 0.0 == -0.0
+        return self._modes == other._modes and self._values.tobytes() == other._values.tobytes()
 
     def column(self, name: str, start: int = 0) -> array:
         """One float field of rows ``start`` on, e.g. ``column("p_in")``."""
@@ -138,14 +125,11 @@ class PackedRecords(Sequence):
 class SimulationResult:
     """Records plus search bookkeeping the report generator needs."""
 
-    scenario_name: str
     records: PackedRecords
     sample_count: int
     converged: bool
     samples_to_convergence: int | None
     convergence_time: float | None
-    final_mode: str
-    final_i_ds_cmd: float
 
 
 def simulate(
@@ -157,7 +141,6 @@ def simulate(
     settings = config.search
     ctrl = config.controller()
     dt = scenario.dt
-    n_steps = round(scenario.duration / dt)
     decim = config.telemetry_decimation if decimation is None else decimation
     if decim < 1:
         raise ValueError("decimation must be >= 1")
@@ -188,14 +171,14 @@ def simulate(
     step = machine.step
     searching_mode = DriveMode.STEADY_SEARCH
 
-    schedule = iter(_command_schedule(scenario, n_steps))
+    schedule = iter(scenario.commands)
     _, omega_ref, t_load = next(schedule)
     next_change, ref, load = next(schedule)
 
     # every row's slot, allocated once: growing the array row by row makes the
     # allocator copy it on some reallocations, so the peak memory of a long
     # per-step run depended on what earlier allocations left in the heap
-    n_rows = n_steps // decim
+    n_rows = scenario.steps // decim
     values = array("d", (0.0,)) * (n_rows * _WIDTH)
     modes = bytearray(n_rows)
     pack_row = struct.Struct(f"{_WIDTH}d").pack_into  # native doubles, as in the array
@@ -207,7 +190,7 @@ def simulate(
     tail = None    # the row floats after ``time`` for the present state
     mode_code = 0  # and the index of its mode in _MODES
 
-    for k in range(n_steps):
+    for k in range(scenario.steps):
         hold = fixed
         command_changed = False
         if k == next_change:
@@ -283,39 +266,12 @@ def simulate(
             modes[row] = mode_code
 
     return SimulationResult(
-        scenario_name=scenario.name,
         records=PackedRecords(values, modes),
         sample_count=sample_count,
         converged=search.converged,
         samples_to_convergence=samples_to_convergence,
         convergence_time=convergence_time,
-        final_mode=search.mode,
-        final_i_ds_cmd=i_ds_cmd,
     )
-
-
-def _breakpoint_step(t_b: float, dt: float, n_steps: int) -> int:
-    """The first step k < n_steps with ``k * dt >= t_b``, else n_steps; exact,
-    as ``k * dt`` is monotone in k."""
-    return bisect_left(range(n_steps), t_b, key=lambda k: k * dt)
-
-
-def _command_schedule(scenario: Scenario, n_steps: int) -> list[tuple]:
-    """(k, omega_ref, t_load): the commands from step k on, for k = 0 and each
-    later step where one changes, then (n_steps, None, None). Of breakpoints on
-    one step the last wins; those past the end never start."""
-    dt = scenario.dt
-    ref_at = {_breakpoint_step(t, dt, n_steps): v for t, v in scenario.speed_reference[1:]}
-    load_at = {_breakpoint_step(t, dt, n_steps): v for t, v in scenario.load_torque[1:]}
-    omega_ref = scenario.speed_reference[0][1]
-    t_load = scenario.load_torque[0][1]
-    schedule = [(0, omega_ref, t_load)]
-    for k in sorted((ref_at.keys() | load_at.keys()) - {n_steps}):
-        omega_ref = ref_at.get(k, omega_ref)
-        t_load = load_at.get(k, t_load)
-        schedule.append((k, omega_ref, t_load))
-    schedule.append((n_steps, None, None))
-    return schedule
 
 
 def _repeats(before: tuple[float, ...], after: tuple[float, ...]) -> bool:
@@ -348,12 +304,7 @@ def format_record(record: TelemetryRecord) -> str:
 
 
 def write_csv(records, target) -> None:
-    """Write telemetry as CSV to a path or text file object."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_csv(records, handle)
-        return
-    assert isinstance(target, io.TextIOBase) or hasattr(target, "write")
+    """Write telemetry as CSV to a text file object (anything with ``write``)."""
     write = target.write
     write(CSV_HEADER + "\n")
     if not isinstance(records, PackedRecords):

@@ -1,10 +1,16 @@
 """Scenario definitions: piecewise-constant command profiles over a fixed
-simulation horizon. Fully deterministic, no randomness anywhere."""
+simulation horizon. Fully deterministic, no randomness anywhere.
+
+The only module that maps a profile onto integration steps: a ``Scenario``
+computes ``steps`` and ``commands`` (the step each command takes effect on) once,
+when built or replaced, for the runner and the config's search checks to read."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 Profile = tuple[tuple[float, float], ...]
 
@@ -32,6 +38,8 @@ class Scenario:
     load_torque: Profile      # (time s, N m) breakpoints
     flc_enabled: bool = True
     compensator_enabled: bool = True
+    steps: int = field(init=False, repr=False, compare=False)  # round(duration / dt)
+    commands: list[tuple] = field(init=False, repr=False, compare=False)  # _command_schedule
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -42,6 +50,35 @@ class Scenario:
             raise ValueError("dt must be > 0")
         _validate_profile(self.speed_reference, "speed_reference")
         _validate_profile(self.load_torque, "load_torque")
+        steps = self.duration / self.dt
+        if not steps < sys.maxsize:  # the schedule indexes steps; NaN fails too
+            raise ValueError(f"duration / dt = {steps!r} steps must be below {sys.maxsize}")
+        object.__setattr__(self, "steps", round(steps))  # the dataclass is frozen
+        object.__setattr__(self, "commands", _command_schedule(self, self.steps))
+
+
+def _breakpoint_step(t_b: float, dt: float, n_steps: int) -> int:
+    """The first step k < n_steps with ``k * dt >= t_b``, else n_steps; exact,
+    as ``k * dt`` is monotone in k."""
+    return bisect_left(range(n_steps), t_b, key=lambda k: k * dt)
+
+
+def _command_schedule(scenario: Scenario, n_steps: int) -> list[tuple]:
+    """(k, omega_ref, t_load): the commands from step k on, for k = 0 and each
+    later step where one changes, then (n_steps, None, None). Of breakpoints on
+    one step the last wins; those past the end never start."""
+    dt = scenario.dt
+    ref_at = {_breakpoint_step(t, dt, n_steps): v for t, v in scenario.speed_reference[1:]}
+    load_at = {_breakpoint_step(t, dt, n_steps): v for t, v in scenario.load_torque[1:]}
+    omega_ref = scenario.speed_reference[0][1]
+    t_load = scenario.load_torque[0][1]
+    schedule = [(0, omega_ref, t_load)]
+    for k in sorted((ref_at.keys() | load_at.keys()) - {n_steps}):
+        omega_ref = ref_at.get(k, omega_ref)
+        t_load = load_at.get(k, t_load)
+        schedule.append((k, omega_ref, t_load))
+    schedule.append((n_steps, None, None))
+    return schedule
 
 
 def constant_scenario(

@@ -50,20 +50,11 @@ class SearchState:
     convergence_counter: int = 0
     awaiting_first_step: bool = field(default=False, repr=False)
 
-    def _enter_transient(self) -> None:
-        self.mode = DriveMode.TRANSIENT_RATED_FLUX
+    def _enter(self, mode: str) -> None:
+        self.mode = mode
         self.previous_power = None
         self.last_di_ds = 0.0
         self.steady_counter = 0
-        self.sample_timer = 0.0
-        self.converged = False
-        self.convergence_counter = 0
-        self.awaiting_first_step = False
-
-    def _enter_search(self) -> None:
-        self.mode = DriveMode.STEADY_SEARCH
-        self.previous_power = None
-        self.last_di_ds = 0.0
         self.sample_timer = 0.0
         self.converged = False
         self.convergence_counter = 0
@@ -84,12 +75,12 @@ def update_mode(
     """
     in_band = abs(speed_error) <= settings.steady_speed_tolerance
     if command_changed or not in_band:
-        state._enter_transient()
+        state._enter(DriveMode.TRANSIENT_RATED_FLUX)
         return state
     if state.mode is DriveMode.TRANSIENT_RATED_FLUX:
         state.steady_counter += 1
         if state.steady_counter >= settings.steady_steps:
-            state._enter_search()
+            state._enter(DriveMode.STEADY_SEARCH)
     return state
 
 

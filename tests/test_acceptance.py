@@ -17,7 +17,6 @@ import pytest
 from fluxseek.fuzzy import (
     EfficiencyController,
     FuzzyRule,
-    default_rulebase,
     efficiency_step,
     height_defuzzify,
     infer,
@@ -203,7 +202,7 @@ def test_sensorless_predicted_flux_variant(config, table_runs):
 
 def test_criterion_5_fuzzy_policy_suite(config):
     with criterion(5, "fuzzy policy suite"):
-        rulebase = default_rulebase()
+        rulebase = config.rulebase
         ctrl = EfficiencyController(rulebase, config.gains, config.machine)
         omega, i_ds, i_qs = 150.0, 5.0, 3.15
         p_b = input_gain(config.gains, omega)

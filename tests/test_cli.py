@@ -47,6 +47,12 @@ def test_run_unknown_scenario_fails(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_into_missing_directory_fails(tmp_path, capsys):
+    code = main(["run", "short-demo", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("fluxseek: error:")
+
+
 def test_env_config_resolution_and_flag_priority(tmp_path, monkeypatch, capsys):
     custom = tmp_path / "custom.yaml"
     custom.write_text(default_config_text().replace("name: short-demo", "name: custom-demo"))

@@ -9,7 +9,6 @@ import pytest
 import yaml
 
 from fluxseek.errors import ConfigError
-from fluxseek.fuzzy import default_rulebase
 from fluxseek.harness import config as config_module
 from fluxseek.harness.config import ENV_CONFIG_VAR, default_config_text, load_config, parse_config
 
@@ -23,6 +22,11 @@ def test_packaged_default_loads(config):
     assert config.machine.rated_torque == 24.0
     assert config.machine.rotor_time_constant == pytest.approx(0.15)
     assert len(config.rulebase.rules) == 14
+    # the YAML thirds are written with enough digits to parse to exact doubles
+    third = 1.0 / 3.0
+    centers = [-1.0, -2.0 * third, -third, 0.0, third, 2.0 * third, 1.0]
+    assert [s.center for s in config.rulebase.power_change_sets] == centers
+    assert [s.center for s in config.rulebase.output_sets] == centers
     assert config.search.steady_speed_tolerance == pytest.approx(
         0.005 * config.machine.rated_speed
     )
@@ -31,12 +35,6 @@ def test_packaged_default_loads(config):
         "rated-flux-baseline",
         "short-demo",
     }
-
-
-def test_packaged_partition_equals_code_default(config):
-    # The YAML thirds are written with enough digits to parse to the exact
-    # doubles the in-code constructor derives.
-    assert config.rulebase == default_rulebase()
 
 
 def test_explicit_path_and_env_resolution(tmp_path, monkeypatch, default_text):
@@ -93,6 +91,10 @@ def test_duplicate_rule_rejected(default_text):
         ("  speed_kp: 2.0", "  speed_kp: 2.0\n  extra: 3", r"control.*extra"),
         ("    a: 0.4", "    a: 0.4\n    c9: 1.0", r"fuzzy\.scaling.*c9"),
         ("  decimation: 10", "  decimation: 10\n  color: blue", r"telemetry.*color"),
+        # YAML keys need not be strings; int and str keys do not sort together
+        ("  stator_resistance: 0.7", "  stator_resistance: 0.7\n  1: 2", r"^machine: unknown key\(s\): 1$"),
+        ("  stator_resistance: 0.7", "  stator_resistance: 0.7\n  1: 2\n  bogus: 3",
+         r"^machine: unknown key\(s\): 1, bogus$"),
     ],
 )
 def test_unknown_keys_rejected_with_path(default_text, needle, replacement, key_pattern):
@@ -110,12 +112,13 @@ def test_unknown_keys_rejected_with_path(default_text, needle, replacement, key_
         ("search_period: 0.5", "search_period: .inf", r"optimizer\.search_period"),
         ("speed: [0.0, 160.0]", "speed: [0.0, .inf]", r"fuzzy\.envelope\.speed"),
         ("inertia: 0.05", "inertia: 1" + "0" * 400, r"machine\.inertia"),
+        ("pole_pairs: 2", "pole_pairs: 1" + "0" * 400, r"machine\.pole_pairs: expected a finite"),
         ("load_torque: [[0.0, 6.0]]", "load_torque: [[0.0, 1" + "0" * 400 + "]]", r"scenarios\[0\]\.load_torque\[0\]"),
         ("speed_kp: 2.0", "speed_kp: -1.0", r"control: speed loop gains must be >= 0"),
     ],
     ids=[
         "friction-nan", "converter-loss-nan", "search-period-inf", "envelope-inf",
-        "huge-integer", "profile-huge-integer", "negative-kp",
+        "huge-integer", "huge-pole-pairs", "profile-huge-integer", "negative-kp",
     ],
 )
 def test_bad_numbers_rejected_with_path(default_text, needle, replacement, key_pattern):

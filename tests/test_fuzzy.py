@@ -16,7 +16,6 @@ from fluxseek.fuzzy import (
     FuzzyRuleBase,
     MembershipFunction,
     ScalingGains,
-    default_rulebase,
     efficiency_step,
     estimate_torque,
     fuzzify,
@@ -31,13 +30,13 @@ THIRD = 1.0 / 3.0
 
 
 @pytest.fixture(scope="module")
-def rulebase():
-    return default_rulebase()
+def rulebase(config):
+    return config.rulebase
 
 
 @pytest.fixture(scope="module")
 def controller(config):
-    return EfficiencyController(default_rulebase(), config.gains, config.machine)
+    return EfficiencyController(config.rulebase, config.gains, config.machine)
 
 
 # -- membership functions ------------------------------------------------------
@@ -296,8 +295,7 @@ def test_all_zero_strengths_raise(rulebase):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(dp=st.floats(-3.0, 3.0), last=st.floats(-3.0, 3.0))
-def test_defuzzified_output_stays_in_unit_interval(dp, last):
-    rulebase = default_rulebase()
+def test_defuzzified_output_stays_in_unit_interval(rulebase, dp, last):
     out = height_defuzzify(infer(rulebase, dp, last), rulebase)
     assert -1.0 <= out <= 1.0
 

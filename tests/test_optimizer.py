@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from fluxseek.errors import SearchModeError
-from fluxseek.fuzzy import EfficiencyController, default_rulebase, estimate_torque, output_gain
+from fluxseek.fuzzy import EfficiencyController, estimate_torque, output_gain
 from fluxseek.optimizer import (
     DriveMode,
     SearchState,
@@ -22,7 +22,7 @@ def settings(config):
 
 @pytest.fixture(scope="module")
 def controller(config):
-    return EfficiencyController(default_rulebase(), config.gains, config.machine)
+    return EfficiencyController(config.rulebase, config.gains, config.machine)
 
 
 def searching_state(**overrides) -> SearchState:

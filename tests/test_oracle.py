@@ -41,7 +41,7 @@ def test_interior_minimum_at_quarter_load(config):
 @pytest.mark.parametrize("load", [6.0, 8.0, 12.0, 18.0])
 def test_interior_minimum_at_every_table_load(config, load):
     result = oracle_sweep(150.0, load, 400, config)
-    feasible = result.feasible_points
+    feasible = [p for p in result.points if p.feasible]
     assert feasible[0].i_ds < result.best_i_ds < feasible[-1].i_ds
 
 
@@ -83,7 +83,7 @@ def test_oracle_curve_is_convex_around_minimum(config):
     # Not required by contract, but a useful sanity property of the loss
     # model: the feasible curve decreases to the minimizer then increases.
     result = oracle_sweep(150.0, 6.0, 100, config)
-    powers = [p.input_power for p in result.feasible_points]
+    powers = [p.input_power for p in result.points if p.feasible]
     k = powers.index(min(powers))
     assert all(a > b for a, b in zip(powers[:k], powers[1 : k + 1]))
     assert all(a < b for a, b in zip(powers[k:-1], powers[k + 1 :]))

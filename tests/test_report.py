@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxseek.errors import FluxseekError
+from fluxseek.harness import report
 from fluxseek.harness.report import (
     REPORT_CSV_HEADER,
     efficiency_table,
@@ -77,10 +78,16 @@ def test_steady_window_mean_requires_records():
 
 
 @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
-def test_steady_window_must_be_finite_and_positive(config, window):
+def test_steady_window_must_be_finite_and_positive(config, window, monkeypatch):
     records = simulate(constant_scenario("w", 0.01, 1e-4, 150.0, 6.0), config).records
     with pytest.raises(FluxseekError, match=rf"window .*{window!r}"):
         steady_window_mean(records, window)
+    # the table checks the window before it simulates anything
+    runs = []
+    monkeypatch.setattr(report, "simulate", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(FluxseekError, match=rf"window .*{window!r}"):
+        efficiency_table((0.25,), 150.0, config, window=window)
+    assert runs == []
 
 
 @st.composite

@@ -9,11 +9,14 @@ import tracemalloc
 from array import array
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluxseek.errors import ConfigError, SimulationDivergedError
 from fluxseek.harness import runner
+from fluxseek.harness import scenario as scenario_module
+from fluxseek.harness.config import default_config_text, parse_config
 from fluxseek.harness.report import steady_window_mean
 from fluxseek.harness.runner import (
     CSV_HEADER,
@@ -57,7 +60,8 @@ def test_golden_telemetry_bytes(config):
 
 def test_zero_duration_scenario_yields_empty_stream(config):
     scenario = constant_scenario("empty", 0.0, 1e-4, 150.0, 6.0)
-    assert simulate(scenario, config).records == ()
+    assert scenario.steps == 0
+    assert len(simulate(scenario, config).records) == 0
 
 
 def test_scenario_validation():
@@ -69,6 +73,10 @@ def test_scenario_validation():
         Scenario("bad", 1.0, 1e-4, ((1.0, 150.0),), ((0.0, 6.0),))
     with pytest.raises(ValueError):
         Scenario("bad", 1.0, 1e-4, ((0.0, 150.0), (0.5, 100.0), (0.5, 90.0)), ((0.0, 6.0),))
+    # the step count must index: finite and below sys.maxsize
+    for duration in (math.inf, math.nan, 1e15):
+        with pytest.raises(ValueError, match="steps must be below"):
+            Scenario("bad", duration, 1e-4, ((0.0, 150.0), (0.5, 100.0)), ((0.0, 6.0),))
 
 
 def test_steady_state_matches_algebraic_solution(config):
@@ -222,6 +230,37 @@ def test_simulate_rejects_search_above_torque_envelope(config, monkeypatch):
     simulate(dataclasses.replace(scenario, duration=0.1, flc_enabled=False), config)
 
 
+# short-demo: 1 s at dt = 1e-4, so 10000 steps; a breakpoint at t takes effect
+# on the first step k with k * dt >= t, if k < 10000
+@pytest.mark.parametrize("speeds, takes_effect", [
+    ("[[0.0, 150.0], [0.9999, -80.0]]", True),  # on the last step
+    ("[[0.0, 150.0], [1.0, -80.0]]", False),  # at the end
+    ("[[0.0, 150.0], [2.0, -80.0]]", False),  # past the end
+    # both on step 5001, where the later one wins
+    ("[[0.0, 150.0], [0.50001, -80.0], [0.50005, 150.0]]", False),
+])
+def test_search_speeds_checked_where_they_take_effect(config, speeds, takes_effect):
+    # P_b <= 0 at -80 rad/s: only a command that takes effect is rejected,
+    # in parse_config with its key and again by simulate.
+    demo = "name: short-demo\n    duration: 1.0\n    dt: 1.0e-4\n    speed_reference: [[0.0, 150.0]]"
+    text = default_config_text()
+    assert demo in text
+    text = text.replace(demo, demo.replace("[[0.0, 150.0]]", speeds))
+    scenario = dataclasses.replace(
+        config.scenario("short-demo"), speed_reference=tuple(map(tuple, yaml.safe_load(speeds)))
+    )
+    if takes_effect:
+        with pytest.raises(ConfigError, match=r"scenarios\[3\]\.speed_reference: .*P_b = -17"):
+            parse_config(text)
+        with pytest.raises(ConfigError, match=r"speed_reference: .*P_b = -17"):
+            simulate(scenario, config)
+        return
+    assert parse_config(text).scenario("short-demo") == scenario
+    records = simulate(scenario, config).records
+    assert len(records) == 1000
+    assert all(r.omega_ref == 150.0 for r in records)
+
+
 def test_repeats_compares_bits():
     assert runner._repeats((0.7, 150.0, 5.0), (0.7, 150.0, 5.0))
     assert not runner._repeats((0.7, 150.0, 5.0), (0.7, 150.0, 5.000000000000001))
@@ -260,10 +299,11 @@ def breakpoint_cases(draw):
 def test_breakpoints_resolve_to_first_reaching_step(case):
     dt, n_steps, profile = case
     for t_b, _ in profile[1:]:
-        assert runner._breakpoint_step(t_b, dt, n_steps) == _first_step(t_b, dt, n_steps)
+        assert scenario_module._breakpoint_step(t_b, dt, n_steps) == _first_step(t_b, dt, n_steps)
     # the schedule gives every step the value the last reached breakpoint set
     scenario = Scenario("bp", n_steps * dt, dt, profile, ((0.0, 6.0),))
-    schedule = runner._command_schedule(scenario, n_steps)
+    assert scenario.steps == n_steps
+    schedule = scenario.commands
     assert schedule[-1] == (n_steps, None, None)
     per_step = [ref for (k, ref, _), (end, _, _) in zip(schedule, schedule[1:])
                 for _ in range(k, end)]
@@ -335,8 +375,8 @@ def test_held_steps_match_computed_steps(config, case):
         mp.setattr(runner, "_repeats", lambda before, after: False)
         computed = simulate(scenario, cfg, decimation=decimation)
     assert csv_bytes(held.records) == csv_bytes(computed.records)
-    # repr tells +0.0 from -0.0, which == does not
-    assert repr(held) == repr(computed)
+    # records compare bits, so this tells +0.0 from -0.0
+    assert held == computed
 
 
 def _count_steps(monkeypatch):
@@ -398,7 +438,7 @@ def test_packed_records_read_as_a_sequence_of_records(config):
             records[index]
     assert records[10:20] == rows[10:20] and records[-3:] == rows[-3:]
     assert records[::7] == rows[::7] and records[5:2] == ()
-    assert records == rows and records != rows[:-1]
+    assert tuple(records) == rows
     # efficiency is not stored: it reads back as computed from p_in and p_out
     assert all(r.efficiency == r.p_out / r.p_in for r in rows)
     assert result == simulate(config.scenario("short-demo"), config)
@@ -450,6 +490,18 @@ def test_text_reuse_compares_bits():
     assert csv_bytes(records) == csv_bytes(tuple(records))
 
 
+def test_packed_records_equality_compares_bits():
+    # 0.0 == -0.0, but rows that differ in a zero's sign are different rows;
+    # a PackedRecords equals no tuple
+    def packed(last, mode=0):
+        return PackedRecords(array("d", [0.5] * 15 + [last]), bytearray((mode,)))
+
+    assert packed(0.0) == packed(0.0) and packed(-0.0) == packed(-0.0)
+    assert packed(0.0) != packed(-0.0)
+    assert packed(0.0) != packed(0.0, mode=1)
+    assert packed(0.0) != tuple(packed(0.0))
+
+
 def test_hot_readers_build_no_records(config, monkeypatch):
     records = simulate(config.scenario("short-demo"), config).records
     text = csv_bytes(records)
@@ -480,7 +532,4 @@ def test_per_step_records_stay_packed(config):
 
 def test_simulation_result_metadata(config):
     result = simulate(config.scenario("short-demo"), config)
-    assert result.scenario_name == "short-demo"
     assert result.sample_count >= 1
-    assert result.final_mode in ("transient", "search")
-    assert math.isfinite(result.final_i_ds_cmd)
