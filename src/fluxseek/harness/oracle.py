@@ -8,6 +8,7 @@ independent cross-check of where the closed-loop search settles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..machine import InductionMachine, LossBreakdown
@@ -71,6 +72,9 @@ def oracle_sweep(
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
+    for name, value in (("speed", speed), ("load_torque", load_torque)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     params = config.machine
     machine = InductionMachine(params)
     rated = params.rated_excitation_current

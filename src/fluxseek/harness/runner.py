@@ -4,22 +4,22 @@ Step order: commands (from the scenario's ``commands``, the steps on which a
 speed or load command takes effect) -> mode supervisor (rated excitation and a
 compensator reset outside the search, then the sample timer) -> speed PI ->
 search sample and compensator latch, when due -> feedforward compensation ->
-inline torque-current limiting -> coupled machine step -> losses and power
-for the telemetry row, every decimation interval.
+inline torque-current limiting -> coupled machine step -> the telemetry row,
+every decimation interval.
 
-Rows are packed: each row's 16 floats (time through p_out) go into one
-``array("d")`` and its mode into a byte, so a per-step run keeps 129 bytes a
-row instead of a tuple of boxed floats. Reading a row builds a
-``TelemetryRecord`` and recomputes the efficiency from p_in and p_out. The CSV
-writer and the report read the packed columns directly, and the writer formats
-the shared fields of a held stretch once: a row whose fields after ``time``
-repeat the previous row's bit for bit reuses that row's text.
+Rows are packed: each row's 9 state floats (time, commands, currents, flux and
+load) go into one ``array("d")`` and its mode into a byte, so a per-step run
+keeps 73 bytes a row. Torque, losses and power are pure functions of that
+state; ``_row_tail`` computes them for the rows read, when they are read. The
+CSV writer and the report read the packed rows directly, and the writer
+formats the shared fields of a held stretch once: a row whose state after
+``time`` and mode repeat the previous row's bit for bit reuses its text.
 
 A step that left psi, omega, i_d, i_q and the PI integrator unchanged bit for
-bit is a fixed point, so the next step is *held*: it reuses the state and the
-row fields without the PI, compensator, clamp or machine step, unless a
-command, the mode or a search sample changes. The supervisor runs on every
-step. The CSV output is byte-identical for identical scenario and config.
+bit is a fixed point, so the next step is *held*: it reuses the state without
+the PI, compensator, clamp or machine step, unless a command, the mode or a
+search sample changes. The supervisor runs on every step. The CSV output is
+byte-identical for identical scenario and config.
 """
 
 from __future__ import annotations
@@ -74,24 +74,27 @@ class TelemetryRecord(NamedTuple):
     mode: str
 
 
-# a packed row: the record's fields before efficiency as doubles, and the
-# mode as a byte indexing _MODES
-_WIDTH = 16
-_COLUMNS = TelemetryRecord._fields[:_WIDTH]
+# a packed row: the state fields as doubles, in _row_tail's argument order
+# after time, and the mode as a byte indexing _MODES
+_STATE = (*TelemetryRecord._fields[:8], "load_torque")
+_WIDTH = len(_STATE)
+_COLUMNS = TelemetryRecord._fields[:16]  # the float fields: time, then a tail's
 _MODES = (DriveMode.TRANSIENT_RATED_FLUX, DriveMode.STEADY_SEARCH)
 
 
 class PackedRecords(Sequence):
     """A run's telemetry rows, packed; a read-only sequence of
-    ``TelemetryRecord`` whose slices are tuples. Equal to another
-    ``PackedRecords`` with the same modes and the same float bits, so a zero's
-    sign counts."""
+    ``TelemetryRecord`` whose slices are tuples. ``machine`` computes each
+    row's torque, losses and power from its state. Equal to another
+    ``PackedRecords`` with the same modes, the same float bits, so a zero's
+    sign counts, and the same machine parameters."""
 
-    __slots__ = ("_values", "_modes")
+    __slots__ = ("_values", "_modes", "_machine")
 
-    def __init__(self, values: array, modes: bytearray):
+    def __init__(self, values: array, modes: bytearray, machine: InductionMachine):
         self._values = values
         self._modes = modes
+        self._machine = machine
 
     def __len__(self) -> int:
         return len(self._modes)
@@ -100,12 +103,11 @@ class PackedRecords(Sequence):
         i = range(len(self))[index]
         if isinstance(i, range):
             return tuple(map(self.__getitem__, i))
-        row = self._values[i * _WIDTH:(i + 1) * _WIDTH]
-        p_in = row[14]
-        p_out = row[15]
-        return TelemetryRecord(
-            *row, p_out / p_in if p_in > 0.0 else None, _MODES[self._modes[i]]
-        )
+        k = i * _WIDTH
+        tail = _row_tail(self._machine, *self._values[k + 1:k + _WIDTH])
+        p_in, p_out = tail[13:15]
+        return TelemetryRecord(self._values[k], *tail, p_out / p_in if p_in > 0.0 else None,
+                               _MODES[self._modes[i]])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -114,11 +116,21 @@ class PackedRecords(Sequence):
         if not isinstance(other, PackedRecords):
             return NotImplemented
         # bytes, not ==: 0.0 == -0.0
-        return self._modes == other._modes and self._values.tobytes() == other._values.tobytes()
+        return (self._modes == other._modes and self._machine.params == other._machine.params
+                and self._values.tobytes() == other._values.tobytes())
 
     def column(self, name: str, start: int = 0) -> array:
-        """One float field of rows ``start`` on, e.g. ``column("p_in")``."""
-        return self._values[start * _WIDTH + _COLUMNS.index(name)::_WIDTH]
+        """One float field of rows ``start`` on, e.g. ``column("p_in")``; computed if not stored."""
+        if name in _STATE:
+            return self._values[start * _WIDTH + _STATE.index(name)::_WIDTH]
+        j = _COLUMNS.index(name) - 1
+        return array("d", [tail[j] for tail in self._tails(start)])
+
+    def _tails(self, start: int):
+        """``_row_tail`` of each row from ``start`` on, in row order."""
+        values = self._values
+        for k in range(start * _WIDTH, len(values), _WIDTH):
+            yield _row_tail(self._machine, *values[k + 1:k + _WIDTH])
 
 
 @dataclass(frozen=True)
@@ -187,8 +199,6 @@ def simulate(
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
     fixed = False  # the last computed step left its state unchanged
-    tail = None    # the row floats after ``time`` for the present state
-    mode_code = 0  # and the index of its mode in _MODES
 
     for k in range(scenario.steps):
         hold = fixed
@@ -252,21 +262,16 @@ def simulate(
                     k, str(exc), psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load
                 ) from exc
             fixed = may_hold and _repeats(before, (psi, omega_r, i_ds, i_qs, integrator))
-            tail = None
         simulated_time += dt
 
         if (k + 1) % decim == 0:
-            if tail is None:
-                tail = _row_tail(
-                    machine, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load
-                )
-                mode_code = _MODES.index(search.mode)
             row = k // decim
-            pack_row(values, row * row_size, simulated_time, *tail)
-            modes[row] = mode_code
+            pack_row(values, row * row_size, simulated_time, omega_ref, omega_r,
+                     i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load)
+            modes[row] = search.mode is searching_mode  # its index in _MODES
 
     return SimulationResult(
-        records=PackedRecords(values, modes),
+        records=PackedRecords(values, modes, machine),
         sample_count=sample_count,
         converged=search.converged,
         samples_to_convergence=samples_to_convergence,
@@ -313,19 +318,17 @@ def write_csv(records, target) -> None:
         return
     values = records._values
     size = values.itemsize
-    shared = None  # the previous row's fields after time, as bytes, and mode
+    shared = None  # the previous row's state after time, as bytes, and mode
     text = ""      # and its line after the time field
     # bytes, not ==: 0.0 == -0.0, but their reprs differ
     with memoryview(values) as view, view.cast("B") as raw:
         for i, code in enumerate(records._modes):
-            start = i * _WIDTH * size
-            fields = (raw[start + size:start + _WIDTH * size].tobytes(), code)
             k = i * _WIDTH
+            fields = (raw[(k + 1) * size:(k + _WIDTH) * size].tobytes(), code)
             if fields != shared:
                 shared = fields
-                row = values[k + 1:k + _WIDTH]
-                p_in = row[13]
-                p_out = row[14]
+                tail = _row_tail(records._machine, *values[k + 1:k + _WIDTH])
+                p_in, p_out = tail[13:15]
                 eff = repr(p_out / p_in) if p_in > 0.0 else ""
-                text = f",{','.join(map(repr, row))},{eff},{_MODES[code]}\n"
+                text = f",{','.join(map(repr, tail))},{eff},{_MODES[code]}\n"
             write(repr(values[k]) + text)

@@ -109,6 +109,17 @@ def test_sweep_unreachable_point_fails(capsys):
     assert "not reachable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_sweep_non_finite_point_fails(capsys, bad):
+    # --speed=-inf, not --speed -inf, which argparse reads as an option
+    assert main(["sweep", f"--speed={bad}", "--torque", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("fluxseek: error: speed must be finite")
+    assert captured.out == ""
+    assert main(["sweep", "--speed", "150", f"--torque={bad}"]) == 1
+    assert capsys.readouterr().err.startswith("fluxseek: error: load_torque must be finite")
+
+
 def test_usage_errors_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

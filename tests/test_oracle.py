@@ -67,6 +67,15 @@ def test_grid_size_validation(config):
         oracle_sweep(150.0, 6.0, 0, config)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_operating_point_must_be_finite(config, bad):
+    # a NaN point is never infeasible, so it would reach the minimum as nan
+    with pytest.raises(ValueError, match=rf"speed must be finite, got {bad!r}"):
+        oracle_sweep(bad, 6.0, 50, config)
+    with pytest.raises(ValueError, match=rf"load_torque must be finite, got {bad!r}"):
+        oracle_sweep(150.0, bad, 50, config)
+
+
 def test_steady_state_point_covers_friction(config):
     machine = InductionMachine(config.machine)
     point = steady_state_point(machine, 150.0, 6.0, 5.0)

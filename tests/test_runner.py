@@ -441,6 +441,9 @@ def test_packed_records_read_as_a_sequence_of_records(config):
     assert tuple(records) == rows
     # efficiency is not stored: it reads back as computed from p_in and p_out
     assert all(r.efficiency == r.p_out / r.p_in for r in rows)
+    # a column is the records' field from its start row, stored or computed
+    for name in ("time", "psi_dr", "load_torque", "torque", "loss_iron", "p_out"):
+        assert records.column(name, 990).tolist() == [getattr(r, name) for r in rows[990:]]
     assert result == simulate(config.scenario("short-demo"), config)
     assert result != simulate(config.scenario("short-demo"), config, decimation=5)
 
@@ -474,31 +477,54 @@ def test_written_rows_match_format_record(config):
     assert csv_bytes(records) == csv_bytes(rows)
 
 
-def test_text_reuse_compares_bits():
-    # +0.0 == -0.0, but their reprs differ: a row's fields repeat the last
-    # row's only with the same signs
-    row = [150.0, 150.0, 5.0, 0.0, 5.0, 0.0, 0.7, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 7.0, 0.0]
-    signed = row.copy()
+def _count_losses(monkeypatch) -> list:
+    """A list that grows by one at each ``compute_losses`` call from here on."""
+    calls = []
+    compute_losses = InductionMachine.compute_losses
+
+    def counted(self, *args):
+        calls.append(None)
+        return compute_losses(self, *args)
+
+    monkeypatch.setattr(InductionMachine, "compute_losses", counted)
+    return calls
+
+
+def test_text_reuse_compares_bits(config, monkeypatch):
+    # +0.0 == -0.0, but their reprs differ: a row's state repeats the last
+    # row's only with the same signs, and only then is its text reused
+    state = [150.0, 150.0, 5.0, 0.0, 5.0, 0.0, 0.7, 0.0]
+    signed = state.copy()
     signed[3] = -0.0  # i_qs_cmd
-    tails = (row, signed, signed, row, row)
+    states = (state, signed, signed, state, state)
     records = runner.PackedRecords(
-        array("d", [v for t, tail in enumerate(tails) for v in (0.1 * t, *tail)]),
-        bytearray(len(tails)),
+        array("d", [v for t, row in enumerate(states) for v in (0.1 * t, *row)]),
+        bytearray(len(states)),
+        InductionMachine(config.machine),
     )
+    calls = _count_losses(monkeypatch)
     lines = csv_bytes(records).decode().splitlines()[1:]
+    assert len(calls) == 3
     assert [line.split(",")[4] for line in lines] == ["0.0", "-0.0", "-0.0", "0.0", "0.0"]
     assert csv_bytes(records) == csv_bytes(tuple(records))
 
 
-def test_packed_records_equality_compares_bits():
+def test_packed_records_equality_compares_bits(config):
     # 0.0 == -0.0, but rows that differ in a zero's sign are different rows;
-    # a PackedRecords equals no tuple
-    def packed(last, mode=0):
-        return PackedRecords(array("d", [0.5] * 15 + [last]), bytearray((mode,)))
+    # rows computed by another machine are different rows; a PackedRecords
+    # equals no tuple
+    machine = InductionMachine(config.machine)
+
+    def packed(i_qs_cmd, mode=0, machine=machine):
+        row = [0.5] * 4 + [i_qs_cmd] + [0.5] * 4
+        return PackedRecords(array("d", row), bytearray((mode,)), machine)
 
     assert packed(0.0) == packed(0.0) and packed(-0.0) == packed(-0.0)
     assert packed(0.0) != packed(-0.0)
     assert packed(0.0) != packed(0.0, mode=1)
+    assert packed(0.0) == packed(0.0, machine=InductionMachine(config.machine))
+    resistive = dataclasses.replace(config.machine, stator_resistance=2 * config.machine.stator_resistance)
+    assert packed(0.0) != packed(0.0, machine=InductionMachine(resistive))
     assert packed(0.0) != tuple(packed(0.0))
 
 
@@ -515,9 +541,27 @@ def test_hot_readers_build_no_records(config, monkeypatch):
     assert steady_window_mean(records, 0.5) == mean
 
 
+def test_simulate_evaluates_losses_only_at_search_samples(config, monkeypatch):
+    # rows store the state; their losses are computed when they are read
+    calls = _count_losses(monkeypatch)
+    result = simulate(config.scenario("short-demo"), config, decimation=1)
+    assert result.sample_count > 0
+    assert len(calls) == result.sample_count
+
+
+def test_steady_window_mean_evaluates_losses_once_a_window_row(config, monkeypatch):
+    records = simulate(config.scenario("short-demo"), config, decimation=1).records
+    times = records.column("time")
+    window_rows = sum(t > times[-1] - 0.5 for t in times)
+    calls = _count_losses(monkeypatch)
+    steady_window_mean(records, 0.5)
+    assert 0 < window_rows < len(records)
+    assert len(calls) == window_rows
+
+
 def test_per_step_records_stay_packed(config):
     # A boxed row (a tuple of 18 fields and its floats) kept 536 bytes a row;
-    # packed it keeps 16 doubles and a mode byte.
+    # packed it keeps its 9 state doubles and a mode byte, 73 bytes.
     scenario = config.scenario("short-demo")
     simulate(dataclasses.replace(scenario, duration=0.01), config, decimation=1)
     tracemalloc.start()
@@ -527,7 +571,7 @@ def test_per_step_records_stay_packed(config):
     finally:
         tracemalloc.stop()
     assert len(result.records) == 10000
-    assert kept / len(result.records) < 200
+    assert kept / len(result.records) < 100
 
 
 def test_simulation_result_metadata(config):
