@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from ..compensator import FLUX_SOURCES
@@ -72,6 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     table_p.add_argument("--out", default=None, help="also write the report as CSV")
     table_p.add_argument(
         "--speed", type=float, default=None, help="rad/s (default: rated speed)"
+    )
+    # argparse takes only -6 or -6.5 as a value; "-6e0" and "-inf" are values too
+    sweep_p._negative_number_matcher = table_p._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
     )
     return parser
 

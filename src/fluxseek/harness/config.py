@@ -45,6 +45,9 @@ ENV_CONFIG_VAR = "FLUXSEEK_CONFIG"
 # z^3/24, z = -2.785..., beyond which every step grows x.
 RK4_STABILITY_LIMIT = 2.785293563405282
 
+# libyaml's safe loader where PyYAML has it: the same constructor, so the same values
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class DriveConfig:
@@ -336,7 +339,7 @@ def check_search_speeds(
 def parse_config(text: str, source: str = "<config>") -> DriveConfig:
     """Parse and validate a YAML configuration document."""
     try:
-        root = yaml.safe_load(text)
+        root = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: not valid YAML: {exc}") from exc
     sections = _read(root, _ROOT, source, prefix="")

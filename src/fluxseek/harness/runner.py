@@ -78,7 +78,6 @@ class TelemetryRecord(NamedTuple):
 # after time, and the mode as a byte indexing _MODES
 _STATE = (*TelemetryRecord._fields[:8], "load_torque")
 _WIDTH = len(_STATE)
-_COLUMNS = TelemetryRecord._fields[:16]  # the float fields: time, then a tail's
 _MODES = (DriveMode.TRANSIENT_RATED_FLUX, DriveMode.STEADY_SEARCH)
 
 
@@ -120,11 +119,10 @@ class PackedRecords(Sequence):
                 and self._values.tobytes() == other._values.tobytes())
 
     def column(self, name: str, start: int = 0) -> array:
-        """One float field of rows ``start`` on, e.g. ``column("p_in")``; computed if not stored."""
-        if name in _STATE:
-            return self._values[start * _WIDTH + _STATE.index(name)::_WIDTH]
-        j = _COLUMNS.index(name) - 1
-        return array("d", [tail[j] for tail in self._tails(start)])
+        """One stored float field (``_STATE``) of rows ``start`` on, e.g. ``column("time")``."""
+        if name not in _STATE:
+            raise ValueError(f"{name!r} is not a stored field; stored: {', '.join(_STATE)}")
+        return self._values[start * _WIDTH + _STATE.index(name)::_WIDTH]
 
     def _tails(self, start: int):
         """``_row_tail`` of each row from ``start`` on, in row order."""

@@ -130,6 +130,14 @@ class InductionMachine:
             params.torque_constant_flux, 1.0 / params.inertia, params.friction,
             1.0 / tau_i if tau_i > 0.0 else 0.0,
         )
+        # the losses' constants, grouped as the textbook formulas multiply left to right
+        lm_over_lr = params.magnetizing_inductance / params.rotor_inductance
+        self._loss_constants = (
+            1.5 * params.stator_resistance,
+            1.5 * params.rotor_resistance * (lm_over_lr * lm_over_lr),
+            params.iron_loss_eddy_coeff, params.iron_loss_hysteresis_coeff,
+            params.converter_fixed_loss, params.converter_resistive_coeff,
+        )
 
     # -- algebraic relations ----------------------------------------------
 
@@ -157,17 +165,12 @@ class InductionMachine:
         self, psi_dr: float, i_ds: float, i_qs: float, omega_e: float
     ) -> LossBreakdown:
         """Loss breakdown at the given flux, currents and electrical frequency."""
-        p = self.params
+        stator, rotor, eddy, hysteresis, fixed, resistive = self._loss_constants
         i_sq = i_ds * i_ds + i_qs * i_qs
-        psi_sq = psi_dr * psi_dr
-        lm_over_lr = p.magnetizing_inductance / p.rotor_inductance
         return LossBreakdown(
-            stator_copper=1.5 * p.stator_resistance * i_sq,
-            rotor_copper=1.5 * p.rotor_resistance * (lm_over_lr * lm_over_lr)
-            * i_qs * i_qs,
-            iron=(p.iron_loss_eddy_coeff * omega_e * omega_e
-                  + p.iron_loss_hysteresis_coeff * abs(omega_e)) * psi_sq,
-            converter=p.converter_fixed_loss + p.converter_resistive_coeff * i_sq,
+            stator * i_sq, rotor * i_qs * i_qs,
+            (eddy * omega_e * omega_e + hysteresis * abs(omega_e)) * (psi_dr * psi_dr),
+            fixed + resistive * i_sq,
         )
 
     def input_power(self, omega_r: float, t_e: float, losses: LossBreakdown) -> float:

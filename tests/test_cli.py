@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import subprocess
 import sys
 
 import pytest
 
-from fluxseek.harness.cli import main
+from fluxseek.harness.cli import _build_parser, main
 from fluxseek.harness.config import ENV_CONFIG_VAR, default_config_text
 from fluxseek.harness.runner import CSV_HEADER
 from fluxseek.harness.report import REPORT_CSV_HEADER
@@ -111,13 +112,29 @@ def test_sweep_unreachable_point_fails(capsys):
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_sweep_non_finite_point_fails(capsys, bad):
-    # --speed=-inf, not --speed -inf, which argparse reads as an option
     assert main(["sweep", f"--speed={bad}", "--torque", "6"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("fluxseek: error: speed must be finite")
     assert captured.out == ""
     assert main(["sweep", "--speed", "150", f"--torque={bad}"]) == 1
     assert capsys.readouterr().err.startswith("fluxseek: error: load_torque must be finite")
+
+
+def test_sweep_reads_minus_signed_float_literals(capsys):
+    assert main(["sweep", "--speed", "150", "--torque=-6e0", "--grid", "5"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["sweep", "--speed", "150", "--torque", "-6e0", "--grid", "5"]) == 0
+    assert capsys.readouterr().out == joined
+    assert main(["sweep", "--speed", "-inf", "--torque", "6", "--grid", "5"]) == 1
+    assert capsys.readouterr().err.startswith("fluxseek: error: speed must be finite")
+
+
+@pytest.mark.parametrize(
+    "value,speed",
+    [("-1e2", -100.0), ("-1E+2", -100.0), ("-.5", -0.5), ("-6", -6.0), ("-inf", -math.inf)],
+)
+def test_table_speed_reads_minus_signed_float_literals(value, speed):
+    assert _build_parser().parse_args(["table", "--speed", value]).speed == speed
 
 
 def test_usage_errors_exit_nonzero(capsys):

@@ -59,6 +59,45 @@ def test_invalid_yaml_is_config_error():
         parse_config("machine: [unclosed")
 
 
+@pytest.mark.parametrize("text", ["a: [1, 2", "x: \x07"])
+def test_yaml_syntax_errors_are_config_errors(text):
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        parse_config(text)
+
+
+def _lagless(text: str) -> str:
+    lagless = text.replace(
+        "current_tracking_time_constant: 0.002", "current_tracking_time_constant: 0.0"
+    )
+    assert lagless != text
+    return lagless
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        lambda text: text,
+        lambda text: yaml.safe_dump(yaml.safe_load(text)),
+        _lagless,
+    ],
+    ids=["default", "safe-dump-round-trip", "ideal-tracking"],
+)
+def test_loader_gives_the_pure_python_loaders_config(default_text, monkeypatch, document):
+    text = document(default_text)
+    parsed = parse_config(text)
+    monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
+    assert parse_config(text) == parsed
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+def test_config_is_parsed_with_libyaml(default_text, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python loader was used")
+
+    monkeypatch.setattr(yaml.SafeLoader, "__init__", refuse)
+    assert parse_config(default_text).machine.rated_torque == 24.0
+
+
 def test_min_excitation_invariant_names_the_key(default_text):
     broken = default_text.replace(
         "min_excitation_current: 0.5", "min_excitation_current: 6.0"

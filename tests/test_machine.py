@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +296,49 @@ def test_losses_hand_sum_at_rated_point():
     assert loss.iron == pytest.approx(763.299264, rel=1e-12)
     assert loss.converter == pytest.approx(55.35, rel=1e-12)
     assert loss.total == pytest.approx(1188.099264, rel=1e-12)
+
+
+# The telemetry's golden hash depends on the losses' exact arithmetic too: the
+# textbook formulas, written from the parameters and evaluated left to right,
+# must give the same doubles.
+_currents = st.one_of(st.just(0.0), st.floats(-30.0, 30.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    stator_resistance=st.floats(0.01, 5.0),
+    rotor_resistance=st.floats(0.01, 5.0),
+    magnetizing_inductance=st.floats(0.01, 1.0),
+    rotor_inductance=st.floats(0.01, 1.0),
+    eddy=st.floats(0.0, 0.1),
+    hysteresis=st.floats(0.0, 5.0),
+    fixed=st.floats(0.0, 100.0),
+    resistive=st.floats(0.0, 1.0),
+    psi=st.floats(0.0, 1.2),
+    i_ds=_currents,
+    i_qs=_currents,
+    omega_e=st.one_of(st.just(0.0), st.floats(-700.0, 700.0)),
+)
+def test_losses_equal_textbook_formulas_bit_for_bit(
+    stator_resistance, rotor_resistance, magnetizing_inductance, rotor_inductance,
+    eddy, hysteresis, fixed, resistive, psi, i_ds, i_qs, omega_e,
+):
+    p = build_params(
+        stator_resistance=stator_resistance, rotor_resistance=rotor_resistance,
+        magnetizing_inductance=magnetizing_inductance, rotor_inductance=rotor_inductance,
+        iron_loss_eddy_coeff=eddy, iron_loss_hysteresis_coeff=hysteresis,
+        converter_fixed_loss=fixed, converter_resistive_coeff=resistive,
+    )
+    i_sq = i_ds * i_ds + i_qs * i_qs
+    ratio = p.magnetizing_inductance / p.rotor_inductance
+    stator = 1.5 * p.stator_resistance * i_sq
+    rotor = 1.5 * p.rotor_resistance * (ratio * ratio) * i_qs * i_qs
+    iron = (p.iron_loss_eddy_coeff * omega_e * omega_e
+            + p.iron_loss_hysteresis_coeff * abs(omega_e)) * (psi * psi)
+    converter = p.converter_fixed_loss + p.converter_resistive_coeff * i_sq
+    expected = (stator, rotor, iron, converter, stator + rotor + iron + converter)
+    got = InductionMachine(p).compute_losses(psi, i_ds, i_qs, omega_e)
+    assert struct.pack("5d", *got) == struct.pack("5d", *expected)
 
 
 def test_iron_loss_strictly_decreasing_in_flux():
