@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -45,8 +46,24 @@ ENV_CONFIG_VAR = "FLUXSEEK_CONFIG"
 # z^3/24, z = -2.785..., beyond which every step grows x.
 RK4_STABILITY_LIMIT = 2.785293563405282
 
+
+def _with_yaml12_floats(loader):
+    """``loader`` reading YAML 1.2's floats as floats too: PyYAML follows YAML
+    1.1, whose floats need a dot, so ``1e-4`` was a string."""
+
+    class Loader(loader):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"),
+    )
+    return Loader
+
+
 # libyaml's safe loader where PyYAML has it: the same constructor, so the same values
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = _with_yaml12_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 @dataclass(frozen=True)
@@ -142,13 +159,15 @@ def _range(value, key: str) -> tuple[float, float]:
 
 def _section(table: dict, make=dict):
     """The kind of a mapping read by ``table`` and built by ``make(**values)``;
-    a ValueError from ``make`` is a ConfigError at the mapping's key."""
+    a ValueError from ``make`` is a ConfigError at the key of the field its
+    message starts with, else at the mapping's key."""
     def kind(node, key: str):
         values = _read(node, table, key)
         try:
             return make(**values)
         except ValueError as exc:
-            raise ConfigError(str(exc), key=key) from exc
+            field = str(exc).partition(" ")[0]
+            raise ConfigError(str(exc), key=f"{key}.{field}" if field in table else key) from exc
     return kind
 
 

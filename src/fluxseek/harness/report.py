@@ -5,7 +5,6 @@ efficiency columns."""
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -54,9 +53,14 @@ def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, fl
     times = records.column("time")  # non-decreasing
     start = bisect_right(times, times[-1] - window)
     n = len(times) - start
-    # one loss evaluation a row; a tail's fields 13 and 14 are p_in and p_out
-    powers = array("d", (v for tail in records._tails(start) for v in tail[13:15]))
-    return sum(powers[::2]) / n, sum(powers[1::2]) / n
+    # one loss evaluation a row; a tail's fields 13 and 14 are p_in and p_out.
+    # Added left to right: the builtin sum() compensates rounding since Python
+    # 3.12, so the report's bytes would depend on the interpreter.
+    p_in = p_out = 0.0
+    for tail in records._tails(start):
+        p_in += tail[13]
+        p_out += tail[14]
+    return p_in / n, p_out / n
 
 
 def _row(

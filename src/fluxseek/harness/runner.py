@@ -1,11 +1,14 @@
 """Fixed-step closed-loop execution of one scenario.
 
 Step order: commands (from the scenario's ``commands``, the steps on which a
-speed or load command takes effect) -> mode supervisor (rated excitation and a
-compensator reset outside the search, then the sample timer) -> speed PI ->
-search sample and compensator latch, when due -> feedforward compensation ->
-inline torque-current limiting -> coupled machine step -> the telemetry row,
-every decimation interval.
+speed or load command takes effect) -> mode supervisor -> speed PI -> search
+sample and compensator latch, when due -> feedforward compensation -> inline
+torque-current limiting -> coupled machine step -> the telemetry row, every
+decimation interval.
+
+The supervisor runs on events (see ``optimizer``): an ordinary step only tests
+the speed error against the band, and the steps of search entry and of each
+sample are known ahead of time.
 
 Rows are packed: each row's 9 state floats (time, commands, currents, flux and
 load) go into one ``array("d")`` and its mode into a byte, so a per-step run
@@ -18,8 +21,10 @@ formats the shared fields of a held stretch once: a row whose state after
 A step that left psi, omega, i_d, i_q and the PI integrator unchanged bit for
 bit is a fixed point, so the next step is *held*: it reuses the state without
 the PI, compensator, clamp or machine step, unless a command, the mode or a
-search sample changes. The supervisor runs on every step. The CSV output is
-byte-identical for identical scenario and config.
+search sample changes. With the state fixed the speed error is too, so no
+other event falls before the next command change, sample or search entry: the
+loop jumps there, advancing the clock and writing the rows in between. The
+CSV output is byte-identical for identical scenario and config.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from ..compensator import TorqueCompensator
@@ -37,8 +43,9 @@ from ..machine import InductionMachine
 from ..optimizer import (
     DriveMode,
     SearchState,
-    advance_sample_timer,
+    next_sample,
     search_sample,
+    steady_entry,
     update_mode,
 )
 from .config import DriveConfig, check_search_speeds, check_step_size
@@ -165,6 +172,7 @@ def simulate(
     i_qs_min = -i_qs_max
     integrator = 0.0
     search = SearchState()
+    tolerance = settings.steady_speed_tolerance
     comp = (
         TorqueCompensator(params, config.flux_source, config.compensation_mode)
         if scenario.compensator_enabled
@@ -179,7 +187,6 @@ def simulate(
     simulated_time = 0.0
     i_ds_cmd = i_ds_rated
     step = machine.step
-    searching_mode = DriveMode.STEADY_SEARCH
 
     schedule = iter(scenario.commands)
     _, omega_ref, t_load = next(schedule)
@@ -188,7 +195,8 @@ def simulate(
     # every row's slot, allocated once: growing the array row by row makes the
     # allocator copy it on some reallocations, so the peak memory of a long
     # per-step run depended on what earlier allocations left in the heap
-    n_rows = scenario.steps // decim
+    n_steps = scenario.steps
+    n_rows = n_steps // decim
     values = array("d", (0.0,)) * (n_rows * _WIDTH)
     modes = bytearray(n_rows)
     pack_row = struct.Struct(f"{_WIDTH}d").pack_into  # native doubles, as in the array
@@ -197,8 +205,16 @@ def simulate(
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
     fixed = False  # the last computed step left its state unchanged
+    # the supervisor's events: in the search, the next sample's step and the
+    # search time it leaves over; in transient, while the speed error stays
+    # in the band, the step the search is entered on, else -1
+    searching = False
+    sample_step = n_steps
+    timer = 0.0
+    entry = -1
 
-    for k in range(scenario.steps):
+    steps_left = iter(range(n_steps))
+    for k in steps_left:
         hold = fixed
         command_changed = False
         if k == next_change:
@@ -211,62 +227,94 @@ def simulate(
         error = omega_ref - omega_r
         sample_due = False
         if flc:
-            mode = search.mode
-            update_mode(search, settings, error, command_changed)
-            if search.mode is not searching_mode:
-                i_ds_cmd = i_ds_rated
-                if comp is not None:
-                    comp.reset()
-            sample_due = advance_sample_timer(search, settings, dt)
-            hold = hold and search.mode is mode and not sample_due
+            in_band = abs(error) <= tolerance
+            if searching:
+                if command_changed or not in_band:
+                    update_mode(search, settings, error, command_changed)
+                    searching = hold = False
+                    i_ds_cmd = i_ds_rated
+                    if comp is not None:
+                        comp.reset()
+                elif k == sample_step:
+                    sample_due = True
+                    hold = False
+            elif command_changed or not in_band:
+                entry = -1
+            else:
+                if entry < 0:
+                    entry = steady_entry(k, settings)
+                if k == entry:
+                    update_mode(search, settings, error, command_changed)
+                    searching = True
+                    hold = False
+                    entry = -1
+                    steps, timer = next_sample(settings, dt, 0.0, n_steps - k)
+                    sample_step = k + steps - 1
+                    sample_due = k == sample_step
 
-        if not hold:
-            t = k * dt
-            before = (psi, omega_r, i_ds, i_qs, integrator)
-            integrator, iqs_pi = speed_pi_step(integrator, error, kp, ki, i_qs_max, dt)
-            if sample_due:
-                omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
-                losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
-                t_e = machine.developed_torque(psi, i_qs)
-                p_d = machine.input_power(omega_r, t_e, losses)
-                comp_now = comp.output(psi, t) if comp is not None else 0.0
-                iqs_cmd_now = min(max(iqs_pi + comp_now, -i_qs_max), i_qs_max)
-                search, i_ds_cmd = search_sample(
-                    search, settings, ctrl, p_d, omega_r, i_ds_cmd, iqs_cmd_now
-                )
-                sample_count += 1
-                if search.converged and samples_to_convergence is None:
-                    samples_to_convergence = sample_count
-                    convergence_time = t
-                if comp is not None:
-                    comp.latch(psi, iqs_pi, i_ds_cmd, t)
+        if hold:
+            # Nothing changes before the next command change or supervisor
+            # event, as the state and so the speed error stay the same: steps
+            # k to stop - 1 end at once. Their rows differ only in time.
+            stop = min(next_change, sample_step if searching else entry if entry >= 0 else n_steps)
+            for end in range(k + 1, stop + 1):
+                simulated_time += dt
+                if end % decim == 0:
+                    row = end // decim - 1
+                    pack_row(values, row * row_size, simulated_time, omega_ref, omega_r,
+                             i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load)
+                    modes[row] = searching  # its index in _MODES
+            skip = stop - k - 1  # the loop goes on at step stop
+            next(islice(steps_left, skip, skip), None)
+            continue
 
-            compensating = comp is not None and search.mode is searching_mode
-            comp_out = comp.output(psi, t) if compensating else 0.0
-            # i_ds_cmd needs no clamp: it is rated or what search_sample clamped.
-            # The same float as min(max(v, -i_qs_max), i_qs_max), without the calls.
-            i_qs_cmd = iqs_pi + comp_out
-            if i_qs_cmd < i_qs_min:
-                i_qs_cmd = i_qs_min
-            elif i_qs_cmd > i_qs_max:
-                i_qs_cmd = i_qs_max
+        t = k * dt
+        before = (psi, omega_r, i_ds, i_qs, integrator)
+        integrator, iqs_pi = speed_pi_step(integrator, error, kp, ki, i_qs_max, dt)
+        if sample_due:
+            omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
+            losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
+            t_e = machine.developed_torque(psi, i_qs)
+            p_d = machine.input_power(omega_r, t_e, losses)
+            comp_now = comp.output(psi, t) if comp is not None else 0.0
+            iqs_cmd_now = min(max(iqs_pi + comp_now, -i_qs_max), i_qs_max)
+            search, i_ds_cmd = search_sample(
+                search, settings, ctrl, p_d, omega_r, i_ds_cmd, iqs_cmd_now
+            )
+            sample_count += 1
+            if search.converged and samples_to_convergence is None:
+                samples_to_convergence = sample_count
+                convergence_time = t
+            if comp is not None:
+                comp.latch(psi, iqs_pi, i_ds_cmd, t)
+            steps, timer = next_sample(settings, dt, timer, n_steps - k - 1)
+            sample_step = k + steps
 
-            try:
-                psi, omega_r, i_ds, i_qs = step(
-                    psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt
-                )
-            except NonFiniteError as exc:
-                raise SimulationDivergedError(
-                    k, str(exc), psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load
-                ) from exc
-            fixed = may_hold and _repeats(before, (psi, omega_r, i_ds, i_qs, integrator))
+        comp_out = comp.output(psi, t) if comp is not None and searching else 0.0
+        # i_ds_cmd needs no clamp: it is rated or what search_sample clamped.
+        # The same float as min(max(v, -i_qs_max), i_qs_max), without the calls.
+        i_qs_cmd = iqs_pi + comp_out
+        if i_qs_cmd < i_qs_min:
+            i_qs_cmd = i_qs_min
+        elif i_qs_cmd > i_qs_max:
+            i_qs_cmd = i_qs_max
+
+        try:
+            psi, omega_r, i_ds, i_qs = step(
+                psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt
+            )
+        except NonFiniteError as exc:
+            raise SimulationDivergedError(
+                k, str(exc), psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load
+            ) from exc
+        fixed = may_hold and _repeats(before, (psi, omega_r, i_ds, i_qs, integrator))
+
         simulated_time += dt
-
         if (k + 1) % decim == 0:
             row = k // decim
             pack_row(values, row * row_size, simulated_time, omega_ref, omega_r,
                      i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load)
-            modes[row] = search.mode is searching_mode  # its index in _MODES
+            modes[row] = searching  # its index in _MODES
 
     return SimulationResult(
         records=PackedRecords(values, modes, machine),

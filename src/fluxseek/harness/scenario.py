@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 Profile = tuple[tuple[float, float], ...]
 
+# relative: a duration within this of a whole number of steps runs that number
+STEP_TOLERANCE = 1e-9
+
 
 def _validate_profile(profile: Profile, what: str) -> None:
     if not profile:
@@ -38,7 +41,7 @@ class Scenario:
     load_torque: Profile      # (time s, N m) breakpoints
     flc_enabled: bool = True
     compensator_enabled: bool = True
-    steps: int = field(init=False, repr=False, compare=False)  # round(duration / dt)
+    steps: int = field(init=False, repr=False, compare=False)  # duration / dt, whole
     commands: list[tuple] = field(init=False, repr=False, compare=False)  # _command_schedule
 
     def __post_init__(self) -> None:
@@ -53,6 +56,9 @@ class Scenario:
         steps = self.duration / self.dt
         if not steps < sys.maxsize:  # the schedule indexes steps; NaN fails too
             raise ValueError(f"duration / dt = {steps!r} steps must be below {sys.maxsize}")
+        if abs(steps - round(steps)) > STEP_TOLERANCE * steps:
+            raise ValueError(f"duration = {self.duration!r} s must be a whole number of"
+                             f" dt = {self.dt!r} s steps, not {steps!r}")
         object.__setattr__(self, "steps", round(steps))  # the dataclass is frozen
         object.__setattr__(self, "commands", _command_schedule(self, self.steps))
 

@@ -6,6 +6,12 @@ at rated for best dynamic response. Once the speed error has stayed inside a
 small band long enough, the supervisor samples dc-link power on a slow period
 and walks the excitation command toward minimum input power; any speed or
 load command change abandons the search immediately and clears its history.
+
+The supervisor runs on events, not on every step. Between them the only rule
+is the band test ``abs(error) <= steady_speed_tolerance``. ``steady_entry``
+gives the step the search is entered on, ``next_sample`` the step of the next
+power sample, and ``update_mode`` changes the mode on the steps where it can
+change.
 """
 
 from __future__ import annotations
@@ -44,8 +50,6 @@ class SearchState:
     mode: str = DriveMode.TRANSIENT_RATED_FLUX
     previous_power: float | None = None
     last_di_ds: float = 0.0
-    steady_counter: int = 0
-    sample_timer: float = 0.0
     converged: bool = False
     convergence_counter: int = 0
     awaiting_first_step: bool = field(default=False, repr=False)
@@ -54,8 +58,6 @@ class SearchState:
         self.mode = mode
         self.previous_power = None
         self.last_di_ds = 0.0
-        self.steady_counter = 0
-        self.sample_timer = 0.0
         self.converged = False
         self.convergence_counter = 0
         self.awaiting_first_step = False
@@ -67,32 +69,49 @@ def update_mode(
     speed_error: float,
     command_changed: bool,
 ) -> SearchState:
-    """Advance the mode machine one integration step.
+    """Change the mode on a step where it can change.
 
-    A command change or a speed error outside the band resets to the
-    rated-flux transient position with cleared history; holding the error
-    in-band for ``steady_steps`` consecutive steps enters the search.
+    In the search, a command change or a speed error outside the band
+    abandons it to the rated-flux transient position with cleared history.
+    In transient, the step is ``steady_entry``'s: the error has stayed in the
+    band, without a command change, for ``steady_steps`` steps, and the
+    search is entered.
     """
     in_band = abs(speed_error) <= settings.steady_speed_tolerance
     if command_changed or not in_band:
         state._enter(DriveMode.TRANSIENT_RATED_FLUX)
-        return state
-    if state.mode is DriveMode.TRANSIENT_RATED_FLUX:
-        state.steady_counter += 1
-        if state.steady_counter >= settings.steady_steps:
-            state._enter(DriveMode.STEADY_SEARCH)
+    elif state.mode is DriveMode.TRANSIENT_RATED_FLUX:
+        state._enter(DriveMode.STEADY_SEARCH)
     return state
 
 
-def advance_sample_timer(state: SearchState, settings: SearchSettings, dt: float) -> bool:
-    """Accumulate search-period time. True when a power sample is due."""
-    if state.mode is not DriveMode.STEADY_SEARCH:
-        return False
-    state.sample_timer += dt
-    if state.sample_timer >= settings.search_period:
-        state.sample_timer -= settings.search_period
-        return True
-    return False
+def steady_entry(first_in_band: int, settings: SearchSettings) -> int:
+    """The step the search is entered on when the speed error is in the band,
+    without a command change, on every step from ``first_in_band`` on: the
+    ``steady_steps``-th such step."""
+    return first_in_band + settings.steady_steps - 1
+
+
+def next_sample(
+    settings: SearchSettings, dt: float, timer: float, horizon: int
+) -> tuple[int, float]:
+    """The step the next power sample falls on, counting from 1 the next step
+    that adds ``dt``, and the search time it carries over to the sample after.
+
+    ``timer`` is the search time since the last sample: 0.0 on entering the
+    search, else what the last call returned. Each step adds ``dt``, and the
+    sample falls on the first step where the sum reaches ``search_period``;
+    the period is then taken off. The float additions are replayed one by
+    one, so 5000 steps of 1e-4 s sum to 0.49999999999996125 and a 0.5 s
+    period's first sample falls on step 5001. At most ``horizon`` steps are
+    replayed; a sample past them returns ``horizon + 1``.
+    """
+    period = settings.search_period
+    for steps in range(1, horizon + 1):
+        timer += dt
+        if timer >= period:
+            return steps, timer - period
+    return horizon + 1, timer
 
 
 def search_sample(

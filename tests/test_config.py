@@ -85,8 +85,27 @@ def _lagless(text: str) -> str:
 def test_loader_gives_the_pure_python_loaders_config(default_text, monkeypatch, document):
     text = document(default_text)
     parsed = parse_config(text)
-    monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(
+        config_module, "_YAML_LOADER", config_module._with_yaml12_floats(yaml.SafeLoader))
     assert parse_config(text) == parsed
+
+
+LOADERS = [yaml.SafeLoader, *([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_yaml12_floats_are_numbers(default_text, monkeypatch, loader):
+    # YAML 1.1 floats need a dot: PyYAML alone reads 1e-4 as a string
+    assert yaml.load("dt: 1e-4", Loader=loader) == {"dt": "1e-4"}
+    taught = config_module._with_yaml12_floats(loader)
+    document = "[1e-4, 5e-1, -6E0, +3e2, .5, 1.0e-4, 10, 0x1F, 1e3x, .inf]"
+    assert yaml.load(document, Loader=taught) == [
+        1e-4, 0.5, -6.0, 300.0, 0.5, 1e-4, 10, 31, "1e3x", float("inf")]
+    monkeypatch.setattr(config_module, "_YAML_LOADER", taught)
+    text = default_text.replace("dt: 1.0e-4", "dt: 1e-4").replace(
+        "search_period: 0.5", "search_period: 5e-1")
+    assert text.count("dt: 1e-4") == 4 and "search_period: 5e-1" in text
+    assert parse_config(text) == parse_config(default_text)
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
@@ -179,9 +198,21 @@ def test_unstable_step_size_rejected(default_text):
     ideal = default_text.replace(
         "current_tracking_time_constant: 0.002", "current_tracking_time_constant: 0.0"
     )
-    assert parse_config(ideal.replace(demo + "1.0e-4", demo + "0.4"))
+    # (durations of 10 whole steps)
+    def ten_steps(dt):
+        return ideal.replace(demo + "1.0e-4", demo.replace("1.0", repr(10 * dt)) + repr(dt))
+
+    assert parse_config(ten_steps(0.4))
     with pytest.raises(ConfigError, match=r"scenarios\[3\]\.dt"):
-        parse_config(ideal.replace(demo + "1.0e-4", demo + "0.42"))
+        parse_config(ten_steps(0.42))
+
+
+def test_fractional_duration_rejected_with_path(default_text):
+    demo = "name: short-demo\n    duration: 1.0\n"
+    assert demo in default_text
+    with pytest.raises(ConfigError, match=r"^scenarios\[3\]\.duration: .*whole number") as info:
+        parse_config(default_text.replace(demo, demo.replace("1.0", "0.00004")))
+    assert info.value.key == "scenarios[3].duration"
 
 
 def test_search_speed_outside_scaling_rejected(default_text):

@@ -1,0 +1,184 @@
+"""``simulate`` against a plain reference loop: every step computed, the
+profile looked up on each step, and the supervisor's steady counter and
+sample timer advanced on every step, as the rules read. The runner's hold,
+jumps over held stretches, command schedule and event-driven supervisor must
+change no output bit."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fluxseek.compensator import TorqueCompensator
+from fluxseek.foc import speed_pi_step
+from fluxseek.harness.runner import CSV_HEADER, simulate
+from fluxseek.harness.scenario import Scenario
+from fluxseek.machine import InductionMachine
+from fluxseek.optimizer import DriveMode, SearchState, search_sample
+
+from conftest import csv_bytes
+
+
+def reference_run(scenario: Scenario, config, decimation: int):
+    """The telemetry CSV bytes, the sample count, the final convergence flag,
+    and the sample count and time at first convergence."""
+    p = config.machine
+    machine = InductionMachine(p)
+    settings_ = config.search
+    ctrl = config.controller()
+    dt = scenario.dt
+    rated = p.rated_excitation_current
+    limit = p.max_torque_current
+    comp = (TorqueCompensator(p, config.flux_source, config.compensation_mode)
+            if scenario.compensator_enabled else None)
+    psi, omega_r, i_ds, i_qs = p.rated_flux, 0.0, rated, 0.0
+    integrator = 0.0
+    i_ds_cmd = rated
+    search = SearchState()
+    counter = 0    # consecutive in-band steps without a command change
+    timer = 0.0    # search time since the last sample
+    time = 0.0
+    samples = 0
+    first_converged = (None, None)
+    previous = (scenario.speed_reference[0][1], scenario.load_torque[0][1])
+    lines = [CSV_HEADER]
+    for k in range(scenario.steps):
+        t = k * dt
+        omega_ref = [v for t_b, v in scenario.speed_reference if t >= t_b][-1]
+        t_load = [v for t_b, v in scenario.load_torque if t >= t_b][-1]
+        changed = (omega_ref, t_load) != previous
+        previous = (omega_ref, t_load)
+        error = omega_ref - omega_r
+        integrator, iqs_pi = speed_pi_step(
+            integrator, error, config.speed_kp, config.speed_ki, limit, dt)
+        sample = False
+        if scenario.flc_enabled:
+            if changed or not abs(error) <= settings_.steady_speed_tolerance:
+                search, counter, timer = SearchState(), 0, 0.0
+            elif search.mode is DriveMode.TRANSIENT_RATED_FLUX:
+                counter += 1
+                if counter >= settings_.steady_steps:
+                    search, counter, timer = SearchState(mode=DriveMode.STEADY_SEARCH), 0, 0.0
+            if search.mode is DriveMode.TRANSIENT_RATED_FLUX:
+                i_ds_cmd = rated
+                if comp is not None:
+                    comp.reset()
+            else:
+                timer += dt
+                if timer >= settings_.search_period:
+                    timer -= settings_.search_period
+                    sample = True
+        if sample:
+            losses = machine.compute_losses(
+                psi, i_ds, i_qs, machine.electrical_frequency(psi, omega_r, i_qs))
+            p_d = machine.input_power(omega_r, machine.developed_torque(psi, i_qs), losses)
+            comp_now = comp.output(psi, t) if comp is not None else 0.0
+            iqs_now = min(max(iqs_pi + comp_now, -limit), limit)
+            search, i_ds_cmd = search_sample(
+                search, settings_, ctrl, p_d, omega_r, i_ds_cmd, iqs_now)
+            samples += 1
+            if search.converged and first_converged[0] is None:
+                first_converged = (samples, t)
+            if comp is not None:
+                comp.latch(psi, iqs_pi, i_ds_cmd, t)
+        searching = search.mode is DriveMode.STEADY_SEARCH
+        comp_out = comp.output(psi, t) if comp is not None and searching else 0.0
+        i_qs_cmd = min(max(iqs_pi + comp_out, -limit), limit)
+        psi, omega_r, i_ds, i_qs = machine.step(
+            psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt)
+        time += dt
+        if (k + 1) % decimation == 0:
+            losses = machine.compute_losses(
+                psi, i_ds, i_qs, machine.electrical_frequency(psi, omega_r, i_qs))
+            t_e = machine.developed_torque(psi, i_qs)
+            p_in = machine.input_power(omega_r, t_e, losses)
+            p_out = t_load * omega_r
+            fields = (time, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_e,
+                      t_load, *losses[:4], p_in, p_out)
+            efficiency = repr(p_out / p_in) if p_in > 0.0 else ""
+            lines.append(",".join((*map(repr, fields), efficiency, search.mode)))
+    text = "".join(line + "\n" for line in lines).encode()
+    return text, samples, search.converged, *first_converged
+
+
+def _assert_matches_reference(scenario, config, decimation):
+    result = simulate(scenario, config, decimation=decimation)
+    text, samples, converged, samples_to_convergence, convergence_time = reference_run(
+        scenario, config, decimation)
+    assert csv_bytes(result.records) == text
+    assert result.sample_count == samples
+    assert result.converged is converged
+    assert result.samples_to_convergence == samples_to_convergence
+    assert result.convergence_time == convergence_time
+
+
+# the search's scaling gains hold for speeds in [0, 160] rad/s only
+SPEEDS = (0.0, -0.0, 150.0, 100.0)
+LOADS = (0.0, -0.0, 6.0, 12.0, -6.0)  # negative: regenerating
+
+
+@st.composite
+def held_cases(draw):
+    """A scenario, the config fields it runs with, and a decimation."""
+    duration = draw(st.sampled_from((1.5, 3.0)))
+
+    def profile(values):
+        times = sorted(draw(st.lists(st.floats(0.1, duration), max_size=2, unique=True)))
+        return tuple((t, draw(st.sampled_from(values))) for t in [0.0, *times])
+
+    flc = draw(st.booleans())
+    scenario = Scenario(
+        name="held",
+        duration=duration,
+        dt=draw(st.sampled_from((5e-4, 1e-3, 2e-3))),
+        speed_reference=profile(SPEEDS if flc else (*SPEEDS, -60.0)),
+        load_torque=profile(LOADS),
+        flc_enabled=flc,
+        compensator_enabled=draw(st.booleans()),
+    )
+    return (
+        scenario,
+        draw(st.sampled_from((0.002, 0.0))),  # current_tracking_time_constant
+        draw(st.sampled_from(("measured", "predicted"))),
+        draw(st.sampled_from(("continuous", "discrete"))),
+        draw(st.sampled_from((200, 2000))),  # steady_steps
+        draw(st.sampled_from((1, 7))),
+    )
+
+
+def _settled(load_torque, **kwargs):
+    return Scenario("held", 3.0, 1e-3, ((0.0, 150.0),), load_torque, **kwargs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=held_cases())
+# the load's sign flips at a settled state: == sees no command change
+@example(case=(
+    _settled(((0.0, 0.0), (2.0, -0.0)), flc_enabled=False),
+    0.002, "measured", "continuous", 200, 1,
+))
+# the search starts after the speed has settled bit for bit
+@example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "continuous", 2000, 1))
+# a load step between two step times, once the search runs
+@example(case=(_settled(((0.0, 6.0), (2.5003, 9.0))), 0.002, "measured", "continuous", 200, 1))
+# held stretches that end on search samples, rows every 7th step
+@example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "discrete", 200, 7))
+def test_simulate_matches_reference_loop(config, case):
+    scenario, tau_i, flux_source, compensation_mode, steady_steps, decimation = case
+    cfg = dataclasses.replace(
+        config,
+        machine=dataclasses.replace(config.machine, current_tracking_time_constant=tau_i),
+        search=dataclasses.replace(config.search, steady_steps=steady_steps),
+        flux_source=flux_source,
+        compensation_mode=compensation_mode,
+    )
+    _assert_matches_reference(scenario, cfg, decimation)
+
+
+@pytest.mark.parametrize(
+    "name", ["quarter-load-search", "load-step-abandon", "rated-flux-baseline", "short-demo"])
+def test_shipped_scenarios_match_reference_loop(config, name):
+    _assert_matches_reference(config.scenario(name), config, config.telemetry_decimation)

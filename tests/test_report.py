@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,9 @@ from fluxseek.harness.report import (
     steady_window_mean,
     write_report_csv,
 )
-from fluxseek.harness.runner import simulate
+from fluxseek.harness.runner import PackedRecords, simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
+from fluxseek.machine import InductionMachine
 
 
 @pytest.fixture(scope="module")
@@ -116,5 +118,26 @@ def test_steady_window_mean_matches_per_record_mean(config, case):
     if isinstance(window, int):  # reach back to a row's time exactly
         window = t_end - rows[max(0, len(rows) - 2 - window)].time
     tail = [r for r in rows if r.time > t_end - window]
-    expected = (sum(r.p_in for r in tail) / len(tail), sum(r.p_out for r in tail) / len(tail))
+    expected = (_left_sum(r.p_in for r in tail) / len(tail),
+                _left_sum(r.p_out for r in tail) / len(tail))
     assert repr(steady_window_mean(records, window)) == repr(expected)
+
+
+def _left_sum(values) -> float:
+    """Floats added left to right, as Python's sum() did before 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_steady_window_mean_adds_left_to_right(config):
+    # p_out = load * speed: 1e16, 1.0 and -1e16 W. Added left to right the
+    # 1.0 is lost below 1e16's spacing, as in the pinned report; the builtin
+    # sum() of Python 3.12 and later compensates and keeps it.
+    loads = (1e16, 1.0, -1e16)
+    values = array("d", [v for t, load in enumerate(loads)
+                         for v in (0.1 * t, 150.0, 1.0, 5.0, 3.0, 5.0, 3.0, 0.7, load)])
+    records = PackedRecords(values, bytearray(len(loads)), InductionMachine(config.machine))
+    assert _left_sum(loads) == 0.0
+    assert steady_window_mean(records, 1.0)[1] == 0.0

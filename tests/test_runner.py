@@ -13,6 +13,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fluxseek.compensator import TorqueCompensator
 from fluxseek.errors import ConfigError, SimulationDivergedError
 from fluxseek.harness import runner
 from fluxseek.harness import scenario as scenario_module
@@ -77,6 +78,16 @@ def test_scenario_validation():
     for duration in (math.inf, math.nan, 1e15):
         with pytest.raises(ValueError, match="steps must be below"):
             Scenario("bad", duration, 1e-4, ((0.0, 150.0), (0.5, 100.0)), ((0.0, 6.0),))
+
+
+def test_duration_must_be_a_whole_number_of_steps():
+    # 0.00004 s at dt = 1e-4 used to run 0 steps and write 0 rows, silently
+    for duration in (0.00004, 1.00005, 0.25 + 1e-8):
+        with pytest.raises(ValueError, match=r"must be a whole number of dt = 0\.0001 s steps"):
+            constant_scenario("part", duration, 1e-4, 150.0, 6.0)
+    # within a relative 1e-9 of a whole number, that number of steps runs
+    assert constant_scenario("whole", 14.0, 1e-4, 150.0, 6.0).steps == 140000
+    assert 0.3 / 0.1 != 3 and constant_scenario("whole", 0.3, 0.1, 150.0, 6.0).steps == 3
 
 
 def test_steady_state_matches_algebraic_solution(config):
@@ -201,7 +212,7 @@ def test_divergence_reports_step_index(config):
 def test_simulate_rejects_unstable_step_size(config):
     # A scenario built in code skips parse_config; dt = 6 ms is past the RK4
     # limit on the 2 ms current lag and used to finish at 2e46 rad/s.
-    scenario = constant_scenario("x", 2.0, 0.006, 150.0, 6.0)
+    scenario = constant_scenario("x", 2.4, 0.006, 150.0, 6.0)
     with pytest.raises(ValueError, match=r"dt=0\.006 s must be below 0\.00557"):
         simulate(scenario, config, decimation=1)
 
@@ -310,75 +321,6 @@ def test_breakpoints_resolve_to_first_reaching_step(case):
     assert per_step == [[v for t, v in profile if k * dt >= t][-1] for k in range(n_steps)]
 
 
-# the search's scaling gains hold for speeds in [0, 160] rad/s only
-SPEEDS = (0.0, -0.0, 150.0, 100.0)
-LOADS = (0.0, -0.0, 6.0, 12.0, -6.0)  # negative: regenerating
-
-
-@st.composite
-def held_cases(draw):
-    """A scenario, the config fields it runs with, and a decimation."""
-    duration = draw(st.sampled_from((1.5, 3.0)))
-
-    def profile(values):
-        times = sorted(draw(st.lists(st.floats(0.1, duration), max_size=2, unique=True)))
-        return tuple((t, draw(st.sampled_from(values))) for t in [0.0, *times])
-
-    flc = draw(st.booleans())
-    scenario = Scenario(
-        name="held",
-        duration=duration,
-        dt=draw(st.sampled_from((5e-4, 1e-3, 2e-3))),
-        speed_reference=profile(SPEEDS if flc else (*SPEEDS, -60.0)),
-        load_torque=profile(LOADS),
-        flc_enabled=flc,
-        compensator_enabled=draw(st.booleans()),
-    )
-    return (
-        scenario,
-        draw(st.sampled_from((0.002, 0.0))),  # current_tracking_time_constant
-        draw(st.sampled_from(("measured", "predicted"))),
-        draw(st.sampled_from(("continuous", "discrete"))),
-        draw(st.sampled_from((200, 2000))),  # steady_steps
-        draw(st.sampled_from((1, 7))),
-    )
-
-
-def _settled(load_torque, **kwargs):
-    return Scenario("held", 3.0, 1e-3, ((0.0, 150.0),), load_torque, **kwargs)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=held_cases())
-# the load's sign flips at a settled state: == sees no command change
-@example(case=(
-    _settled(((0.0, 0.0), (2.0, -0.0)), flc_enabled=False),
-    0.002, "measured", "continuous", 200, 1,
-))
-# the search starts after the speed has settled bit for bit
-@example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "continuous", 2000, 1))
-# a load step between two step times, once the search runs
-@example(case=(_settled(((0.0, 6.0), (2.5003, 9.0))), 0.002, "measured", "continuous", 200, 1))
-def test_held_steps_match_computed_steps(config, case):
-    # Skipping a step that repeats the last one must change no output bit:
-    # compare with the same run where no step is ever held.
-    scenario, tau_i, flux_source, compensation_mode, steady_steps, decimation = case
-    cfg = dataclasses.replace(
-        config,
-        machine=dataclasses.replace(config.machine, current_tracking_time_constant=tau_i),
-        search=dataclasses.replace(config.search, steady_steps=steady_steps),
-        flux_source=flux_source,
-        compensation_mode=compensation_mode,
-    )
-    held = simulate(scenario, cfg, decimation=decimation)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "_repeats", lambda before, after: False)
-        computed = simulate(scenario, cfg, decimation=decimation)
-    assert csv_bytes(held.records) == csv_bytes(computed.records)
-    # records compare bits, so this tells +0.0 from -0.0
-    assert held == computed
-
-
 def _count_steps(monkeypatch):
     """Count ``InductionMachine.step`` calls; returns the counter's reader."""
     calls = 0
@@ -391,6 +333,29 @@ def _count_steps(monkeypatch):
 
     monkeypatch.setattr(InductionMachine, "step", counting)
     return lambda: calls
+
+
+def test_supervisor_acts_only_where_the_mode_changes(config, monkeypatch):
+    # update_mode runs on the steps where the mode can change, and the
+    # compensator resets once, when the load step abandons the search
+    changes = []
+    update_mode = runner.update_mode
+
+    def recording(state, *args):
+        before = state.mode
+        update_mode(state, *args)
+        changes.append((before, state.mode))
+
+    monkeypatch.setattr(runner, "update_mode", recording)
+    resets = []
+    reset = TorqueCompensator.reset
+    monkeypatch.setattr(TorqueCompensator, "reset", lambda self: (resets.append(self), reset(self)))
+    scenario = Scenario("abandon", 3.0, 1e-3, ((0.0, 150.0),), ((0.0, 6.0), (2.0, 9.0)))
+    result = simulate(scenario, config, decimation=1)
+    assert changes == [("transient", "search"), ("search", "transient"), ("transient", "search")]
+    assert len(resets) == 1
+    modes = [r.mode for r in result.records]
+    assert sum(a != b for a, b in zip(modes, modes[1:])) == 3
 
 
 def test_hold_engages_at_steady_state(config, monkeypatch):
