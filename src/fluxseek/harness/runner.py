@@ -13,10 +13,13 @@ sample are known ahead of time.
 Rows are packed: each row's 9 state floats (time, commands, currents, flux and
 load) go into one ``array("d")`` and its mode into a byte, so a per-step run
 keeps 73 bytes a row. Torque, losses and power are pure functions of that
-state; ``_row_tail`` computes them for the rows read, when they are read. The
-CSV writer and the report read the packed rows directly, and the writer
-formats the shared fields of a held stretch once: a row whose state after
-``time`` and mode repeat the previous row's bit for bit reuses its text.
+state; ``InductionMachine.power_terms`` computes them in one call, for the rows
+read, when they are read. The CSV writer and the report read the packed rows
+directly. The writer unpacks each row into a tuple and compares tuples, so
+the work it skips costs no per-field Python: a row whose state after ``time``
+and mode repeat the previous row's bit for bit reuses its text, the speed
+reference, ``i_ds_cmd``, ``i_ds`` and load are formatted only when one of them
+changes, and a current equal to its nonzero command reuses the command's text.
 
 A step that left psi, omega, i_d, i_q and the PI integrator unchanged bit for
 bit is a fixed point, so the next step is *held*: it reuses the state without
@@ -86,6 +89,7 @@ class TelemetryRecord(NamedTuple):
 _STATE = (*TelemetryRecord._fields[:8], "load_torque")
 _WIDTH = len(_STATE)
 _MODES = (DriveMode.TRANSIENT_RATED_FLUX, DriveMode.STEADY_SEARCH)
+_ROW = struct.Struct(f"{_WIDTH}d")  # native doubles, as in the array
 
 
 class PackedRecords(Sequence):
@@ -199,7 +203,7 @@ def simulate(
     n_rows = n_steps // decim
     values = array("d", (0.0,)) * (n_rows * _WIDTH)
     modes = bytearray(n_rows)
-    pack_row = struct.Struct(f"{_WIDTH}d").pack_into  # native doubles, as in the array
+    pack_row = _ROW.pack_into
     row_size = _WIDTH * values.itemsize
     sample_count = 0
     samples_to_convergence: int | None = None
@@ -272,10 +276,7 @@ def simulate(
         before = (psi, omega_r, i_ds, i_qs, integrator)
         integrator, iqs_pi = speed_pi_step(integrator, error, kp, ki, i_qs_max, dt)
         if sample_due:
-            omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
-            losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
-            t_e = machine.developed_torque(psi, i_qs)
-            p_d = machine.input_power(omega_r, t_e, losses)
+            p_d = machine.power_terms(psi, omega_r, i_ds, i_qs)[5]
             comp_now = comp.output(psi, t) if comp is not None else 0.0
             iqs_cmd_now = min(max(iqs_pi + comp_now, -i_qs_max), i_qs_max)
             search, i_ds_cmd = search_sample(
@@ -336,45 +337,41 @@ def _row_tail(
     i_qs_cmd: float, i_ds: float, i_qs: float, psi: float, t_load: float,
 ) -> tuple:
     """A telemetry row's floats after ``time``, in ``TelemetryRecord`` order."""
-    omega_e = machine.electrical_frequency(psi, omega_r, i_qs)
-    losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
-    t_e = machine.developed_torque(psi, i_qs)
-    p_in = machine.input_power(omega_r, t_e, losses)
-    p_out = t_load * omega_r
+    t_e, stator, rotor, iron, converter, p_in = machine.power_terms(psi, omega_r, i_ds, i_qs)
     return (omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_e, t_load,
-            losses.stator_copper, losses.rotor_copper, losses.iron, losses.converter,
-            p_in, p_out)
+            stator, rotor, iron, converter, p_in, t_load * omega_r)
 
 
-def format_record(record: TelemetryRecord) -> str:
-    """One CSV line; floats use shortest round-trip formatting so repeated
-    runs are byte-identical."""
-    eff = "" if record.efficiency is None else repr(record.efficiency)
-    # every field before efficiency is a float
-    return ",".join((*map(repr, record[:16]), eff, record.mode))
-
-
-def write_csv(records, target) -> None:
-    """Write telemetry as CSV to a text file object (anything with ``write``)."""
+def write_csv(records: PackedRecords, target) -> None:
+    """Write telemetry as CSV to a text file object (anything with ``write``).
+    Floats use shortest round-trip formatting, so repeated runs are
+    byte-identical."""
     write = target.write
     write(CSV_HEADER + "\n")
-    if not isinstance(records, PackedRecords):
-        for record in records:
-            write(format_record(record) + "\n")
-        return
-    values = records._values
-    size = values.itemsize
-    shared = None  # the previous row's state after time, as bytes, and mode
-    text = ""      # and its line after the time field
-    # bytes, not ==: 0.0 == -0.0, but their reprs differ
-    with memoryview(values) as view, view.cast("B") as raw:
-        for i, code in enumerate(records._modes):
-            k = i * _WIDTH
-            fields = (raw[(k + 1) * size:(k + _WIDTH) * size].tobytes(), code)
-            if fields != shared:
-                shared = fields
-                tail = _row_tail(records._machine, *values[k + 1:k + _WIDTH])
-                p_in, p_out = tail[13:15]
-                eff = repr(p_out / p_in) if p_in > 0.0 else ""
-                text = f",{','.join(map(repr, tail))},{eff},{_MODES[code]}\n"
-            write(repr(values[k]) + text)
+    power_terms = records._machine.power_terms
+    # tuples compare in C; 0.0 == -0.0, but their reprs differ
+    shared = None    # the previous row's state after time
+    mode = None      # and its mode
+    commands = None  # omega_ref, i_ds_cmd, i_ds and load_torque of the last text
+    for row, code in zip(_ROW.iter_unpack(records._values), records._modes):
+        state = row[1:]
+        if code != mode or not _repeats(shared, state):
+            shared = state
+            mode = code
+            omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load = state
+            if (omega_ref, i_ds_cmd, i_ds, t_load) != commands or 0.0 in commands:
+                commands = (omega_ref, i_ds_cmd, i_ds, t_load)
+                ref_text = repr(omega_ref)
+                ids_cmd_text = repr(i_ds_cmd)
+                # equal and nonzero, so the same bits
+                ids_text = ids_cmd_text if i_ds == i_ds_cmd and i_ds else repr(i_ds)
+                load_text = repr(t_load)
+            iqs_cmd_text = repr(i_qs_cmd)
+            iqs_text = iqs_cmd_text if i_qs == i_qs_cmd and i_qs else repr(i_qs)
+            t_e, stator, rotor, iron, converter, p_in = power_terms(psi, omega_r, i_ds, i_qs)
+            p_out = t_load * omega_r
+            eff = repr(p_out / p_in) if p_in > 0.0 else ""
+            text = (f",{ref_text},{omega_r!r},{ids_cmd_text},{iqs_cmd_text},{ids_text},"
+                    f"{iqs_text},{psi!r},{t_e!r},{load_text},{stator!r},{rotor!r},{iron!r},"
+                    f"{converter!r},{p_in!r},{p_out!r},{eff},{_MODES[code]}\n")
+        write(f"{row[0]!r}{text}")

@@ -138,6 +138,11 @@ class InductionMachine:
             params.iron_loss_eddy_coeff, params.iron_loss_hysteresis_coeff,
             params.converter_fixed_loss, params.converter_resistive_coeff,
         )
+        # power_terms' constants: p, L_m, tau_r and K_t, then the losses'
+        self._power_constants = (
+            params.pole_pairs, params.magnetizing_inductance, params.rotor_time_constant,
+            params.torque_constant_flux, *self._loss_constants,
+        )
 
     # -- algebraic relations ----------------------------------------------
 
@@ -177,6 +182,31 @@ class InductionMachine:
         """DC-link power model: shaft power plus total loss. May be negative
         during regeneration; the shipped scenarios stay motoring."""
         return t_e * omega_r + losses.total
+
+    def power_terms(
+        self, psi_dr: float, omega_r: float, i_ds: float, i_qs: float
+    ) -> tuple[float, float, float, float, float, float]:
+        """(torque, stator copper, rotor copper, iron and converter loss, input
+        power) at one state, in one call: bit for bit the floats of
+        :meth:`electrical_frequency`, :meth:`compute_losses`,
+        :meth:`developed_torque` and :meth:`input_power` in turn, and their
+        errors."""
+        if psi_dr < self.flux_floor:
+            self.slip_frequency(i_qs, psi_dr)  # raises FluxFloorError
+        pole_pairs, l_m, tau_r, k_t, copper_s, copper_r, eddy, hysteresis, fixed, resistive = (
+            self._power_constants
+        )
+        omega_e = pole_pairs * omega_r + l_m * i_qs / (tau_r * psi_dr)
+        i_sq = i_ds * i_ds + i_qs * i_qs
+        stator = copper_s * i_sq
+        rotor = copper_r * i_qs * i_qs
+        iron = (eddy * omega_e * omega_e + hysteresis * abs(omega_e)) * (psi_dr * psi_dr)
+        converter = fixed + resistive * i_sq
+        if stator < 0.0 or rotor < 0.0 or iron < 0.0 or converter < 0.0:
+            LossBreakdown(stator, rotor, iron, converter)  # raises ValueError
+        t_e = k_t * i_qs * psi_dr
+        return (t_e, stator, rotor, iron, converter,
+                t_e * omega_r + (stator + rotor + iron + converter))
 
     # -- coupled step --------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the default configuration and the paired part-load runs
-that back both the report tests and the acceptance suite; and the telemetry
-CSV as bytes or as its SHA-256."""
+that back both the report tests and the acceptance suite; the telemetry CSV
+as bytes or as its SHA-256; and the CSV that rows must give, built line by
+line without the writer."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import pytest
 
 from fluxseek.harness.config import DriveConfig, load_config
 from fluxseek.harness.oracle import OracleSweepResult, oracle_sweep
-from fluxseek.harness.runner import SimulationResult, simulate, write_csv
+from fluxseek.harness.runner import CSV_HEADER, SimulationResult, simulate, write_csv
 from fluxseek.harness.scenario import constant_scenario
 
 LOAD_FRACTIONS = (0.25, 1.0 / 3.0, 0.5, 0.75)
@@ -33,6 +34,27 @@ def csv_sha256(records) -> str:
     digest = hashlib.sha256()
     write_csv(records, SimpleNamespace(write=lambda text: digest.update(text.encode("utf-8"))))
     return digest.hexdigest()
+
+
+def reference_csv(records) -> bytes:
+    """The CSV bytes ``write_csv`` must give for ``records``, each line built
+    on its own as ``test_reference_loop.py``'s loop builds it: torque, losses
+    and power from the machine's four-method chain, every float through
+    ``repr``."""
+    machine = records._machine
+    lines = [CSV_HEADER]
+    for r in records:
+        psi, omega_r, i_ds, i_qs = r.psi_dr, r.omega_r, r.i_ds, r.i_qs
+        losses = machine.compute_losses(
+            psi, i_ds, i_qs, machine.electrical_frequency(psi, omega_r, i_qs))
+        t_e = machine.developed_torque(psi, i_qs)
+        p_in = machine.input_power(omega_r, t_e, losses)
+        p_out = r.load_torque * omega_r
+        fields = (r.time, r.omega_ref, omega_r, r.i_ds_cmd, r.i_qs_cmd, i_ds, i_qs, psi, t_e,
+                  r.load_torque, *losses[:4], p_in, p_out)
+        efficiency = repr(p_out / p_in) if p_in > 0.0 else ""
+        lines.append(",".join((*map(repr, fields), efficiency, r.mode)))
+    return "".join(line + "\n" for line in lines).encode()
 
 
 @dataclass(frozen=True)

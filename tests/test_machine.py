@@ -375,6 +375,81 @@ def test_energy_bookkeeping_is_exact():
     assert p_in - t_e * omega - loss.total == 0.0
 
 
+def _power_chain(m: InductionMachine, psi, omega_r, i_ds, i_qs) -> tuple:
+    """The four-method chain ``power_terms`` flattens, in its order."""
+    omega_e = m.electrical_frequency(psi, omega_r, i_qs)
+    losses = m.compute_losses(psi, i_ds, i_qs, omega_e)
+    t_e = m.developed_torque(psi, i_qs)
+    return (t_e, *losses[:4], m.input_power(omega_r, t_e, losses))
+
+
+def _outcome(compute, *args):
+    """The result's bits, as 0.0 == -0.0, or the error's type and message."""
+    try:
+        return struct.pack("6d", *compute(*args))
+    except (FluxFloorError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_signed_zero = st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def _fluxes(draw, floor):
+    """Flux at, just below and just above the floor, or anywhere above it."""
+    return draw(st.one_of(
+        st.sampled_from((floor, math.nextafter(floor, 0.0), math.nextafter(floor, 1.0))),
+        st.floats(floor, 1.2),
+    ))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    stator_resistance=st.floats(0.01, 5.0),
+    rotor_resistance=st.floats(0.01, 5.0),
+    magnetizing_inductance=st.floats(0.01, 1.0),
+    rotor_inductance=st.floats(0.01, 1.0),
+    pole_pairs=st.integers(1, 6),
+    eddy=st.floats(0.0, 0.1),
+    hysteresis=st.floats(0.0, 5.0),
+    # negative: a machine built in code, whose losses can go below zero
+    fixed=st.floats(-50.0, 100.0),
+    resistive=st.floats(0.0, 1.0),
+    data=st.data(),
+    i_ds=st.one_of(_signed_zero, st.floats(-30.0, 30.0)),
+    i_qs=st.one_of(_signed_zero, st.floats(-30.0, 30.0)),
+    omega_r=st.one_of(_signed_zero, st.floats(-400.0, 400.0)),
+)
+def test_power_terms_equal_the_four_method_chain_bit_for_bit(
+    stator_resistance, rotor_resistance, magnetizing_inductance, rotor_inductance,
+    pole_pairs, eddy, hysteresis, fixed, resistive, data, i_ds, i_qs, omega_r,
+):
+    p = build_params(
+        stator_resistance=stator_resistance, rotor_resistance=rotor_resistance,
+        magnetizing_inductance=magnetizing_inductance, rotor_inductance=rotor_inductance,
+        pole_pairs=pole_pairs, iron_loss_eddy_coeff=eddy, iron_loss_hysteresis_coeff=hysteresis,
+        converter_fixed_loss=fixed, converter_resistive_coeff=resistive,
+    )
+    m = InductionMachine(p)
+    psi = data.draw(_fluxes(p.flux_floor), label="psi")
+    args = (psi, omega_r, i_ds, i_qs)
+    assert _outcome(m.power_terms, *args) == _outcome(_power_chain, m, *args)
+
+
+def test_power_terms_raise_as_the_chain_does():
+    m = InductionMachine(build_params(converter_fixed_loss=-100.0))
+    floor = m.flux_floor
+    for args, error in (
+        ((math.nextafter(floor, 0.0), 150.0, 5.0, 12.0), FluxFloorError),
+        ((floor, 150.0, 0.0, 0.0), ValueError),  # converter loss -100 W
+    ):
+        with pytest.raises(error) as got:
+            m.power_terms(*args)
+        with pytest.raises(error) as expected:
+            _power_chain(m, *args)
+        assert str(got.value) == str(expected.value)
+
+
 # -- coupled step ----------------------------------------------------------------------
 
 

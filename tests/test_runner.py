@@ -19,17 +19,11 @@ from fluxseek.harness import runner
 from fluxseek.harness import scenario as scenario_module
 from fluxseek.harness.config import default_config_text, parse_config
 from fluxseek.harness.report import steady_window_mean
-from fluxseek.harness.runner import (
-    CSV_HEADER,
-    PackedRecords,
-    TelemetryRecord,
-    format_record,
-    simulate,
-)
+from fluxseek.harness.runner import CSV_HEADER, PackedRecords, TelemetryRecord, simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
 from fluxseek.machine import InductionMachine
 
-from conftest import csv_bytes, csv_sha256
+from conftest import csv_bytes, csv_sha256, reference_csv
 
 GOLDEN_HEADER = (
     "time,omega_ref,omega_r,i_ds_cmd,i_qs_cmd,i_ds,i_qs,psi_dr,torque,"
@@ -358,6 +352,18 @@ def test_supervisor_acts_only_where_the_mode_changes(config, monkeypatch):
     assert sum(a != b for a, b in zip(modes, modes[1:])) == 3
 
 
+def test_boost_past_the_torque_current_limit_is_clamped_to_it(config):
+    # With a 5 A limit the search lowers the flux until the compensator's
+    # boost takes the command past the limit the speed PI keeps its own
+    # output in: those search steps run at +5 A, never at -5 A.
+    cfg = dataclasses.replace(
+        config, machine=dataclasses.replace(config.machine, max_torque_current=5.0))
+    records = simulate(constant_scenario("clamp", 8.0, 1e-3, 150.0, 6.0), cfg, decimation=1).records
+    commands = records.column("i_qs_cmd")
+    assert sum(r.i_qs_cmd == 5.0 for r in records if r.mode == "search") > 100
+    assert -5.0 not in commands and max(commands) == 5.0
+
+
 def test_hold_engages_at_steady_state(config, monkeypatch):
     steps = _count_steps(monkeypatch)
     simulate(config.scenario("rated-flux-baseline"), config)
@@ -377,18 +383,25 @@ def test_hold_engages_at_standstill(config, monkeypatch):
     assert result.records[-1].omega_r == 0.0
 
 
-def test_efficiency_absent_when_input_power_nonpositive():
-    record = TelemetryRecord(
-        time=0.0, omega_ref=0.0, omega_r=0.0, i_ds_cmd=0.5, i_qs_cmd=0.0,
-        i_ds=0.5, i_qs=0.0, psi_dr=0.07, torque=0.0, load_torque=0.0,
-        loss_stator_copper=0.0, loss_rotor_copper=0.0, loss_iron=0.0,
-        loss_converter=0.0, p_in=-5.0, p_out=0.0, efficiency=None,
-        mode="transient",
+def _packed(config, *states, modes=None) -> PackedRecords:
+    """Rows of the given states (each ``_STATE`` after time), 0.1 s apart."""
+    return PackedRecords(
+        array("d", [v for t, state in enumerate(states) for v in (0.1 * t, *state)]),
+        bytearray(len(states)) if modes is None else bytearray(modes),
+        InductionMachine(config.machine),
     )
-    line = format_record(record)
-    fields = line.split(",")
+
+
+def test_efficiency_absent_when_input_power_nonpositive(config):
+    # turning backwards against positive torque: the shaft returns more power
+    # than the losses take
+    records = _packed(config, (0.0, -150.0, 5.0, 10.0, 5.0, 10.0, 0.7, 0.0))
+    assert records[0].p_in < 0.0 and records[0].efficiency is None
+    text = csv_bytes(records)
+    fields = text.decode().splitlines()[1].split(",")
     assert fields[-2] == ""  # efficiency column empty
     assert fields[-1] == "transient"
+    assert text == reference_csv(records)
 
 
 def test_packed_records_read_as_a_sequence_of_records(config):
@@ -418,63 +431,85 @@ def test_packed_records_read_as_a_sequence_of_records(config):
 
 def test_regenerating_rows_have_no_efficiency(config):
     # A driving load makes p_in negative: efficiency reads back as None and
-    # its CSV field is empty, as format_record writes it.
+    # its CSV field is empty.
     scenario = constant_scenario(
         "regen", 1.0, 1e-4, 150.0, -12.0, flc_enabled=False, compensator_enabled=False
     )
     records = simulate(scenario, config).records
     regen = [i for i, r in enumerate(records) if r.p_in <= 0.0]
     assert len(regen) > 800
-    lines = csv_bytes(records).decode().splitlines()[1:]
+    text = csv_bytes(records)
+    lines = text.decode().splitlines()[1:]
     for i in regen:
         assert records[i].efficiency is None
         assert lines[i].split(",")[16] == ""
-        assert lines[i] == format_record(records[i])
+    assert text == reference_csv(records)
 
 
-def test_written_rows_match_format_record(config):
-    # The writer formats packed rows itself and reuses the text of a row whose
-    # fields after time repeat the last row's; format_record on each record is
-    # the reference. The settled run holds, so rows repeat.
+def test_written_rows_match_reference_lines(config):
+    # The writer reuses the text of a row whose fields after time repeat the
+    # last row's, and the text of fields that repeat; lines built one by one
+    # are the reference. The settled run holds, so rows repeat.
     scenario = constant_scenario(
         "settled", 2.0, 1e-3, 150.0, 6.0, flc_enabled=False, compensator_enabled=False
     )
     records = simulate(scenario, config, decimation=1).records
     rows = tuple(records)
     assert sum(a[1:] == b[1:] for a, b in zip(rows, rows[1:])) > 500
-    assert csv_bytes(records) == csv_bytes(rows)
+    assert csv_bytes(records) == reference_csv(records)
 
 
-def _count_losses(monkeypatch) -> list:
-    """A list that grows by one at each ``compute_losses`` call from here on."""
+def _count_power_terms(monkeypatch) -> list:
+    """A list that grows by one at each ``power_terms`` call from here on."""
     calls = []
-    compute_losses = InductionMachine.compute_losses
+    power_terms = InductionMachine.power_terms
 
     def counted(self, *args):
         calls.append(None)
-        return compute_losses(self, *args)
+        return power_terms(self, *args)
 
-    monkeypatch.setattr(InductionMachine, "compute_losses", counted)
+    monkeypatch.setattr(InductionMachine, "power_terms", counted)
     return calls
 
 
 def test_text_reuse_compares_bits(config, monkeypatch):
     # +0.0 == -0.0, but their reprs differ: a row's state repeats the last
     # row's only with the same signs, and only then is its text reused
-    state = [150.0, 150.0, 5.0, 0.0, 5.0, 0.0, 0.7, 0.0]
-    signed = state.copy()
-    signed[3] = -0.0  # i_qs_cmd
-    states = (state, signed, signed, state, state)
-    records = runner.PackedRecords(
-        array("d", [v for t, row in enumerate(states) for v in (0.1 * t, *row)]),
-        bytearray(len(states)),
-        InductionMachine(config.machine),
-    )
-    calls = _count_losses(monkeypatch)
-    lines = csv_bytes(records).decode().splitlines()[1:]
+    state = (150.0, 150.0, 5.0, 0.0, 5.0, 0.0, 0.7, 0.0)
+    signed = (150.0, 150.0, 5.0, -0.0, 5.0, 0.0, 0.7, 0.0)  # i_qs_cmd
+    records = _packed(config, state, signed, signed, state, state)
+    expected = reference_csv(records)
+    calls = _count_power_terms(monkeypatch)
+    text = csv_bytes(records)
     assert len(calls) == 3
-    assert [line.split(",")[4] for line in lines] == ["0.0", "-0.0", "-0.0", "0.0", "0.0"]
-    assert csv_bytes(records) == csv_bytes(tuple(records))
+    assert [line.split(",")[4] for line in text.decode().splitlines()[1:]] == [
+        "0.0", "-0.0", "-0.0", "0.0", "0.0"]
+    assert text == expected
+
+
+def test_text_reuse_tells_the_signs_of_shared_fields(config):
+    # The writer formats omega_ref, i_ds_cmd, i_ds and load_torque only when
+    # they change, and writes i_ds (i_qs) with the text of i_ds_cmd
+    # (i_qs_cmd) when the two are equal: a zero's sign must still show.
+    base = (150.0, 150.0, 5.0, 1.0, 5.0, 1.0, 0.7, 6.0)
+
+    def at(**fields):
+        state = list(base)
+        for name, value in fields.items():
+            state[runner._STATE.index(name) - 1] = value
+        return tuple(state)
+
+    states = (
+        at(omega_ref=0.0), at(omega_ref=-0.0), at(omega_ref=0.0),
+        at(load_torque=0.0), at(load_torque=-0.0), at(load_torque=0.0),
+        # equal commands and currents, signs apart
+        at(i_ds_cmd=0.0, i_ds=-0.0), at(i_ds_cmd=-0.0, i_ds=0.0), at(i_ds_cmd=0.0, i_ds=0.0),
+        at(i_qs_cmd=0.0, i_qs=-0.0), at(i_qs_cmd=-0.0, i_qs=0.0), at(i_qs_cmd=-0.0, i_qs=-0.0),
+        # only the mode changes
+        base, base,
+    )
+    records = _packed(config, *states, modes=[0] * (len(states) - 1) + [1])
+    assert csv_bytes(records) == reference_csv(records)
 
 
 def test_packed_records_equality_compares_bits(config):
@@ -511,7 +546,7 @@ def test_hot_readers_build_no_records(config, monkeypatch):
 
 def test_simulate_evaluates_losses_only_at_search_samples(config, monkeypatch):
     # rows store the state; their losses are computed when they are read
-    calls = _count_losses(monkeypatch)
+    calls = _count_power_terms(monkeypatch)
     result = simulate(config.scenario("short-demo"), config, decimation=1)
     assert result.sample_count > 0
     assert len(calls) == result.sample_count
@@ -521,7 +556,7 @@ def test_steady_window_mean_evaluates_losses_once_a_window_row(config, monkeypat
     records = simulate(config.scenario("short-demo"), config, decimation=1).records
     times = records.column("time")
     window_rows = sum(t > times[-1] - 0.5 for t in times)
-    calls = _count_losses(monkeypatch)
+    calls = _count_power_terms(monkeypatch)
     steady_window_mean(records, 0.5)
     assert 0 < window_rows < len(records)
     assert len(calls) == window_rows
