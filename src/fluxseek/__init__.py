@@ -3,5 +3,5 @@ search-based fuzzy efficiency optimization and feedforward pulsating-torque
 compensation.
 
 The package root re-exports nothing: import from the submodules (``machine``,
-``foc``, ``fuzzy``, ``optimizer``, ``compensator``, ``errors``, and
+``fuzzy``, ``optimizer``, ``compensator``, ``errors``, and
 ``harness.config``, ``harness.runner``, ``harness.report``, ...)."""

@@ -17,29 +17,12 @@ so the total command stays continuous at every re-latch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import FluxFloorError
 from .machine import MachineParams
 
 FLUX_SOURCES = ("measured", "predicted")
 COMPENSATION_MODES = ("continuous", "discrete")
-
-
-@dataclass
-class CompensatorState:
-    """Anchors latched at the most recent excitation step."""
-
-    psi_at_step: float   # Wb, Psi_dr(0)
-    iqs_at_step: float   # A, total torque-current command at the step
-
-
-def continuous_compensation(state: CompensatorState, delta_psi: float) -> float:
-    """Torque-current boost for a flux excursion delta_psi from the anchor."""
-    denom = state.psi_at_step + delta_psi
-    if denom <= 0.0 or not math.isfinite(denom):
-        raise FluxFloorError(f"compensation denominator {denom:.6g} at/below zero")
-    return -delta_psi * state.iqs_at_step / denom
 
 
 def discrete_compensation(psi_prev: float, psi_now: float, iqs_prev: float) -> float:
@@ -67,7 +50,16 @@ class TorqueCompensator:
     search is active. In predicted mode the anchors advance through the
     closed-form trajectory instead of the measured flux, demonstrating the
     sensorless variant.
+
+    The anchors are plain floats: the flux ``psi_at_step`` and the total
+    torque-current command ``iqs_at_step`` at the latest latch. ``output``
+    returns ``base`` alone until the first latch and in discrete mode.
     """
+
+    __slots__ = (
+        "params", "time_varying", "_predicted", "_discrete", "_latched",
+        "base", "psi_at_step", "iqs_at_step", "latch_time", "target_i_ds",
+    )
 
     def __init__(
         self,
@@ -80,28 +72,19 @@ class TorqueCompensator:
         if mode not in COMPENSATION_MODES:
             raise ValueError(f"mode must be one of {COMPENSATION_MODES}")
         self.params = params
-        self.flux_source = flux_source
-        self.mode = mode
-        self.state: CompensatorState | None = None
+        self._predicted = flux_source == "predicted"
+        self._discrete = mode == "discrete"
+        # True when ``output`` depends on ``t`` between latches
+        self.time_varying = self._predicted and not self._discrete
+        self._latched = False
         self.base = 0.0
+        self.psi_at_step = self.iqs_at_step = 0.0
         self.latch_time = 0.0
         self.target_i_ds = 0.0
 
-    @property
-    def time_varying(self) -> bool:
-        """True when ``output`` depends on ``t`` between latches."""
-        return self.flux_source == "predicted" and self.mode == "continuous"
-
     def reset(self) -> None:
-        self.state = None
+        self._latched = False
         self.base = 0.0
-
-    def _anchor_flux_now(self, psi_measured: float, t: float) -> float:
-        if self.state is None or self.flux_source == "measured":
-            return psi_measured
-        return predicted_flux_trajectory(
-            self.params, self.state.psi_at_step, self.target_i_ds, t - self.latch_time
-        )
 
     def latch(
         self,
@@ -112,27 +95,34 @@ class TorqueCompensator:
     ) -> None:
         """Re-anchor at a search sample: fold the settled boost into the base,
         then latch the present flux and total torque command."""
-        psi_now = self._anchor_flux_now(psi_measured, t)
+        psi_now = psi_measured
+        if self._predicted and self._latched:
+            psi_now = predicted_flux_trajectory(
+                self.params, self.psi_at_step, self.target_i_ds, t - self.latch_time
+            )
         if psi_now < self.params.flux_floor:
             raise FluxFloorError(
                 f"cannot latch compensator below flux floor ({psi_now:.6g} Wb)"
             )
-        if self.state is not None:
-            self.base += discrete_compensation(
-                self.state.psi_at_step, psi_now, self.state.iqs_at_step
-            )
-        self.state = CompensatorState(psi_at_step=psi_now, iqs_at_step=pi_output + self.base)
+        if self._latched:
+            self.base += discrete_compensation(self.psi_at_step, psi_now, self.iqs_at_step)
+        self.psi_at_step = psi_now
+        self.iqs_at_step = pi_output + self.base
         self.latch_time = t
         self.target_i_ds = new_i_ds_cmd
+        self._latched = True
 
     def output(self, psi_measured: float, t: float) -> float:
         """Current boost in amperes; zero until the first latch."""
-        if self.state is None:
-            return 0.0
-        if self.mode == "discrete":
+        if self._discrete or not self._latched:
             return self.base
-        psi_now = (psi_measured if self.flux_source == "measured"
-                   else self._anchor_flux_now(psi_measured, t))
-        return self.base + continuous_compensation(
-            self.state, psi_now - self.state.psi_at_step
-        )
+        psi0 = self.psi_at_step
+        if self._predicted:
+            psi_measured = predicted_flux_trajectory(
+                self.params, psi0, self.target_i_ds, t - self.latch_time
+            )
+        delta_psi = psi_measured - psi0
+        denom = psi0 + delta_psi
+        if not 0.0 < denom < math.inf:  # NaN fails both
+            raise FluxFloorError(f"compensation denominator {denom:.6g} at/below zero")
+        return self.base + -delta_psi * self.iqs_at_step / denom

@@ -50,7 +50,7 @@ def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, fl
     _check_window(window)
     if not records:
         raise FluxseekError("no telemetry records to average")
-    times = records.column("time")  # non-decreasing
+    times = records.column("time")  # non-decreasing; a view, not a copy
     start = bisect_right(times, times[-1] - window)
     n = len(times) - start
     # one loss evaluation a row; a tail's fields 13 and 14 are p_in and p_out.

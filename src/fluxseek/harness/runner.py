@@ -1,10 +1,12 @@
 """Fixed-step closed-loop execution of one scenario.
 
 Step order: commands (from the scenario's ``commands``, the steps on which a
-speed or load command takes effect) -> mode supervisor -> speed PI -> search
-sample and compensator latch, when due -> feedforward compensation -> inline
-torque-current limiting -> coupled machine step -> the telemetry row, every
-decimation interval.
+speed or load command takes effect) -> mode supervisor -> speed PI, written
+inline with conditional anti-windup -> search sample and compensator latch,
+when due -> feedforward compensation -> inline torque-current limiting ->
+coupled machine step -> the telemetry row, every decimation interval. A
+computed step calls no function but ``InductionMachine.step`` and, in the
+search, ``TorqueCompensator.output``.
 
 The supervisor runs on events (see ``optimizer``): an ordinary step only tests
 the speed error against the band, and the steps of search entry and of each
@@ -41,7 +43,6 @@ from typing import NamedTuple
 
 from ..compensator import TorqueCompensator
 from ..errors import NonFiniteError, SimulationDivergedError
-from ..foc import speed_pi_step
 from ..machine import InductionMachine
 from ..optimizer import (
     DriveMode,
@@ -129,11 +130,13 @@ class PackedRecords(Sequence):
         return (self._modes == other._modes and self._machine.params == other._machine.params
                 and self._values.tobytes() == other._values.tobytes())
 
-    def column(self, name: str, start: int = 0) -> array:
-        """One stored float field (``_STATE``) of rows ``start`` on, e.g. ``column("time")``."""
+    def column(self, name: str, start: int = 0) -> memoryview:
+        """One stored float field (``_STATE``) of rows ``start`` on, e.g.
+        ``column("time")``: a read-only view of the packed rows, not a copy."""
         if name not in _STATE:
             raise ValueError(f"{name!r} is not a stored field; stored: {', '.join(_STATE)}")
-        return self._values[start * _WIDTH + _STATE.index(name)::_WIDTH]
+        view = memoryview(self._values).toreadonly()
+        return view[start * _WIDTH + _STATE.index(name)::_WIDTH]
 
     def _tails(self, start: int):
         """``_row_tail`` of each row from ``start`` on, in row order."""
@@ -177,6 +180,7 @@ def simulate(
     integrator = 0.0
     search = SearchState()
     tolerance = settings.steady_speed_tolerance
+    neg_tolerance = -tolerance
     comp = (
         TorqueCompensator(params, config.flux_source, config.compensation_mode)
         if scenario.compensator_enabled
@@ -231,7 +235,7 @@ def simulate(
         error = omega_ref - omega_r
         sample_due = False
         if flc:
-            in_band = abs(error) <= tolerance
+            in_band = neg_tolerance <= error <= tolerance  # abs(error) <= tolerance
             if searching:
                 if command_changed or not in_band:
                     update_mode(search, settings, error, command_changed)
@@ -273,8 +277,27 @@ def simulate(
             continue
 
         t = k * dt
-        before = (psi, omega_r, i_ds, i_qs, integrator)
-        integrator, iqs_pi = speed_pi_step(integrator, error, kp, ki, i_qs_max, dt)
+        integrator_before = integrator
+        # The speed PI; its integrator carries the ki factor (amperes).
+        # Conditional anti-windup: the integrator is frozen while the
+        # unsaturated output exceeds the limit in the error's own direction,
+        # and is clamped to +/- i_qs_max.
+        unsaturated = kp * error + integrator
+        if unsaturated > i_qs_max:
+            iqs_pi = i_qs_max
+            windup = error > 0.0
+        elif unsaturated < i_qs_min:
+            iqs_pi = i_qs_min
+            windup = error < 0.0
+        else:
+            iqs_pi = unsaturated
+            windup = False
+        if not windup:
+            integrator = integrator + ki * error * dt
+            if integrator > i_qs_max:
+                integrator = i_qs_max
+            elif integrator < i_qs_min:
+                integrator = i_qs_min
         if sample_due:
             p_d = machine.power_terms(psi, omega_r, i_ds, i_qs)[5]
             comp_now = comp.output(psi, t) if comp is not None else 0.0
@@ -301,14 +324,15 @@ def simulate(
             i_qs_cmd = i_qs_max
 
         try:
-            psi, omega_r, i_ds, i_qs = step(
-                psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt
-            )
+            new = step(psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt)
         except NonFiniteError as exc:
             raise SimulationDivergedError(
                 k, str(exc), psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load
             ) from exc
-        fixed = may_hold and _repeats(before, (psi, omega_r, i_ds, i_qs, integrator))
+        # most computed steps change the speed: test it before the whole state
+        fixed = new[1] == omega_r and may_hold and _repeats(
+            (psi, omega_r, i_ds, i_qs, integrator_before), (*new, integrator))
+        psi, omega_r, i_ds, i_qs = new
 
         simulated_time += dt
         if (k + 1) % decim == 0:

@@ -271,8 +271,14 @@ class InductionMachine:
             id_new = i_d + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
             iq_new = i_q + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
 
-        if not (math.isfinite(psi_new) and math.isfinite(w_new)
-                and math.isfinite(id_new) and math.isfinite(iq_new)):
+        # one test on the common path: total - total is 0.0 exactly when the
+        # sum is finite, and a NaN or infinity in it makes the sum NaN or
+        # infinite; only then, as finite values may overflow, test each one
+        total = psi_new + w_new + id_new + iq_new
+        if total - total != 0.0 and not (
+            math.isfinite(psi_new) and math.isfinite(w_new)
+            and math.isfinite(id_new) and math.isfinite(iq_new)
+        ):
             raise NonFiniteError(
                 f"machine state is not finite: rotor_flux={psi_new!r},"
                 f" rotor_speed={w_new!r}, i_ds={id_new!r}, i_qs={iq_new!r}"

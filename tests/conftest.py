@@ -1,7 +1,7 @@
 """Shared fixtures: the default configuration and the paired part-load runs
-that back both the report tests and the acceptance suite; the telemetry CSV
-as bytes or as its SHA-256; and the CSV that rows must give, built line by
-line without the writer."""
+that back both the report tests and the acceptance suite; the reference speed
+PI; the telemetry CSV as bytes or as its SHA-256; and the CSV that rows must
+give, built line by line without the writer."""
 
 from __future__ import annotations
 
@@ -18,6 +18,37 @@ from fluxseek.harness.runner import CSV_HEADER, SimulationResult, simulate, writ
 from fluxseek.harness.scenario import constant_scenario
 
 LOAD_FRACTIONS = (0.25, 1.0 / 3.0, 0.5, 0.75)
+
+
+def speed_pi_step(
+    integrator: float, error: float, kp: float, ki: float, limit: float, dt: float
+) -> tuple[float, float]:
+    """The reference speed PI: one update on the speed error; returns the new
+    integrator and the torque-current command. ``simulate`` writes the same
+    update inline, and the reference loop ties the two bit for bit.
+
+    The integrator already carries the ki factor (amperes). Conditional
+    anti-windup: the integrator is frozen while the unsaturated output
+    exceeds the limit in the error's own direction, and is additionally
+    clamped to +/- limit.
+    """
+    unsaturated = kp * error + integrator
+    if unsaturated > limit:
+        output = limit
+        saturated_same_direction = error > 0.0
+    elif unsaturated < -limit:
+        output = -limit
+        saturated_same_direction = error < 0.0
+    else:
+        output = unsaturated
+        saturated_same_direction = False
+    if not saturated_same_direction:
+        integrator = integrator + ki * error * dt
+        if integrator > limit:
+            integrator = limit
+        elif integrator < -limit:
+            integrator = -limit
+    return integrator, output
 
 
 def csv_bytes(records) -> bytes:

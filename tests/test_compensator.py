@@ -4,34 +4,36 @@ per-sample step form, the predicted trajectory, and anchor bookkeeping."""
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluxseek.compensator import (
-    CompensatorState,
     TorqueCompensator,
-    continuous_compensation,
     discrete_compensation,
     predicted_flux_trajectory,
 )
 from fluxseek.errors import FluxFloorError
 
 
-def anchors(psi=1.0, iqs=10.0) -> CompensatorState:
-    return CompensatorState(psi_at_step=psi, iqs_at_step=iqs)
+def anchored(config, psi=1.0, iqs=10.0) -> TorqueCompensator:
+    """A measured, continuous compensator latched once at (psi, iqs), base 0."""
+    comp = TorqueCompensator(config.machine)
+    comp.latch(psi, iqs, 4.0, 0.0)
+    return comp
 
 
 # -- continuous form -----------------------------------------------------------
 
 
-def test_no_flux_change_no_boost():
-    assert continuous_compensation(anchors(), 0.0) == 0.0
+def test_no_flux_change_no_boost(config):
+    assert anchored(config).output(1.0, 0.1) == 0.0
 
 
-def test_continuous_hand_case():
-    assert continuous_compensation(anchors(1.0, 10.0), -0.2) == pytest.approx(2.5, rel=1e-12)
+def test_continuous_hand_case(config):
+    assert anchored(config, 1.0, 10.0).output(0.8, 0.1) == pytest.approx(2.5, rel=1e-12)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -40,24 +42,90 @@ def test_continuous_hand_case():
     frac=st.floats(-0.9, 1.0),
     iqs0=st.floats(-20.0, 20.0),
 )
-def test_product_invariance_identity(psi0, frac, iqs0):
+def test_product_invariance_identity(config, psi0, frac, iqs0):
     # (Psi0 + dPsi) * (iqs0 + diqs) == Psi0 * iqs0: the defining equality.
-    delta_psi = frac * psi0
-    delta = continuous_compensation(anchors(psi0, iqs0), delta_psi)
-    left = (psi0 + delta_psi) * (iqs0 + delta)
-    assert left == pytest.approx(psi0 * iqs0, rel=1e-9, abs=1e-9)
+    psi = psi0 + frac * psi0
+    delta = anchored(config, psi0, iqs0).output(psi, 0.1)
+    assert psi * (iqs0 + delta) == pytest.approx(psi0 * iqs0, rel=1e-9, abs=1e-9)
 
 
-def test_continuous_denominator_guard():
+def test_continuous_denominator_guard(config):
     with pytest.raises(FluxFloorError):
-        continuous_compensation(anchors(1.0, 10.0), -1.0)
+        anchored(config, 1.0, 10.0).output(0.0, 0.1)
     with pytest.raises(FluxFloorError):
-        continuous_compensation(anchors(1.0, 10.0), -1.1)
+        anchored(config, 1.0, 10.0).output(-0.1, 0.1)
 
 
-def test_boost_positive_when_flux_falls():
-    assert continuous_compensation(anchors(0.7, 5.0), -0.1) > 0.0
-    assert continuous_compensation(anchors(0.7, 5.0), 0.1) < 0.0
+def test_boost_positive_when_flux_falls(config):
+    assert anchored(config, 0.7, 5.0).output(0.6, 0.1) > 0.0
+    assert anchored(config, 0.7, 5.0).output(0.8, 0.1) < 0.0
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def latch_sequences(draw):
+    """Latches as (flux, PI output, new excitation command, time), at
+    increasing times, with flux and commands inside the drive's range."""
+    t = 0.0
+    latches = []
+    for _ in range(draw(st.integers(1, 4))):
+        t += draw(st.floats(0.0, 1.0))
+        latches.append((draw(st.floats(0.035, 1.4)), draw(st.floats(-25.0, 25.0)),
+                        draw(st.floats(0.5, 5.0)), t))
+    return latches
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    flux_source=st.sampled_from(("measured", "predicted")),
+    mode=st.sampled_from(("continuous", "discrete")),
+    latches=latch_sequences(),
+    psi=st.one_of(st.floats(-0.5, 2.0), st.sampled_from((math.nan, math.inf, -math.inf))),
+    later=st.floats(0.0, 2.0),
+)
+# a measured flux at zero, and a NaN one: the denominator guard
+@example(flux_source="measured", mode="continuous", latches=[(0.7, 3.0, 4.0, 0.0)],
+         psi=0.0, later=0.1)
+@example(flux_source="measured", mode="continuous", latches=[(0.7, 3.0, 4.0, 0.0)],
+         psi=math.nan, later=0.1)
+def test_output_is_the_boost_formula_bit_for_bit(config, flux_source, mode, latches, psi, later):
+    # output against the boost written out: base + -(psi - psi0) * iqs0 /
+    # (psi0 + (psi - psi0)) on anchors latched as the fold rule reads, with
+    # psi the closed-form trajectory in predicted mode, and base alone in
+    # discrete mode; 0.0 before the first latch and after a reset
+    params = config.machine
+    comp = TorqueCompensator(params, flux_source, mode)
+    assert _bits(comp.output(psi, 0.0)) == _bits(0.0)
+    predicted = flux_source == "predicted"
+    base, anchors = 0.0, None
+    for psi_latch, pi_output, i_ds_new, t_latch in latches:
+        comp.latch(psi_latch, pi_output, i_ds_new, t_latch)
+        if anchors is not None:
+            psi0, iqs0, t0, i_ds0 = anchors
+            if predicted:
+                psi_latch = predicted_flux_trajectory(params, psi0, i_ds0, t_latch - t0)
+            base += discrete_compensation(psi0, psi_latch, iqs0)
+        anchors = (psi_latch, pi_output + base, t_latch, i_ds_new)
+    psi0, iqs0, t0, i_ds0 = anchors
+    t = t0 + later
+    if predicted:
+        psi = predicted_flux_trajectory(params, psi0, i_ds0, t - t0)
+    delta_psi = psi - psi0
+    denom = psi0 + delta_psi
+    if mode == "discrete":
+        assert _bits(comp.output(psi, t)) == _bits(base)
+    elif denom <= 0.0 or not math.isfinite(denom):
+        with pytest.raises(FluxFloorError) as error:
+            comp.output(psi, t)
+        assert str(error.value) == f"compensation denominator {denom:.6g} at/below zero"
+    else:
+        expected = base + (-delta_psi) * iqs0 / denom
+        assert _bits(comp.output(psi, t)) == _bits(expected)
+    comp.reset()
+    assert _bits(comp.output(psi, t)) == _bits(0.0)
 
 
 # -- discrete form ------------------------------------------------------------------
@@ -176,6 +244,10 @@ def test_predicted_mode_follows_closed_form(config):
     assert predicted.output(float("nan"), t) == pytest.approx(
         measured.output(psi_exact, t), rel=1e-12
     )
+    # the predicted output runs the trajectory itself, so a time before the
+    # latch is rejected as the trajectory rejects a negative time
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        predicted.output(0.7, -0.1)
 
 
 def test_latch_below_floor_rejected(config):

@@ -1,14 +1,19 @@
-"""Speed loop: PI law, saturation, conditional anti-windup, and closed-loop
-settling at rated flux."""
+"""Speed loop: the reference PI's law, saturation and conditional
+anti-windup (``simulate`` writes the same update inline, and the reference
+loop test ties the two bit for bit), and closed-loop settling at rated flux."""
 
 from __future__ import annotations
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxseek.foc import speed_pi_step
 from fluxseek.harness.runner import simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
+
+from conftest import speed_pi_step
+from test_reference_loop import _assert_matches_reference
 
 LIMIT = 25.0
 
@@ -92,3 +97,16 @@ def test_speed_step_settles_with_zero_steady_state_error(config):
     settled = [r for r in result.records if r.time >= 1.5]
     tolerance = 1e-3 * config.machine.rated_speed
     assert all(abs(r.omega_ref - r.omega_r) < tolerance for r in settled)
+
+
+
+def test_integral_only_loop_meets_the_integrator_clamp(config):
+    # With kp = 0 the PI output is the integrator itself, so it is the
+    # integrator that meets the limit: simulate's inline clamp must hold it at
+    # +/- the limit as the reference PI does, bit for bit, up and down.
+    cfg = dataclasses.replace(config, speed_kp=0.0)
+    scenario = Scenario("integral", 1.0, 1e-3, ((0.0, 150.0), (0.5, 0.0)), ((0.0, 1.0),),
+                        flc_enabled=False, compensator_enabled=False)
+    _assert_matches_reference(scenario, cfg, 1)
+    commands = [r.i_qs_cmd for r in simulate(scenario, cfg, decimation=1).records]
+    assert max(commands) == config.machine.max_torque_current == -min(commands)

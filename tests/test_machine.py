@@ -9,7 +9,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluxseek.errors import FluxFloorError, NonFiniteError
@@ -562,3 +562,57 @@ def test_step_equals_generic_rk4_bit_for_bit(
         expected = generic_rk4(f, expected, dt)
         expected[0] = max(expected[0], p.flux_floor)
         assert list(got) == expected
+
+
+# inputs from the shipped range, near the largest float and not finite
+EXTREME = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(),
+    st.sampled_from((1.7e308, -1.7e308, 2e307, math.nan, math.inf, -math.inf)),
+)
+
+
+@pytest.mark.parametrize("tau_i", [0.002, 0.0], ids=["lagged", "ideal"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(state=st.tuples(EXTREME, EXTREME, EXTREME, EXTREME),
+       commands=st.tuples(EXTREME, EXTREME, EXTREME))
+# four finite new values whose sum overflows: speed 1.7e308, i_ds 2e307
+@example(state=(0.0, 1.7e308, 2e307, 0.0), commands=(2e307, 0.0, 0.0))
+@example(state=make_state(), commands=(5.0, 12.0, math.inf))   # speed only: NaN
+@example(state=make_state(), commands=(math.nan, 12.0, 6.0))   # every value: NaN
+@example(state=(math.inf, 150.0, 5.0, 12.0), commands=(5.0, 12.0, 6.0))
+@example(state=make_state(), commands=(5.0, -1.7e308, 6.0))
+def test_step_raises_exactly_when_a_new_value_is_not_finite(tau_i, state, commands):
+    p = build_params(current_tracking_time_constant=tau_i)
+    inv_tau_i = 1.0 / tau_i if tau_i > 0.0 else 0.0
+    inv_j = 1.0 / p.inertia
+    i_ds_cmd, i_qs_cmd, t_load = commands
+    dt = 1e-4
+
+    def f(y):
+        psi_, w_, i_d, i_q = y
+        return (
+            (p.magnetizing_inductance * i_d - psi_) / p.rotor_time_constant,
+            (p.torque_constant_flux * psi_ * i_q - t_load - p.friction * w_) * inv_j,
+            (i_ds_cmd - i_d) * inv_tau_i,
+            (i_qs_cmd - i_q) * inv_tau_i,
+        )
+
+    start = list(state)
+    if tau_i == 0.0:
+        start[2:] = commands[:2]
+    new = generic_rk4(f, start, dt)
+    if tau_i == 0.0:
+        new[2:] = commands[:2]  # the command floats themselves
+    machine = InductionMachine(p)
+    if all(map(math.isfinite, new)):
+        new[0] = max(new[0], p.flux_floor)
+        assert list(machine.step(*state, *commands, dt)) == new
+    else:
+        with pytest.raises(NonFiniteError) as error:
+            machine.step(*state, *commands, dt)
+        psi, w, i_d, i_q = new
+        assert str(error.value) == (
+            f"machine state is not finite: rotor_flux={psi!r},"
+            f" rotor_speed={w!r}, i_ds={i_d!r}, i_qs={i_q!r}"
+        )

@@ -13,13 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluxseek.compensator import TorqueCompensator
-from fluxseek.foc import speed_pi_step
 from fluxseek.harness.runner import CSV_HEADER, simulate
 from fluxseek.harness.scenario import Scenario
 from fluxseek.machine import InductionMachine
 from fluxseek.optimizer import DriveMode, SearchState, search_sample
 
-from conftest import csv_bytes
+from conftest import csv_bytes, speed_pi_step
 
 
 def reference_run(scenario: Scenario, config, decimation: int):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 from array import array
 
 import pytest
@@ -141,3 +142,16 @@ def test_steady_window_mean_adds_left_to_right(config):
     records = PackedRecords(values, bytearray(len(loads)), InductionMachine(config.machine))
     assert _left_sum(loads) == 0.0
     assert steady_window_mean(records, 1.0)[1] == 0.0
+
+
+def test_steady_window_mean_copies_no_column(config):
+    # A per-step load-step-abandon run keeps 160000 rows: a copy of their
+    # times, to bisect them, would take 1.28 MB.
+    records = simulate(config.scenario("load-step-abandon"), config, decimation=1).records
+    tracemalloc.start()
+    try:
+        steady_window_mean(records, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from array import array
+from collections import Counter
+from pathlib import Path
 
 import pytest
 import yaml
@@ -350,6 +353,31 @@ def test_supervisor_acts_only_where_the_mode_changes(config, monkeypatch):
     assert len(resets) == 1
     modes = [r.mode for r in result.records]
     assert sum(a != b for a, b in zip(modes, modes[1:])) == 3
+
+
+def test_computed_steps_call_only_the_machine_and_the_compensator(config):
+    # A computed step is straight-line code around InductionMachine.step and,
+    # in the search, TorqueCompensator.output: no other function of the
+    # package runs on half of the computed steps or more.
+    package = str(Path(runner.__file__).resolve().parent.parent)
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package):
+            calls[Path(code.co_filename).name, code.co_name] += 1
+
+    cfg = dataclasses.replace(config, flux_source="measured", compensation_mode="continuous")
+    scenario = constant_scenario("budget", 2.0, 1e-4, config.machine.rated_speed, 6.0)
+    sys.setprofile(profile)
+    try:
+        result = simulate(scenario, cfg)
+    finally:
+        sys.setprofile(None)
+    computed = calls["machine.py", "step"]
+    assert result.sample_count >= 2 and computed > scenario.steps // 2
+    frequent = {name for name, count in calls.items() if 2 * count >= computed}
+    assert frequent == {("machine.py", "step"), ("compensator.py", "output")}
 
 
 def test_boost_past_the_torque_current_limit_is_clamped_to_it(config):
