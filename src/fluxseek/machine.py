@@ -26,6 +26,9 @@ from typing import NamedTuple
 
 from .errors import FluxFloorError, NonFiniteError
 
+# the d-axis lag key that matches no input: NaN equals nothing
+_NO_KEY = (math.nan, math.nan, math.nan)
+
 # Flux below this fraction of rated is treated as a protection violation:
 # slip and the torque-compensation division diverge as Psi -> 0.
 FLUX_FLOOR_FRACTION = 0.05
@@ -113,11 +116,13 @@ class LossBreakdown(_LossFields):
 
 
 class InductionMachine:
-    """Stateless operations over the machine's four float signals for one
-    parameter set.
+    """Operations over the machine's four float signals for one parameter
+    set.
 
-    :meth:`step` is pure floats-in/floats-out; the caller keeps the state,
-    and independent machines can run concurrently.
+    The caller keeps the state: :meth:`step` takes and returns floats, and
+    its result depends on its arguments alone. The one thing an instance
+    keeps between calls is :meth:`step`'s cache of the last d-axis lag it
+    computed, which changes no result bit.
     """
 
     def __init__(self, params: MachineParams):
@@ -130,6 +135,9 @@ class InductionMachine:
             params.torque_constant_flux, 1.0 / params.inertia, params.friction,
             1.0 / tau_i if tau_i > 0.0 else 0.0,
         )
+        # the last d-axis lag step computed: its key (i_d, i_ds_cmd, dt), then
+        # h, dt / 6, the flux targets L_m * x_d at the four stages and the new i_d
+        self._d_lag = _NO_KEY + (0.0,) * 7
         # the losses' constants, grouped as the textbook formulas multiply left to right
         lm_over_lr = params.magnetizing_inductance / params.rotor_inductance
         self._loss_constants = (
@@ -222,54 +230,76 @@ class InductionMachine:
         have a zero derivative, and the command floats themselves are
         returned. Raises :class:`NonFiniteError` if a new value is not
         finite; the new flux is clamped to the flux floor.
+
+        Each current's lag is independent of flux and speed, so its stages
+        come first. The d-axis lag depends on ``(i_d, i_ds_cmd, dt)`` alone,
+        and the search holds the excitation command between samples, so the
+        step keeps the last one it computed and reuses it while that key
+        repeats. The result is the same bits either way.
         """
         tau_r, l_m, k_t, inv_j, b, inv_tau_i = self._step_constants
         if inv_tau_i == 0.0:
             i_d = i_ds_cmd
             i_q = i_qs_cmd
 
-        # the derivative, written out at each of the four stages
-        h = 0.5 * dt
-        psi1 = (l_m * i_d - psi) / tau_r
+        # the d-axis lag, as the flux targets L_m * x_d at the four stages. A
+        # key holding a zero is never stored: -0.0 == 0.0, but the bits differ
+        key_d, key_cmd, key_dt, h, sixth, target1, target2, target3, target4, id_new = self._d_lag
+        if not (i_d == key_d and i_ds_cmd == key_cmd and dt == key_dt):
+            h = 0.5 * dt
+            sixth = dt / 6.0
+            d1 = (i_ds_cmd - i_d) * inv_tau_i
+            x_d2 = i_d + h * d1
+            d2 = (i_ds_cmd - x_d2) * inv_tau_i
+            x_d3 = i_d + h * d2
+            d3 = (i_ds_cmd - x_d3) * inv_tau_i
+            x_d4 = i_d + dt * d3
+            d4 = (i_ds_cmd - x_d4) * inv_tau_i
+            # ideal tracking returns the command itself: a -0.0 command stays
+            # -0.0, where -0.0 + sixth * 0.0 would give 0.0
+            id_new = (i_ds_cmd if inv_tau_i == 0.0
+                      else i_d + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+            target1 = l_m * i_d
+            target2 = l_m * x_d2
+            target3 = l_m * x_d3
+            target4 = l_m * x_d4
+            self._d_lag = (
+                (i_d, i_ds_cmd, dt) if i_d and i_ds_cmd and dt else _NO_KEY
+            ) + (h, sixth, target1, target2, target3, target4, id_new)
+
+        # the q-axis lag. Under ideal tracking the derivative is 0.0, so a
+        # finite nonzero command is every stage value while dt is finite
+        # (x + h * 0.0 == x); i_qs_cmd * dt is finite and nonzero only then.
+        # Any other command or dt takes the chain, whose stages turn -0.0
+        # into 0.0 and an infinity into NaN.
+        if inv_tau_i == 0.0 and (cmd_dt := i_qs_cmd * dt) - cmd_dt == 0.0 and cmd_dt:
+            x_q2 = x_q3 = x_q4 = iq_new = i_qs_cmd
+        else:
+            q1 = (i_qs_cmd - i_q) * inv_tau_i
+            x_q2 = i_q + h * q1
+            q2 = (i_qs_cmd - x_q2) * inv_tau_i
+            x_q3 = i_q + h * q2
+            q3 = (i_qs_cmd - x_q3) * inv_tau_i
+            x_q4 = i_q + dt * q3
+            q4 = (i_qs_cmd - x_q4) * inv_tau_i
+            iq_new = (i_qs_cmd if inv_tau_i == 0.0  # as id_new
+                      else i_q + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
+
+        # flux and speed, the derivative written out at each of the four stages
+        psi1 = (target1 - psi) / tau_r
         w1 = (k_t * psi * i_q - t_load - b * w) * inv_j
-        d1 = (i_ds_cmd - i_d) * inv_tau_i
-        q1 = (i_qs_cmd - i_q) * inv_tau_i
-
         x_psi = psi + h * psi1
-        x_d = i_d + h * d1
-        x_q = i_q + h * q1
-        psi2 = (l_m * x_d - x_psi) / tau_r
-        w2 = (k_t * x_psi * x_q - t_load - b * (w + h * w1)) * inv_j
-        d2 = (i_ds_cmd - x_d) * inv_tau_i
-        q2 = (i_qs_cmd - x_q) * inv_tau_i
-
+        psi2 = (target2 - x_psi) / tau_r
+        w2 = (k_t * x_psi * x_q2 - t_load - b * (w + h * w1)) * inv_j
         x_psi = psi + h * psi2
-        x_d = i_d + h * d2
-        x_q = i_q + h * q2
-        psi3 = (l_m * x_d - x_psi) / tau_r
-        w3 = (k_t * x_psi * x_q - t_load - b * (w + h * w2)) * inv_j
-        d3 = (i_ds_cmd - x_d) * inv_tau_i
-        q3 = (i_qs_cmd - x_q) * inv_tau_i
-
+        psi3 = (target3 - x_psi) / tau_r
+        w3 = (k_t * x_psi * x_q3 - t_load - b * (w + h * w2)) * inv_j
         x_psi = psi + dt * psi3
-        x_d = i_d + dt * d3
-        x_q = i_q + dt * q3
-        psi4 = (l_m * x_d - x_psi) / tau_r
-        w4 = (k_t * x_psi * x_q - t_load - b * (w + dt * w3)) * inv_j
-        d4 = (i_ds_cmd - x_d) * inv_tau_i
-        q4 = (i_qs_cmd - x_q) * inv_tau_i
+        psi4 = (target4 - x_psi) / tau_r
+        w4 = (k_t * x_psi * x_q4 - t_load - b * (w + dt * w3)) * inv_j
 
-        sixth = dt / 6.0
         psi_new = psi + sixth * (psi1 + 2.0 * psi2 + 2.0 * psi3 + psi4)
         w_new = w + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-        if inv_tau_i == 0.0:
-            # the same float objects as the commands: telemetry rows that hold
-            # both then share them instead of holding equal copies
-            id_new = i_ds_cmd
-            iq_new = i_qs_cmd
-        else:
-            id_new = i_d + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            iq_new = i_q + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
 
         # one test on the common path: total - total is 0.0 exactly when the
         # sum is finite, and a NaN or infinity in it makes the sum NaN or

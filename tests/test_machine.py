@@ -506,7 +506,7 @@ def test_coupled_step_keeps_state_finite_and_floored(i_ds_cmd, i_qs_cmd, t_load)
 #
 # The telemetry's golden hash depends on the step's exact arithmetic. A
 # textbook four-stage RK4 over the same derivative, with the same operation
-# order, must give the same doubles, flux floor included.
+# order, must give the same doubles, flux floor and signs of zero included.
 
 
 def generic_rk4(f, y, dt):
@@ -522,22 +522,12 @@ def generic_rk4(f, y, dt):
     ]
 
 
-@pytest.mark.parametrize("tau_i", [0.002, 0.0], ids=["lagged", "ideal"])
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    psi=st.floats(0.0, 1.0),
-    omega=st.floats(-200.0, 200.0),
-    i_ds=st.floats(-30.0, 30.0),
-    i_qs=st.floats(-30.0, 30.0),
-    i_ds_cmd=st.floats(0.0, 6.0),
-    i_qs_cmd=st.floats(-25.0, 25.0),
-    t_load=st.floats(-30.0, 30.0),
-    dt=st.floats(1e-6, 5e-3),
-)
-def test_step_equals_generic_rk4_bit_for_bit(
-    tau_i, psi, omega, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt
-):
-    p = build_params(current_tracking_time_constant=tau_i)
+def rk4_step(p, state, commands, dt):
+    """The new (flux, speed, i_ds, i_qs) by ``generic_rk4``, before the flux
+    floor. Ideal tracking starts the currents at their commands and returns
+    the command floats themselves."""
+    i_ds_cmd, i_qs_cmd, t_load = commands
+    tau_i = p.current_tracking_time_constant
     inv_tau_i = 1.0 / tau_i if tau_i > 0.0 else 0.0
     inv_j = 1.0 / p.inertia
 
@@ -550,18 +540,63 @@ def test_step_equals_generic_rk4_bit_for_bit(
             (i_qs_cmd - i_q) * inv_tau_i,
         )
 
-    # a short trajectory, so rounding differences have room to show
-    machine = InductionMachine(p)
-    got = (psi, omega, i_ds, i_qs)
-    expected = [psi, omega, i_ds, i_qs]
+    start = list(state)
+    if tau_i == 0.0:
+        start[2:] = commands[:2]
+    new = generic_rk4(f, start, dt)
+    if tau_i == 0.0:
+        new[2:] = commands[:2]
+    return new
+
+
+def bits(values) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def assert_step_is_rk4(machine, state, commands, dt):
+    """``machine.step`` gives ``rk4_step``'s floats bit for bit, floored, or
+    raises :class:`NonFiniteError` naming them when one is not finite.
+    Returns the new state, or None after an error."""
+    p = machine.params
+    new = rk4_step(p, state, commands, dt)
+    if all(map(math.isfinite, new)):
+        new[0] = max(new[0], p.flux_floor)
+        assert bits(machine.step(*state, *commands, dt)) == bits(new)
+        return tuple(new)
+    with pytest.raises(NonFiniteError) as error:
+        machine.step(*state, *commands, dt)
+    psi, w, i_d, i_q = new
+    assert str(error.value) == (
+        f"machine state is not finite: rotor_flux={psi!r},"
+        f" rotor_speed={w!r}, i_ds={i_d!r}, i_qs={i_q!r}"
+    )
+    return None
+
+
+@pytest.mark.parametrize("tau_i", [0.002, 0.0], ids=["lagged", "ideal"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    psi=st.floats(0.0, 1.0),
+    omega=st.floats(-200.0, 200.0),
+    i_ds=st.floats(-30.0, 30.0),
+    i_qs=st.floats(-30.0, 30.0),
+    i_ds_cmd=st.floats(0.0, 6.0),
+    i_qs_cmd=st.floats(-25.0, 25.0),
+    t_load=st.floats(-30.0, 30.0),
+    dt=st.floats(1e-6, 5e-3),
+)
+# zero currents and commands of both signs
+@example(psi=0.0, omega=-0.0, i_ds=-0.0, i_qs=0.0, i_ds_cmd=0.0, i_qs_cmd=-0.0,
+         t_load=-0.0, dt=1e-4)
+def test_step_equals_generic_rk4_bit_for_bit(
+    tau_i, psi, omega, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt
+):
+    # a short trajectory on one machine, so rounding differences have room
+    # to show and the step's d-axis lag is both computed and reused
+    machine = InductionMachine(build_params(current_tracking_time_constant=tau_i))
+    state = (psi, omega, i_ds, i_qs)
     for _ in range(20):
-        got = machine.step(*got, i_ds_cmd, i_qs_cmd, t_load, dt)
-        if tau_i == 0.0:
-            # ideal tracking starts the currents at their commands
-            expected[2:] = [i_ds_cmd, i_qs_cmd]
-        expected = generic_rk4(f, expected, dt)
-        expected[0] = max(expected[0], p.flux_floor)
-        assert list(got) == expected
+        state = assert_step_is_rk4(machine, state, (i_ds_cmd, i_qs_cmd, t_load), dt)
 
 
 # inputs from the shipped range, near the largest float and not finite
@@ -583,36 +618,85 @@ EXTREME = st.one_of(
 @example(state=(math.inf, 150.0, 5.0, 12.0), commands=(5.0, 12.0, 6.0))
 @example(state=make_state(), commands=(5.0, -1.7e308, 6.0))
 def test_step_raises_exactly_when_a_new_value_is_not_finite(tau_i, state, commands):
-    p = build_params(current_tracking_time_constant=tau_i)
-    inv_tau_i = 1.0 / tau_i if tau_i > 0.0 else 0.0
-    inv_j = 1.0 / p.inertia
-    i_ds_cmd, i_qs_cmd, t_load = commands
-    dt = 1e-4
+    machine = InductionMachine(build_params(current_tracking_time_constant=tau_i))
+    assert_step_is_rk4(machine, state, commands, 1e-4)
 
-    def f(y):
-        psi_, w_, i_d, i_q = y
-        return (
-            (p.magnetizing_inductance * i_d - psi_) / p.rotor_time_constant,
-            (p.torque_constant_flux * psi_ * i_q - t_load - p.friction * w_) * inv_j,
-            (i_ds_cmd - i_d) * inv_tau_i,
-            (i_qs_cmd - i_q) * inv_tau_i,
-        )
 
-    start = list(state)
-    if tau_i == 0.0:
-        start[2:] = commands[:2]
-    new = generic_rk4(f, start, dt)
-    if tau_i == 0.0:
-        new[2:] = commands[:2]  # the command floats themselves
-    machine = InductionMachine(p)
-    if all(map(math.isfinite, new)):
-        new[0] = max(new[0], p.flux_floor)
-        assert list(machine.step(*state, *commands, dt)) == new
-    else:
-        with pytest.raises(NonFiniteError) as error:
-            machine.step(*state, *commands, dt)
-        psi, w, i_d, i_q = new
-        assert str(error.value) == (
-            f"machine state is not finite: rotor_flux={psi!r},"
-            f" rotor_speed={w!r}, i_ds={i_d!r}, i_qs={i_q!r}"
-        )
+# -- the step's d-axis lag cache -------------------------------------------------
+#
+# One machine keeps the d-axis lag of the last (i_d, i_ds_cmd, dt) it computed.
+# A sequence of calls on one machine must give, call by call, what a fresh
+# generic RK4 gives: exact repeats, a one-ulp move, zeros of either sign,
+# a new dt, two alternating operating points and non-finite inputs.
+
+CALL_FIELDS = ("psi", "w", "i_d", "i_q", "i_ds_cmd", "i_qs_cmd", "t_load", "dt")
+STEP_SIZES = (1e-4, 5e-4, 2e-3)
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def operating_points(draw):
+    """One call's arguments, in ``CALL_FIELDS`` order."""
+    def value(lo, hi):
+        return draw(st.one_of(st.floats(lo, hi), st.sampled_from((0.0, -0.0))))
+
+    return (draw(st.floats(0.0, 1.0)), value(-200.0, 200.0), value(-6.0, 6.0),
+            value(-25.0, 25.0), value(0.5, 5.0), value(-25.0, 25.0), value(-20.0, 20.0),
+            draw(st.sampled_from(STEP_SIZES)))
+
+
+MOVES = st.one_of(
+    st.just(("repeat",)),
+    st.just(("follow",)),   # the last call's result is the next state
+    st.just(("swap",)),     # to the other operating point
+    st.tuples(st.just("ulp"), st.sampled_from((-math.inf, math.inf))),
+    # a zero of the other sign where the field is zero, else a zero
+    st.tuples(st.just("zero"), st.sampled_from(("i_d", "i_q", "i_ds_cmd", "i_qs_cmd"))),
+    st.tuples(st.just("dt"), st.sampled_from(STEP_SIZES + (-1e-4, *SPECIAL))),
+    st.tuples(st.just("set"), st.sampled_from(CALL_FIELDS), st.sampled_from(SPECIAL)),
+)
+
+
+def _move(call, other, last, move):
+    """The next call and the other operating point after ``move``."""
+    call = list(call)
+    kind = move[0]
+    if kind == "follow" and last is not None:
+        call[:4] = last
+    elif kind == "swap":
+        call, other = list(other), tuple(call)
+    elif kind == "ulp":
+        call[2] = math.nextafter(call[2], move[1])
+    elif kind == "zero":
+        i = CALL_FIELDS.index(move[1])
+        call[i] = -call[i] if call[i] == 0.0 else 0.0
+    elif kind == "dt":
+        call[7] = move[1]
+    elif kind == "set":
+        call[CALL_FIELDS.index(move[1])] = move[2]
+    return tuple(call), other
+
+
+def _settled(i_ds_cmd=3.0, i_qs_cmd=8.0, dt=1e-4):
+    return (0.42, 150.0, 3.0, 8.0, i_ds_cmd, i_qs_cmd, 6.0, dt)
+
+
+@pytest.mark.parametrize("tau_i", [0.002, 0.0], ids=["lagged", "ideal"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(first=operating_points(), other=operating_points(),
+       moves=st.lists(MOVES, min_size=1, max_size=25))
+# a new dt at the same currents and excitation command
+@example(first=_settled(), other=_settled(), moves=[("repeat",), ("dt", 5e-4)])
+# an excitation command of 0.0, then -0.0
+@example(first=_settled(i_ds_cmd=0.0), other=_settled(), moves=[("zero", "i_ds_cmd")])
+# a finite torque-current command over an infinite step
+@example(first=_settled(), other=_settled(), moves=[("dt", math.inf)])
+# an infinite torque-current command over a negative step
+@example(first=_settled(), other=_settled(),
+         moves=[("dt", -1e-4), ("set", "i_qs_cmd", math.inf)])
+def test_step_sequence_equals_generic_rk4_bit_for_bit(tau_i, first, other, moves):
+    machine = InductionMachine(build_params(current_tracking_time_constant=tau_i))
+    call, last = first, None
+    for move in (("repeat",), *moves):
+        call, other = _move(call, other, last, move)
+        last = assert_step_is_rk4(machine, call[:4], call[4:7], call[7])

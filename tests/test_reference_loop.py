@@ -1,7 +1,8 @@
-"""``simulate`` against a plain reference loop: every step computed, the
-profile looked up on each step, and the supervisor's steady counter and
-sample timer advanced on every step, as the rules read. The runner's hold,
-jumps over held stretches, command schedule and event-driven supervisor must
+"""``simulate`` against a plain reference loop: every step computed by the
+cache-free ``reference_step``, the profile looked up on each step, and the
+supervisor's steady counter and sample timer advanced on every step, as the
+rules read. The runner's hold, jumps over held stretches, command schedule
+and event-driven supervisor, and the machine step's d-axis lag cache, must
 change no output bit."""
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fluxseek.harness.scenario import Scenario
 from fluxseek.machine import InductionMachine
 from fluxseek.optimizer import DriveMode, SearchState, search_sample
 
-from conftest import csv_bytes, speed_pi_step
+from conftest import csv_bytes, reference_step, speed_pi_step
 
 
 def reference_run(scenario: Scenario, config, decimation: int):
@@ -86,8 +87,8 @@ def reference_run(scenario: Scenario, config, decimation: int):
         searching = search.mode is DriveMode.STEADY_SEARCH
         comp_out = comp.output(psi, t) if comp is not None and searching else 0.0
         i_qs_cmd = min(max(iqs_pi + comp_out, -limit), limit)
-        psi, omega_r, i_ds, i_qs = machine.step(
-            psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt)
+        psi, omega_r, i_ds, i_qs = reference_step(
+            p, psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt)
         time += dt
         if (k + 1) % decimation == 0:
             losses = machine.compute_losses(

@@ -332,6 +332,26 @@ def _count_steps(monkeypatch):
     return lambda: calls
 
 
+def test_machine_step_reuses_its_d_axis_lag_in_a_search_run(config, monkeypatch):
+    # The search holds the excitation command between samples, so the step's
+    # d-axis lag must be computed again on few computed steps: a cache keyed
+    # on anything that changes every step would fail here.
+    steps = _count_steps(monkeypatch)
+    stores = 0
+
+    def store(machine, lag):
+        nonlocal stores
+        stores += 1
+        machine.__dict__["_d_lag"] = lag
+
+    monkeypatch.setattr(InductionMachine, "_d_lag",
+                        property(lambda machine: machine.__dict__["_d_lag"], store),
+                        raising=False)
+    simulate(config.scenario("quarter-load-search"), config)
+    assert steps() > 90_000
+    assert stores <= 0.1 * steps()
+
+
 def test_supervisor_acts_only_where_the_mode_changes(config, monkeypatch):
     # update_mode runs on the steps where the mode can change, and the
     # compensator resets once, when the load step abandons the search
