@@ -267,23 +267,16 @@ class InductionMachine:
                 (i_d, i_ds_cmd, dt) if i_d and i_ds_cmd and dt else _NO_KEY
             ) + (h, sixth, target1, target2, target3, target4, id_new)
 
-        # the q-axis lag. Under ideal tracking the derivative is 0.0, so a
-        # finite nonzero command is every stage value while dt is finite
-        # (x + h * 0.0 == x); i_qs_cmd * dt is finite and nonzero only then.
-        # Any other command or dt takes the chain, whose stages turn -0.0
-        # into 0.0 and an infinity into NaN.
-        if inv_tau_i == 0.0 and (cmd_dt := i_qs_cmd * dt) - cmd_dt == 0.0 and cmd_dt:
-            x_q2 = x_q3 = x_q4 = iq_new = i_qs_cmd
-        else:
-            q1 = (i_qs_cmd - i_q) * inv_tau_i
-            x_q2 = i_q + h * q1
-            q2 = (i_qs_cmd - x_q2) * inv_tau_i
-            x_q3 = i_q + h * q2
-            q3 = (i_qs_cmd - x_q3) * inv_tau_i
-            x_q4 = i_q + dt * q3
-            q4 = (i_qs_cmd - x_q4) * inv_tau_i
-            iq_new = (i_qs_cmd if inv_tau_i == 0.0  # as id_new
-                      else i_q + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
+        # the q-axis lag, computed on every call
+        q1 = (i_qs_cmd - i_q) * inv_tau_i
+        x_q2 = i_q + h * q1
+        q2 = (i_qs_cmd - x_q2) * inv_tau_i
+        x_q3 = i_q + h * q2
+        q3 = (i_qs_cmd - x_q3) * inv_tau_i
+        x_q4 = i_q + dt * q3
+        q4 = (i_qs_cmd - x_q4) * inv_tau_i
+        iq_new = (i_qs_cmd if inv_tau_i == 0.0  # as id_new
+                  else i_q + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
 
         # flux and speed, the derivative written out at each of the four stages
         psi1 = (target1 - psi) / tau_r

@@ -1,6 +1,6 @@
 """Shared fixtures: the default configuration and the paired part-load runs
 that back both the report tests and the acceptance suite; the reference speed
-PI and machine step; the telemetry CSV as bytes or as its SHA-256; and the
+PI and machine step, a generic RK4; the telemetry CSV as bytes or as its SHA-256; and the
 CSV that rows must give, built line by line without the writer."""
 
 from __future__ import annotations
@@ -54,74 +54,64 @@ def speed_pi_step(
     return integrator, output
 
 
+def generic_rk4(f, y, dt):
+    """One textbook four-stage RK4 step of ``y' = f(y)``."""
+    h = 0.5 * dt
+    k1 = f(y)
+    k2 = f([x + h * k for x, k in zip(y, k1)])
+    k3 = f([x + h * k for x, k in zip(y, k2)])
+    k4 = f([x + dt * k for x, k in zip(y, k3)])
+    sixth = dt / 6.0
+    return [
+        x + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for x, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ]
+
+
+def rk4_step(p: MachineParams, state, commands, dt: float) -> list[float]:
+    """The new (flux, speed, i_ds, i_qs) by ``generic_rk4``, before the flux
+    floor. Ideal tracking starts the currents at their commands and returns
+    the command floats themselves."""
+    i_ds_cmd, i_qs_cmd, t_load = commands
+    tau_i = p.current_tracking_time_constant
+    inv_tau_i = 1.0 / tau_i if tau_i > 0.0 else 0.0
+    inv_j = 1.0 / p.inertia
+
+    def f(y):
+        psi_, w_, i_d, i_q = y
+        return (
+            (p.magnetizing_inductance * i_d - psi_) / p.rotor_time_constant,
+            (p.torque_constant_flux * psi_ * i_q - t_load - p.friction * w_) * inv_j,
+            (i_ds_cmd - i_d) * inv_tau_i,
+            (i_qs_cmd - i_q) * inv_tau_i,
+        )
+
+    start = list(state)
+    if tau_i == 0.0:
+        start[2:] = commands[:2]
+    new = generic_rk4(f, start, dt)
+    if tau_i == 0.0:
+        new[2:] = commands[:2]
+    return new
+
+
 def reference_step(
     p: MachineParams, psi: float, w: float, i_d: float, i_q: float,
     i_ds_cmd: float, i_qs_cmd: float, t_load: float, dt: float,
 ) -> tuple[float, float, float, float]:
-    """The reference coupled step: one straight RK4 body over flux, speed and
-    both current lags, every stage computed on every call. It takes the
-    arguments of ``InductionMachine.step`` after the parameters, and the
-    reference loop integrates with it, so the shipped scenarios tie the
-    step's cached d-axis lag to it bit for bit.
+    """The reference coupled step: ``rk4_step``, every stage computed on
+    every call, then ``InductionMachine.step``'s finiteness check and flux
+    floor. It takes the step's arguments after the parameters; the machine
+    tests and the reference loop hold the step to it bit for bit.
     """
-    tau_r = p.rotor_time_constant
-    l_m = p.magnetizing_inductance
-    k_t = p.torque_constant_flux
-    inv_j = 1.0 / p.inertia
-    b = p.friction
-    tau_i = p.current_tracking_time_constant
-    inv_tau_i = 1.0 / tau_i if tau_i > 0.0 else 0.0
-    if inv_tau_i == 0.0:
-        i_d = i_ds_cmd
-        i_q = i_qs_cmd
-
-    # the derivative, written out at each of the four stages
-    h = 0.5 * dt
-    psi1 = (l_m * i_d - psi) / tau_r
-    w1 = (k_t * psi * i_q - t_load - b * w) * inv_j
-    d1 = (i_ds_cmd - i_d) * inv_tau_i
-    q1 = (i_qs_cmd - i_q) * inv_tau_i
-
-    x_psi = psi + h * psi1
-    x_d = i_d + h * d1
-    x_q = i_q + h * q1
-    psi2 = (l_m * x_d - x_psi) / tau_r
-    w2 = (k_t * x_psi * x_q - t_load - b * (w + h * w1)) * inv_j
-    d2 = (i_ds_cmd - x_d) * inv_tau_i
-    q2 = (i_qs_cmd - x_q) * inv_tau_i
-
-    x_psi = psi + h * psi2
-    x_d = i_d + h * d2
-    x_q = i_q + h * q2
-    psi3 = (l_m * x_d - x_psi) / tau_r
-    w3 = (k_t * x_psi * x_q - t_load - b * (w + h * w2)) * inv_j
-    d3 = (i_ds_cmd - x_d) * inv_tau_i
-    q3 = (i_qs_cmd - x_q) * inv_tau_i
-
-    x_psi = psi + dt * psi3
-    x_d = i_d + dt * d3
-    x_q = i_q + dt * q3
-    psi4 = (l_m * x_d - x_psi) / tau_r
-    w4 = (k_t * x_psi * x_q - t_load - b * (w + dt * w3)) * inv_j
-    d4 = (i_ds_cmd - x_d) * inv_tau_i
-    q4 = (i_qs_cmd - x_q) * inv_tau_i
-
-    sixth = dt / 6.0
-    psi_new = psi + sixth * (psi1 + 2.0 * psi2 + 2.0 * psi3 + psi4)
-    w_new = w + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-    if inv_tau_i == 0.0:
-        # the commands themselves: a -0.0 command stays -0.0
-        id_new = i_ds_cmd
-        iq_new = i_qs_cmd
-    else:
-        id_new = i_d + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        iq_new = i_q + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-    if not all(map(math.isfinite, (psi_new, w_new, id_new, iq_new))):
+    new = rk4_step(p, (psi, w, i_d, i_q), (i_ds_cmd, i_qs_cmd, t_load), dt)
+    if not all(map(math.isfinite, new)):
+        psi, w, i_d, i_q = new
         raise NonFiniteError(
-            f"machine state is not finite: rotor_flux={psi_new!r},"
-            f" rotor_speed={w_new!r}, i_ds={id_new!r}, i_qs={iq_new!r}"
+            f"machine state is not finite: rotor_flux={psi!r},"
+            f" rotor_speed={w!r}, i_ds={i_d!r}, i_qs={i_q!r}"
         )
-    return max(psi_new, p.flux_floor), w_new, id_new, iq_new
+    return max(new[0], p.flux_floor), new[1], new[2], new[3]
 
 
 def csv_bytes(records) -> bytes:
