@@ -11,24 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..machine import InductionMachine, LossBreakdown
+from ..machine import InductionMachine
 from .config import DriveConfig
 
 
 @dataclass(frozen=True)
 class OraclePoint:
     i_ds: float
-    i_qs: float
-    rotor_flux: float
     input_power: float
-    losses: LossBreakdown | None
     feasible: bool
 
 
 @dataclass(frozen=True)
 class OracleSweepResult:
-    speed: float
-    load_torque: float
     best_i_ds: float
     min_input_power: float
     points: tuple[OraclePoint, ...]
@@ -39,7 +34,8 @@ def steady_state_point(
 ) -> OraclePoint:
     """Exact field-oriented steady state at one excitation value.
 
-    The developed torque must cover the load plus viscous friction. Points
+    The developed torque must cover the load plus viscous friction; input
+    power is that torque's shaft power plus the machine's four losses. Points
     whose torque current exceeds the drive limit are marked infeasible.
     """
     p = machine.params
@@ -47,16 +43,10 @@ def steady_state_point(
     t_e = load_torque + p.friction * speed
     i_qs = t_e / (p.torque_constant_flux * psi)
     if abs(i_qs) > p.max_torque_current:
-        return OraclePoint(
-            i_ds=i_ds, i_qs=i_qs, rotor_flux=psi,
-            input_power=float("inf"), losses=None, feasible=False,
-        )
-    omega_e = machine.electrical_frequency(psi, speed, i_qs)
-    losses = machine.compute_losses(psi, i_ds, i_qs, omega_e)
+        return OraclePoint(i_ds=i_ds, input_power=float("inf"), feasible=False)
+    _, stator, rotor, iron, converter, _ = machine.power_terms(psi, speed, i_ds, i_qs)
     return OraclePoint(
-        i_ds=i_ds, i_qs=i_qs, rotor_flux=psi,
-        input_power=machine.input_power(speed, t_e, losses),
-        losses=losses, feasible=True,
+        i_ds=i_ds, input_power=t_e * speed + (stator + rotor + iron + converter), feasible=True,
     )
 
 
@@ -96,8 +86,6 @@ def oracle_sweep(
         (p for p in points if p.feasible), key=lambda p: p.input_power
     )
     return OracleSweepResult(
-        speed=speed,
-        load_torque=load_torque,
         best_i_ds=best.i_ds,
         min_input_power=best.input_power,
         points=points,

@@ -96,9 +96,7 @@ _ROW = struct.Struct(f"{_WIDTH}d")  # native doubles, as in the array
 class PackedRecords(Sequence):
     """A run's telemetry rows, packed; a read-only sequence of
     ``TelemetryRecord`` whose slices are tuples. ``machine`` computes each
-    row's torque, losses and power from its state. Equal to another
-    ``PackedRecords`` with the same modes, the same float bits, so a zero's
-    sign counts, and the same machine parameters."""
+    row's torque, losses and power from its state."""
 
     __slots__ = ("_values", "_modes", "_machine")
 
@@ -122,13 +120,6 @@ class PackedRecords(Sequence):
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PackedRecords):
-            return NotImplemented
-        # bytes, not ==: 0.0 == -0.0
-        return (self._modes == other._modes and self._machine.params == other._machine.params
-                and self._values.tobytes() == other._values.tobytes())
 
     def column(self, name: str, start: int = 0) -> memoryview:
         """One stored float field (``_STATE``) of rows ``start`` on, e.g.

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import FluxFloorError, NonFiniteError
 
@@ -43,7 +42,8 @@ class MachineParams:
     ``torque_constant_current``, ``rated_flux``) are computed from them once,
     on construction. The per-constant bounds are checked where the constants
     enter, on configuration load (``harness.config``); construction checks
-    only 0 < ``min_excitation_current`` < ``rated_excitation_current``.
+    only 0 < ``min_excitation_current`` < ``rated_excitation_current`` and
+    that the flux at ``min_excitation_current`` is not below the flux floor.
     """
 
     stator_resistance: float        # ohm
@@ -83,36 +83,16 @@ class MachineParams:
         derive(self, "torque_constant_flux", k_t)
         derive(self, "torque_constant_current", k_t * self.magnetizing_inductance)
         derive(self, "rated_flux", self.magnetizing_inductance * self.rated_excitation_current)
+        min_flux = self.magnetizing_inductance * self.min_excitation_current
+        if min_flux < self.flux_floor:
+            raise ValueError(
+                f"min_excitation_current {self.min_excitation_current!r} A gives rotor flux"
+                f" {min_flux:.6g} Wb, below the flux floor {self.flux_floor:.6g} Wb"
+            )
 
     @property
     def flux_floor(self) -> float:
         return FLUX_FLOOR_FRACTION * self.rated_flux
-
-
-class _LossFields(NamedTuple):
-    stator_copper: float
-    rotor_copper: float
-    iron: float
-    converter: float
-    total: float
-
-
-class LossBreakdown(_LossFields):
-    """One operating point's losses in watts, an immutable named tuple built
-    from the four components. ``total`` is always their exact sum."""
-
-    __slots__ = ()
-
-    def __new__(cls, stator_copper: float, rotor_copper: float, iron: float, converter: float):
-        if stator_copper < 0.0 or rotor_copper < 0.0 or iron < 0.0 or converter < 0.0:
-            raise ValueError(
-                f"losses must be >= 0: stator_copper={stator_copper!r},"
-                f" rotor_copper={rotor_copper!r}, iron={iron!r}, converter={converter!r}"
-            )
-        return _LossFields.__new__(
-            cls, stator_copper, rotor_copper, iron, converter,
-            stator_copper + rotor_copper + iron + converter,
-        )
 
 
 class InductionMachine:
@@ -138,69 +118,33 @@ class InductionMachine:
         # the last d-axis lag step computed: its key (i_d, i_ds_cmd, dt), then
         # h, dt / 6, the flux targets L_m * x_d at the four stages and the new i_d
         self._d_lag = _NO_KEY + (0.0,) * 7
-        # the losses' constants, grouped as the textbook formulas multiply left to right
+        # power_terms' constants: p, L_m, tau_r and K_t, then the losses',
+        # grouped as the textbook formulas multiply left to right
         lm_over_lr = params.magnetizing_inductance / params.rotor_inductance
-        self._loss_constants = (
+        self._power_constants = (
+            params.pole_pairs, params.magnetizing_inductance, params.rotor_time_constant,
+            params.torque_constant_flux,
             1.5 * params.stator_resistance,
             1.5 * params.rotor_resistance * (lm_over_lr * lm_over_lr),
             params.iron_loss_eddy_coeff, params.iron_loss_hysteresis_coeff,
             params.converter_fixed_loss, params.converter_resistive_coeff,
         )
-        # power_terms' constants: p, L_m, tau_r and K_t, then the losses'
-        self._power_constants = (
-            params.pole_pairs, params.magnetizing_inductance, params.rotor_time_constant,
-            params.torque_constant_flux, *self._loss_constants,
-        )
 
-    # -- algebraic relations ----------------------------------------------
-
-    def developed_torque(self, psi_dr: float, i_qs: float) -> float:
-        """Electromagnetic torque K_t * i_qs * Psi_dr."""
-        return self.params.torque_constant_flux * i_qs * psi_dr
-
-    def slip_frequency(self, i_qs: float, psi_dr: float) -> float:
-        """Indirect field-orientation slip, L_m * i_qs / (tau_r * Psi_dr)."""
-        if psi_dr < self.flux_floor:
-            raise FluxFloorError(
-                f"slip undefined: rotor flux {psi_dr:.6g} below floor {self.flux_floor:.6g}"
-            )
-        return self.params.magnetizing_inductance * i_qs / (
-            self.params.rotor_time_constant * psi_dr
-        )
-
-    def electrical_frequency(self, psi_dr: float, omega_r: float, i_qs: float) -> float:
-        """Synchronous electrical frequency p * omega_r + omega_slip."""
-        return self.params.pole_pairs * omega_r + self.slip_frequency(i_qs, psi_dr)
-
-    # -- losses and power ---------------------------------------------------
-
-    def compute_losses(
-        self, psi_dr: float, i_ds: float, i_qs: float, omega_e: float
-    ) -> LossBreakdown:
-        """Loss breakdown at the given flux, currents and electrical frequency."""
-        stator, rotor, eddy, hysteresis, fixed, resistive = self._loss_constants
-        i_sq = i_ds * i_ds + i_qs * i_qs
-        return LossBreakdown(
-            stator * i_sq, rotor * i_qs * i_qs,
-            (eddy * omega_e * omega_e + hysteresis * abs(omega_e)) * (psi_dr * psi_dr),
-            fixed + resistive * i_sq,
-        )
-
-    def input_power(self, omega_r: float, t_e: float, losses: LossBreakdown) -> float:
-        """DC-link power model: shaft power plus total loss. May be negative
-        during regeneration; the shipped scenarios stay motoring."""
-        return t_e * omega_r + losses.total
+    # -- torque, losses and power ---------------------------------------------
 
     def power_terms(
         self, psi_dr: float, omega_r: float, i_ds: float, i_qs: float
     ) -> tuple[float, float, float, float, float, float]:
         """(torque, stator copper, rotor copper, iron and converter loss, input
-        power) at one state, in one call: bit for bit the floats of
-        :meth:`electrical_frequency`, :meth:`compute_losses`,
-        :meth:`developed_torque` and :meth:`input_power` in turn, and their
-        errors."""
+        power) at one state: K_t * i_qs * Psi_dr, the module's losses at the
+        electrical frequency p * omega_r + L_m * i_qs / (tau_r * Psi_dr), and
+        shaft power plus the four losses, which is negative when regenerating.
+        Raises :class:`FluxFloorError` below the flux floor, where slip is
+        undefined, and ValueError if a loss is negative."""
         if psi_dr < self.flux_floor:
-            self.slip_frequency(i_qs, psi_dr)  # raises FluxFloorError
+            raise FluxFloorError(
+                f"slip undefined: rotor flux {psi_dr:.6g} below floor {self.flux_floor:.6g}"
+            )
         pole_pairs, l_m, tau_r, k_t, copper_s, copper_r, eddy, hysteresis, fixed, resistive = (
             self._power_constants
         )
@@ -211,7 +155,10 @@ class InductionMachine:
         iron = (eddy * omega_e * omega_e + hysteresis * abs(omega_e)) * (psi_dr * psi_dr)
         converter = fixed + resistive * i_sq
         if stator < 0.0 or rotor < 0.0 or iron < 0.0 or converter < 0.0:
-            LossBreakdown(stator, rotor, iron, converter)  # raises ValueError
+            raise ValueError(
+                f"losses must be >= 0: stator_copper={stator!r},"
+                f" rotor_copper={rotor!r}, iron={iron!r}, converter={converter!r}"
+            )
         t_e = k_t * i_qs * psi_dr
         return (t_e, stator, rotor, iron, converter,
                 t_e * omega_r + (stator + rotor + iron + converter))

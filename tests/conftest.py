@@ -1,7 +1,8 @@
 """Shared fixtures: the default configuration and the paired part-load runs
 that back both the report tests and the acceptance suite; the reference speed
-PI and machine step, a generic RK4; the telemetry CSV as bytes or as its SHA-256; and the
-CSV that rows must give, built line by line without the writer."""
+PI, machine step and power terms, a generic RK4; the telemetry CSV as bytes or
+as its SHA-256; and the CSV that rows must give, built line by line without
+the writer."""
 
 from __future__ import annotations
 
@@ -114,6 +115,26 @@ def reference_step(
     return max(new[0], p.flux_floor), new[1], new[2], new[3]
 
 
+def reference_power_terms(
+    p: MachineParams, psi: float, omega_r: float, i_ds: float, i_qs: float
+) -> tuple[float, float, float, float, float, float]:
+    """The textbook torque, stator copper, rotor copper, iron and converter
+    loss, and input power, written from the parameters and evaluated left to
+    right. ``InductionMachine.power_terms`` must give the same doubles; unlike
+    it, this raises nothing below the flux floor or on a negative loss."""
+    omega_e = p.pole_pairs * omega_r + p.magnetizing_inductance * i_qs / (
+        p.rotor_time_constant * psi)
+    i_sq = i_ds * i_ds + i_qs * i_qs
+    ratio = p.magnetizing_inductance / p.rotor_inductance
+    stator = 1.5 * p.stator_resistance * i_sq
+    rotor = 1.5 * p.rotor_resistance * (ratio * ratio) * i_qs * i_qs
+    iron = (p.iron_loss_eddy_coeff * omega_e * omega_e
+            + p.iron_loss_hysteresis_coeff * abs(omega_e)) * (psi * psi)
+    converter = p.converter_fixed_loss + p.converter_resistive_coeff * i_sq
+    t_e = p.torque_constant_flux * i_qs * psi
+    return t_e, stator, rotor, iron, converter, t_e * omega_r + (stator + rotor + iron + converter)
+
+
 def csv_bytes(records) -> bytes:
     """The telemetry CSV as UTF-8 bytes, written through one binary buffer."""
     text = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
@@ -133,19 +154,15 @@ def csv_sha256(records) -> str:
 def reference_csv(records) -> bytes:
     """The CSV bytes ``write_csv`` must give for ``records``, each line built
     on its own as ``test_reference_loop.py``'s loop builds it: torque, losses
-    and power from the machine's four-method chain, every float through
-    ``repr``."""
-    machine = records._machine
+    and power from ``reference_power_terms``, every float through ``repr``."""
+    params = records._machine.params
     lines = [CSV_HEADER]
     for r in records:
         psi, omega_r, i_ds, i_qs = r.psi_dr, r.omega_r, r.i_ds, r.i_qs
-        losses = machine.compute_losses(
-            psi, i_ds, i_qs, machine.electrical_frequency(psi, omega_r, i_qs))
-        t_e = machine.developed_torque(psi, i_qs)
-        p_in = machine.input_power(omega_r, t_e, losses)
+        t_e, *losses, p_in = reference_power_terms(params, psi, omega_r, i_ds, i_qs)
         p_out = r.load_torque * omega_r
         fields = (r.time, r.omega_ref, omega_r, r.i_ds_cmd, r.i_qs_cmd, i_ds, i_qs, psi, t_e,
-                  r.load_torque, *losses[:4], p_in, p_out)
+                  r.load_torque, *losses, p_in, p_out)
         efficiency = repr(p_out / p_in) if p_in > 0.0 else ""
         lines.append(",".join((*map(repr, fields), efficiency, r.mode)))
     return "".join(line + "\n" for line in lines).encode()

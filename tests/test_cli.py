@@ -105,6 +105,19 @@ def test_sweep_marks_infeasible_points(capsys):
     assert "infeasible" in out
 
 
+@pytest.mark.parametrize(
+    "torque, grid, digest",
+    [
+        ("6", "200", "0584695649a6679a224b08a75b3525f48d21fb03f92c7138fdb153c1f781a576"),
+        # infeasible points at the low end of the grid
+        ("18", "50", "614b229ae8f574c483b9e0609b55db3d5718c66cdda78d4212bd7930af23bfa5"),
+    ],
+)
+def test_sweep_output_bytes_are_pinned(capsys, torque, grid, digest):
+    assert main(["sweep", "--speed", "150", "--torque", torque, "--grid", grid]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_sweep_unreachable_point_fails(capsys):
     assert main(["sweep", "--speed", "150", "--torque", "60"]) == 1
     assert "not reachable" in capsys.readouterr().err

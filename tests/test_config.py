@@ -125,6 +125,19 @@ def test_min_excitation_invariant_names_the_key(default_text):
         parse_config(broken)
 
 
+def test_min_excitation_below_the_flux_floor_rejected(default_text):
+    # the search's lowest excitation must hold the flux at or above the floor:
+    # below it a run clamped the flux silently and the sweep failed on it
+    low = default_text.replace("min_excitation_current: 0.5", "min_excitation_current: 0.1")
+    with pytest.raises(ConfigError) as info:
+        parse_config(low)
+    assert info.value.key == "machine.min_excitation_current"
+    assert str(info.value) == (
+        "machine.min_excitation_current: min_excitation_current 0.1 A gives rotor"
+        " flux 0.014 Wb, below the flux floor 0.035 Wb"
+    )
+
+
 def test_missing_rule_is_totality_error(default_text):
     broken = default_text.replace(
         "    - {power: PB, last: P, output: NM}\n", ""

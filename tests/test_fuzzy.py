@@ -225,7 +225,7 @@ def test_estimate_matches_developed_torque_at_steady_state(config):
     i_ds, i_qs = 3.0, 7.0
     psi = params.magnetizing_inductance * i_ds
     assert estimate_torque(params, i_ds, i_qs) == pytest.approx(
-        machine.developed_torque(psi, i_qs), rel=1e-12
+        machine.power_terms(psi, params.rated_speed, i_ds, i_qs)[0], rel=1e-12
     )
 
 

@@ -1,6 +1,7 @@
 """Machine model: parameter invariants, the coupled step's flux and
-mechanical integration against closed forms and against a generic RK4, loss
-formulas, and power bookkeeping."""
+mechanical integration against closed forms and against a generic RK4, and
+``power_terms``' torque, slip, losses and power against hand cases and the
+textbook formulas."""
 
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluxseek.errors import FluxFloorError, NonFiniteError
-from fluxseek.machine import InductionMachine, LossBreakdown, MachineParams
+from fluxseek.machine import InductionMachine, MachineParams
 
-from conftest import reference_step
+from conftest import reference_power_terms, reference_step
 
 
 def build_params(**overrides) -> MachineParams:
@@ -86,13 +87,6 @@ def test_min_excitation_must_be_below_rated():
         build_params(min_excitation_current=5.0)
     with pytest.raises(ValueError, match="min_excitation_current"):
         build_params(min_excitation_current=-1.0)
-
-
-def test_loss_breakdown_total_is_exact_sum():
-    loss = LossBreakdown(stator_copper=1.25, rotor_copper=2.5, iron=3.75, converter=0.5)
-    assert loss.total == 1.25 + 2.5 + 3.75 + 0.5
-    with pytest.raises(ValueError):
-        LossBreakdown(stator_copper=-1.0, rotor_copper=0.0, iron=0.0, converter=0.0)
 
 
 # -- rotor flux ----------------------------------------------------------------
@@ -170,12 +164,15 @@ def test_flux_clamped_at_floor():
 
 
 # -- torque and slip -------------------------------------------------------------
+#
+# power_terms returns (torque, stator copper, rotor copper, iron, converter,
+# input power). Slip shows in the iron loss: it sets the electrical frequency.
 
 
 def test_developed_torque_zero_factors():
+    # zero flux is below the floor, where power_terms raises
     m = InductionMachine(build_params())
-    assert m.developed_torque(0.7, 0.0) == 0.0
-    assert m.developed_torque(0.0, 10.0) == 0.0
+    assert m.power_terms(0.7, 150.0, 5.0, 0.0)[0] == 0.0
 
 
 def test_developed_torque_hand_case():
@@ -188,33 +185,45 @@ def test_developed_torque_hand_case():
     )
     assert p.torque_constant_flux == pytest.approx(1.5, rel=1e-15)
     m = InductionMachine(p)
-    assert m.developed_torque(0.8, 10.0) == pytest.approx(12.0, rel=1e-12)
+    assert m.power_terms(0.8, 150.0, 5.0, 10.0)[0] == pytest.approx(12.0, rel=1e-12)
 
 
 def test_slip_zero_torque_current():
+    # at standstill the electrical frequency is the slip alone
     m = InductionMachine(build_params())
-    assert m.slip_frequency(0.0, 0.7) == 0.0
+    assert m.power_terms(0.7, 0.0, 5.0, 0.0)[3] == 0.0
 
 
 def test_slip_simplifies_at_field_oriented_steady_state():
-    # With Psi = L_m * i_ds and i_qs = i_ds, slip = 1 / tau_r.
-    p = build_params(rotor_inductance=0.147, rotor_resistance=0.735)  # tau_r = 0.2
+    # With Psi = L_m * i_ds and i_qs = i_ds, slip = 1 / tau_r. At standstill
+    # with hysteresis loss only, iron loss is |slip| * Psi^2 W.
+    p = build_params(
+        rotor_inductance=0.147, rotor_resistance=0.735,  # tau_r = 0.2
+        iron_loss_eddy_coeff=0.0, iron_loss_hysteresis_coeff=1.0,
+    )
     assert p.rotor_time_constant == pytest.approx(0.2)
     m = InductionMachine(p)
     i = 4.0
-    assert m.slip_frequency(i, p.magnetizing_inductance * i) == pytest.approx(5.0, rel=1e-12)
+    psi = p.magnetizing_inductance * i
+    assert m.power_terms(psi, 0.0, i, i)[3] == pytest.approx(5.0 * psi * psi, rel=1e-12)
 
 
 def test_slip_errors_below_flux_floor():
     m = InductionMachine(build_params())
+    below = math.nextafter(m.flux_floor, 0.0)
+    with pytest.raises(FluxFloorError) as error:
+        m.power_terms(below, 150.0, 5.0, 12.0)
+    assert str(error.value) == "slip undefined: rotor flux 0.035 below floor 0.035"
     with pytest.raises(FluxFloorError):
-        m.slip_frequency(5.0, 0.0)
+        m.power_terms(0.0, 150.0, 5.0, 0.0)
 
 
 def test_slip_sign_follows_torque_current():
+    # motoring, slip adds to the rotor's electrical frequency; braking, it
+    # subtracts: iron loss grows with the electrical frequency
     m = InductionMachine(build_params())
-    assert m.slip_frequency(3.0, 0.7) > 0.0
-    assert m.slip_frequency(-3.0, 0.7) < 0.0
+    iron = [m.power_terms(0.7, 100.0, 5.0, i_qs)[3] for i_qs in (3.0, 0.0, -3.0)]
+    assert iron[0] > iron[1] > iron[2]
 
 
 # -- mechanics ---------------------------------------------------------------------
@@ -267,132 +276,83 @@ def test_mechanical_rejects_non_finite():
 
 
 def test_losses_at_zero_excitation():
+    # no current at standstill, at the lowest flux allowed
     p = build_params()
     m = InductionMachine(p)
-    loss = m.compute_losses(0.0, 0.0, 0.0, 0.0)
-    assert loss.stator_copper == 0.0
-    assert loss.rotor_copper == 0.0
-    assert loss.iron == 0.0
-    assert loss.converter == p.converter_fixed_loss
-    assert loss.total == p.converter_fixed_loss
+    t_e, stator, rotor, iron, converter, p_in = m.power_terms(m.flux_floor, 0.0, 0.0, 0.0)
+    assert (t_e, stator, rotor, iron) == (0.0, 0.0, 0.0, 0.0)
+    assert converter == p.converter_fixed_loss
+    assert p_in == p.converter_fixed_loss
 
 
 def test_halving_flux_quarters_iron_loss():
-    p = build_params()
-    m = InductionMachine(p)
-    omega_e = 300.0
-    full = m.compute_losses(0.7, 5.0, 12.0, omega_e).iron
-    half = m.compute_losses(0.5 * 0.7, 5.0, 12.0, omega_e).iron
+    # with no torque current, slip is zero and the electrical frequency is
+    # p * omega_r at any flux
+    m = InductionMachine(build_params())
+    full = m.power_terms(0.7, 150.0, 5.0, 0.0)[3]
+    half = m.power_terms(0.5 * 0.7, 150.0, 5.0, 0.0)[3]
     assert half == 0.25 * full
 
 
 def test_losses_hand_sum_at_rated_point():
     # Spreadsheet evaluation of the four formulas at the default rated point:
-    # i_ds = 5, i_qs = 12, Psi = 0.7, omega_e = 2 * 150 + 16 = 316.
-    p = build_params()
-    m = InductionMachine(p)
-    omega_e = 2.0 * 150.0 + 16.0
-    loss = m.compute_losses(0.7, 5.0, 12.0, omega_e)
-    assert loss.stator_copper == pytest.approx(177.45, rel=1e-12)
-    assert loss.rotor_copper == pytest.approx(192.0, rel=1e-12)
-    assert loss.iron == pytest.approx(763.299264, rel=1e-12)
-    assert loss.converter == pytest.approx(55.35, rel=1e-12)
-    assert loss.total == pytest.approx(1188.099264, rel=1e-12)
-
-
-# The telemetry's golden hash depends on the losses' exact arithmetic too: the
-# textbook formulas, written from the parameters and evaluated left to right,
-# must give the same doubles.
-_currents = st.one_of(st.just(0.0), st.floats(-30.0, 30.0))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    stator_resistance=st.floats(0.01, 5.0),
-    rotor_resistance=st.floats(0.01, 5.0),
-    magnetizing_inductance=st.floats(0.01, 1.0),
-    rotor_inductance=st.floats(0.01, 1.0),
-    eddy=st.floats(0.0, 0.1),
-    hysteresis=st.floats(0.0, 5.0),
-    fixed=st.floats(0.0, 100.0),
-    resistive=st.floats(0.0, 1.0),
-    psi=st.floats(0.0, 1.2),
-    i_ds=_currents,
-    i_qs=_currents,
-    omega_e=st.one_of(st.just(0.0), st.floats(-700.0, 700.0)),
-)
-def test_losses_equal_textbook_formulas_bit_for_bit(
-    stator_resistance, rotor_resistance, magnetizing_inductance, rotor_inductance,
-    eddy, hysteresis, fixed, resistive, psi, i_ds, i_qs, omega_e,
-):
-    p = build_params(
-        stator_resistance=stator_resistance, rotor_resistance=rotor_resistance,
-        magnetizing_inductance=magnetizing_inductance, rotor_inductance=rotor_inductance,
-        iron_loss_eddy_coeff=eddy, iron_loss_hysteresis_coeff=hysteresis,
-        converter_fixed_loss=fixed, converter_resistive_coeff=resistive,
-    )
-    i_sq = i_ds * i_ds + i_qs * i_qs
-    ratio = p.magnetizing_inductance / p.rotor_inductance
-    stator = 1.5 * p.stator_resistance * i_sq
-    rotor = 1.5 * p.rotor_resistance * (ratio * ratio) * i_qs * i_qs
-    iron = (p.iron_loss_eddy_coeff * omega_e * omega_e
-            + p.iron_loss_hysteresis_coeff * abs(omega_e)) * (psi * psi)
-    converter = p.converter_fixed_loss + p.converter_resistive_coeff * i_sq
-    expected = (stator, rotor, iron, converter, stator + rotor + iron + converter)
-    got = InductionMachine(p).compute_losses(psi, i_ds, i_qs, omega_e)
-    assert struct.pack("5d", *got) == struct.pack("5d", *expected)
+    # i_ds = 5, i_qs = 12, Psi = 0.7, omega_e = 2 * 150 + 16 = 316, and
+    # torque 24 N m.
+    m = InductionMachine(build_params())
+    t_e, stator, rotor, iron, converter, p_in = m.power_terms(0.7, 150.0, 5.0, 12.0)
+    assert t_e == pytest.approx(24.0, rel=1e-12)
+    assert stator == pytest.approx(177.45, rel=1e-12)
+    assert rotor == pytest.approx(192.0, rel=1e-12)
+    assert iron == pytest.approx(763.299264, rel=1e-12)
+    assert converter == pytest.approx(55.35, rel=1e-12)
+    assert p_in == pytest.approx(24.0 * 150.0 + 1188.099264, rel=1e-12)
 
 
 def test_iron_loss_strictly_decreasing_in_flux():
     m = InductionMachine(build_params())
-    omega_e = 316.0
-    values = [m.compute_losses(psi, 5.0, 12.0, omega_e).iron for psi in (0.7, 0.5, 0.3, 0.1)]
+    values = [m.power_terms(psi, 150.0, 5.0, 12.0)[3] for psi in (0.7, 0.5, 0.3, 0.1)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_copper_loss_strictly_increasing_in_torque_current():
     m = InductionMachine(build_params())
-    losses = [
-        m.compute_losses(0.7, 5.0, i_qs, 316.0) for i_qs in (1.0, 3.0, 9.0, 15.0)
-    ]
-    copper = [l.stator_copper + l.rotor_copper for l in losses]
+    terms = [m.power_terms(0.7, 150.0, 5.0, i_qs) for i_qs in (1.0, 3.0, 9.0, 15.0)]
+    copper = [t[1] + t[2] for t in terms]
     assert all(a < b for a, b in zip(copper, copper[1:]))
 
 
 def test_input_power_cases():
     m = InductionMachine(build_params())
-    zero = LossBreakdown(0.0, 0.0, 0.0, 0.0)
-    assert m.input_power(0.0, 0.0, zero) == 0.0
-    # shaft 1000 W + losses 400 W
-    loss = LossBreakdown(100.0, 100.0, 100.0, 100.0)
-    assert m.input_power(100.0, 10.0, loss) == 1400.0
+    # at standstill the input power is the losses alone
+    t_e, *losses, p_in = m.power_terms(0.7, 0.0, 5.0, 12.0)
+    assert t_e > 0.0 and p_in == sum(losses)
+    # turning backwards against the torque, the shaft returns more than the
+    # losses take
+    assert m.power_terms(0.7, -150.0, 5.0, 10.0)[5] < 0.0
 
 
 def test_energy_bookkeeping_is_exact():
     m = InductionMachine(build_params())
     psi, omega, i_ds, i_qs = make_state()
-    loss = m.compute_losses(psi, i_ds, i_qs, 316.0)
-    t_e = m.developed_torque(psi, i_qs)
-    p_in = m.input_power(omega, t_e, loss)
-    assert p_in - t_e * omega - loss.total == 0.0
+    t_e, stator, rotor, iron, converter, p_in = m.power_terms(psi, omega, i_ds, i_qs)
+    assert p_in - t_e * omega - (stator + rotor + iron + converter) == 0.0
 
 
-def _power_chain(m: InductionMachine, psi, omega_r, i_ds, i_qs) -> tuple:
-    """The four-method chain ``power_terms`` flattens, in its order."""
-    omega_e = m.electrical_frequency(psi, omega_r, i_qs)
-    losses = m.compute_losses(psi, i_ds, i_qs, omega_e)
-    t_e = m.developed_torque(psi, i_qs)
-    return (t_e, *losses[:4], m.input_power(omega_r, t_e, losses))
+def test_negative_loss_rejected():
+    # a machine built in code may have a negative fixed converter loss
+    m = InductionMachine(build_params(converter_fixed_loss=-100.0))
+    with pytest.raises(ValueError) as error:
+        m.power_terms(m.flux_floor, 0.0, 0.0, 0.0)
+    assert str(error.value) == (
+        "losses must be >= 0: stator_copper=0.0, rotor_copper=0.0, iron=0.0, converter=-100.0"
+    )
 
 
-def _outcome(compute, *args):
-    """The result's bits, as 0.0 == -0.0, or the error's type and message."""
-    try:
-        return struct.pack("6d", *compute(*args))
-    except (FluxFloorError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
+# The telemetry's golden hash depends on the exact arithmetic of torque,
+# losses and power: the conftest's reference_power_terms, the textbook
+# formulas written from the parameters and evaluated left to right, must give
+# the same doubles, and power_terms raises exactly below the flux floor and on
+# a negative loss.
 _signed_zero = st.sampled_from((0.0, -0.0))
 
 
@@ -422,7 +382,7 @@ def _fluxes(draw, floor):
     i_qs=st.one_of(_signed_zero, st.floats(-30.0, 30.0)),
     omega_r=st.one_of(_signed_zero, st.floats(-400.0, 400.0)),
 )
-def test_power_terms_equal_the_four_method_chain_bit_for_bit(
+def test_losses_equal_textbook_formulas_bit_for_bit(
     stator_resistance, rotor_resistance, magnetizing_inductance, rotor_inductance,
     pole_pairs, eddy, hysteresis, fixed, resistive, data, i_ds, i_qs, omega_r,
 ):
@@ -434,22 +394,16 @@ def test_power_terms_equal_the_four_method_chain_bit_for_bit(
     )
     m = InductionMachine(p)
     psi = data.draw(_fluxes(p.flux_floor), label="psi")
-    args = (psi, omega_r, i_ds, i_qs)
-    assert _outcome(m.power_terms, *args) == _outcome(_power_chain, m, *args)
-
-
-def test_power_terms_raise_as_the_chain_does():
-    m = InductionMachine(build_params(converter_fixed_loss=-100.0))
-    floor = m.flux_floor
-    for args, error in (
-        ((math.nextafter(floor, 0.0), 150.0, 5.0, 12.0), FluxFloorError),
-        ((floor, 150.0, 0.0, 0.0), ValueError),  # converter loss -100 W
-    ):
-        with pytest.raises(error) as got:
-            m.power_terms(*args)
-        with pytest.raises(error) as expected:
-            _power_chain(m, *args)
-        assert str(got.value) == str(expected.value)
+    expected = reference_power_terms(p, psi, omega_r, i_ds, i_qs)
+    if psi < p.flux_floor:
+        with pytest.raises(FluxFloorError):
+            m.power_terms(psi, omega_r, i_ds, i_qs)
+    elif min(expected[1:5]) < 0.0:
+        with pytest.raises(ValueError, match="^losses must be >= 0"):
+            m.power_terms(psi, omega_r, i_ds, i_qs)
+    else:
+        # bits, not ==: 0.0 == -0.0
+        assert bits(m.power_terms(psi, omega_r, i_ds, i_qs)) == bits(expected)
 
 
 # -- coupled step ----------------------------------------------------------------------

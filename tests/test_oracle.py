@@ -8,6 +8,8 @@ import pytest
 from fluxseek.harness.oracle import oracle_sweep, steady_state_point
 from fluxseek.machine import InductionMachine
 
+from conftest import reference_power_terms
+
 
 def test_single_point_grid_returns_rated(config):
     result = oracle_sweep(150.0, 6.0, 1, config)
@@ -51,8 +53,13 @@ def test_infeasible_points_marked_and_excluded(config):
     result = oracle_sweep(150.0, 18.0, 200, config)
     infeasible = [p for p in result.points if not p.feasible]
     assert infeasible
-    assert all(abs(p.i_qs) > config.machine.max_torque_current for p in infeasible)
-    assert all(p.losses is None for p in infeasible)
+    m = config.machine
+    t_e = 18.0 + m.friction * 150.0
+    assert all(
+        abs(t_e / (m.torque_constant_flux * (m.magnetizing_inductance * p.i_ds)))
+        > m.max_torque_current for p in infeasible
+    )
+    assert all(p.input_power == float("inf") for p in infeasible)
     assert result.best_i_ds not in {p.i_ds for p in infeasible}
 
 
@@ -77,15 +84,16 @@ def test_operating_point_must_be_finite(config, bad):
 
 
 def test_steady_state_point_covers_friction(config):
-    machine = InductionMachine(config.machine)
-    point = steady_state_point(machine, 150.0, 6.0, 5.0)
-    t_e = 6.0 + config.machine.friction * 150.0
-    assert point.i_qs == pytest.approx(
-        t_e / (config.machine.torque_constant_flux * point.rotor_flux), rel=1e-12
-    )
-    assert point.input_power == pytest.approx(
-        t_e * 150.0 + point.losses.total, rel=1e-12
-    )
+    # the point recomputed from i_ds: flux L_m * i_ds, the torque current that
+    # covers load plus friction, and the shaft power of that torque
+    p = config.machine
+    point = steady_state_point(InductionMachine(p), 150.0, 6.0, 5.0)
+    t_e = 6.0 + p.friction * 150.0
+    psi = p.magnetizing_inductance * 5.0
+    i_qs = t_e / (p.torque_constant_flux * psi)
+    _, stator, rotor, iron, converter, _ = reference_power_terms(p, psi, 150.0, 5.0, i_qs)
+    assert point.feasible
+    assert point.input_power == t_e * 150.0 + (stator + rotor + iron + converter)
 
 
 def test_oracle_curve_is_convex_around_minimum(config):

@@ -1,9 +1,9 @@
 """``simulate`` against a plain reference loop: every step computed by the
-cache-free ``reference_step``, the profile looked up on each step, and the
-supervisor's steady counter and sample timer advanced on every step, as the
-rules read. The runner's hold, jumps over held stretches, command schedule
-and event-driven supervisor, and the machine step's d-axis lag cache, must
-change no output bit."""
+cache-free ``reference_step``, losses and power by ``reference_power_terms``,
+the profile looked up on each step, and the supervisor's steady counter and
+sample timer advanced on every step, as the rules read. The runner's hold,
+jumps over held stretches, command schedule and event-driven supervisor, and
+the machine step's d-axis lag cache, must change no output bit."""
 
 from __future__ import annotations
 
@@ -16,17 +16,15 @@ from hypothesis import strategies as st
 from fluxseek.compensator import TorqueCompensator
 from fluxseek.harness.runner import CSV_HEADER, simulate
 from fluxseek.harness.scenario import Scenario
-from fluxseek.machine import InductionMachine
 from fluxseek.optimizer import DriveMode, SearchState, search_sample
 
-from conftest import csv_bytes, reference_step, speed_pi_step
+from conftest import csv_bytes, reference_power_terms, reference_step, speed_pi_step
 
 
 def reference_run(scenario: Scenario, config, decimation: int):
     """The telemetry CSV bytes, the sample count, the final convergence flag,
     and the sample count and time at first convergence."""
     p = config.machine
-    machine = InductionMachine(p)
     settings_ = config.search
     ctrl = config.controller()
     dt = scenario.dt
@@ -72,9 +70,7 @@ def reference_run(scenario: Scenario, config, decimation: int):
                     timer -= settings_.search_period
                     sample = True
         if sample:
-            losses = machine.compute_losses(
-                psi, i_ds, i_qs, machine.electrical_frequency(psi, omega_r, i_qs))
-            p_d = machine.input_power(omega_r, machine.developed_torque(psi, i_qs), losses)
+            p_d = reference_power_terms(p, psi, omega_r, i_ds, i_qs)[5]
             comp_now = comp.output(psi, t) if comp is not None else 0.0
             iqs_now = min(max(iqs_pi + comp_now, -limit), limit)
             search, i_ds_cmd = search_sample(
@@ -91,13 +87,10 @@ def reference_run(scenario: Scenario, config, decimation: int):
             p, psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt)
         time += dt
         if (k + 1) % decimation == 0:
-            losses = machine.compute_losses(
-                psi, i_ds, i_qs, machine.electrical_frequency(psi, omega_r, i_qs))
-            t_e = machine.developed_torque(psi, i_qs)
-            p_in = machine.input_power(omega_r, t_e, losses)
+            t_e, *losses, p_in = reference_power_terms(p, psi, omega_r, i_ds, i_qs)
             p_out = t_load * omega_r
             fields = (time, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_e,
-                      t_load, *losses[:4], p_in, p_out)
+                      t_load, *losses, p_in, p_out)
             efficiency = repr(p_out / p_in) if p_in > 0.0 else ""
             lines.append(",".join((*map(repr, fields), efficiency, search.mode)))
     text = "".join(line + "\n" for line in lines).encode()

@@ -97,12 +97,12 @@ def test_steady_state_matches_algebraic_solution(config):
     last = result.records[-1]
 
     p = config.machine
-    machine = InductionMachine(p)
     t_e = 6.0 + p.friction * 150.0
     psi = p.rated_flux
     i_qs = t_e / (p.torque_constant_flux * psi)
     i_ds = p.rated_excitation_current
-    omega_e = p.pole_pairs * 150.0 + machine.slip_frequency(i_qs, psi)
+    slip = p.magnetizing_inductance * i_qs / (p.rotor_time_constant * psi)
+    omega_e = p.pole_pairs * 150.0 + slip
     copper_s = 1.5 * p.stator_resistance * (i_ds**2 + i_qs**2)
     copper_r = 1.5 * p.rotor_resistance * (p.magnetizing_inductance / p.rotor_inductance) ** 2 * i_qs**2
     iron = (p.iron_loss_eddy_coeff * omega_e**2 + p.iron_loss_hysteresis_coeff * omega_e) * psi**2
@@ -473,8 +473,9 @@ def test_packed_records_read_as_a_sequence_of_records(config):
         assert records.column(name, 990).tolist() == [getattr(r, name) for r in rows[990:]]
     with pytest.raises(ValueError, match="'p_out' is not a stored field"):
         records.column("p_out")
-    assert result == simulate(config.scenario("short-demo"), config)
-    assert result != simulate(config.scenario("short-demo"), config, decimation=5)
+    text = csv_bytes(records)
+    assert csv_bytes(simulate(config.scenario("short-demo"), config).records) == text
+    assert csv_bytes(simulate(config.scenario("short-demo"), config, decimation=5).records) != text
 
 
 def test_regenerating_rows_have_no_efficiency(config):
@@ -558,25 +559,6 @@ def test_text_reuse_tells_the_signs_of_shared_fields(config):
     )
     records = _packed(config, *states, modes=[0] * (len(states) - 1) + [1])
     assert csv_bytes(records) == reference_csv(records)
-
-
-def test_packed_records_equality_compares_bits(config):
-    # 0.0 == -0.0, but rows that differ in a zero's sign are different rows;
-    # rows computed by another machine are different rows; a PackedRecords
-    # equals no tuple
-    machine = InductionMachine(config.machine)
-
-    def packed(i_qs_cmd, mode=0, machine=machine):
-        row = [0.5] * 4 + [i_qs_cmd] + [0.5] * 4
-        return PackedRecords(array("d", row), bytearray((mode,)), machine)
-
-    assert packed(0.0) == packed(0.0) and packed(-0.0) == packed(-0.0)
-    assert packed(0.0) != packed(-0.0)
-    assert packed(0.0) != packed(0.0, mode=1)
-    assert packed(0.0) == packed(0.0, machine=InductionMachine(config.machine))
-    resistive = dataclasses.replace(config.machine, stator_resistance=2 * config.machine.stator_resistance)
-    assert packed(0.0) != packed(0.0, machine=InductionMachine(resistive))
-    assert packed(0.0) != tuple(packed(0.0))
 
 
 def test_hot_readers_build_no_records(config, monkeypatch):
