@@ -351,8 +351,46 @@ def test_negative_loss_rejected():
 # The telemetry's golden hash depends on the exact arithmetic of torque,
 # losses and power: the conftest's reference_power_terms, the textbook
 # formulas written from the parameters and evaluated left to right, must give
-# the same doubles, and power_terms raises exactly below the flux floor and on
-# a negative loss.
+# the same doubles.
+_currents = st.one_of(st.just(0.0), st.floats(-30.0, 30.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    stator_resistance=st.floats(0.01, 5.0),
+    rotor_resistance=st.floats(0.01, 5.0),
+    magnetizing_inductance=st.floats(0.01, 1.0),
+    rotor_inductance=st.floats(0.01, 1.0),
+    eddy=st.floats(0.0, 0.1),
+    hysteresis=st.floats(0.0, 5.0),
+    fixed=st.floats(0.0, 100.0),
+    resistive=st.floats(0.0, 1.0),
+    data=st.data(),
+    i_ds=_currents,
+    i_qs=_currents,
+    omega_r=st.one_of(st.just(0.0), st.floats(-350.0, 350.0)),
+)
+def test_losses_equal_textbook_formulas_bit_for_bit(
+    stator_resistance, rotor_resistance, magnetizing_inductance, rotor_inductance,
+    eddy, hysteresis, fixed, resistive, data, i_ds, i_qs, omega_r,
+):
+    p = build_params(
+        stator_resistance=stator_resistance, rotor_resistance=rotor_resistance,
+        magnetizing_inductance=magnetizing_inductance, rotor_inductance=rotor_inductance,
+        iron_loss_eddy_coeff=eddy, iron_loss_hysteresis_coeff=hysteresis,
+        converter_fixed_loss=fixed, converter_resistive_coeff=resistive,
+    )
+    psi = data.draw(st.floats(p.flux_floor, 1.2), label="psi")
+    expected = reference_power_terms(p, psi, omega_r, i_ds, i_qs)
+    got = InductionMachine(p).power_terms(psi, omega_r, i_ds, i_qs)
+    assert struct.pack("4d", *got[1:5]) == struct.pack("4d", *expected[1:5])
+
+
+# The whole of power_terms against the chain it flattens: electrical
+# frequency, then the four losses, the torque and the input power, as
+# reference_power_terms evaluates them in turn, over pole pairs, signed zeros,
+# fluxes at the floor and negative fixed losses. Below the floor and on a
+# negative loss, power_terms raises.
 _signed_zero = st.sampled_from((0.0, -0.0))
 
 
@@ -382,7 +420,7 @@ def _fluxes(draw, floor):
     i_qs=st.one_of(_signed_zero, st.floats(-30.0, 30.0)),
     omega_r=st.one_of(_signed_zero, st.floats(-400.0, 400.0)),
 )
-def test_losses_equal_textbook_formulas_bit_for_bit(
+def test_power_terms_equal_the_four_method_chain_bit_for_bit(
     stator_resistance, rotor_resistance, magnetizing_inductance, rotor_inductance,
     pole_pairs, eddy, hysteresis, fixed, resistive, data, i_ds, i_qs, omega_r,
 ):
