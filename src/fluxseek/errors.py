@@ -27,10 +27,6 @@ class InferenceError(FluxseekError):
     coverage check; raised only to surface a defect."""
 
 
-class SearchModeError(FluxseekError):
-    """A search operation was invoked outside its valid drive mode."""
-
-
 class SimulationDivergedError(FluxseekError):
     """The closed-loop integration produced a non-finite state. Carries the
     failing step's index, the last finite state it started from, and the

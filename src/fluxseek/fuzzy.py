@@ -10,6 +10,7 @@ condition: equal per-unit inputs produce equal per-unit outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InferenceError
@@ -109,11 +110,20 @@ class FuzzyRuleBase:
         if missing:
             raise ValueError(f"rule table not total, missing antecedents: {missing}")
 
-        # Every point of [-1, 1] must fire at least one power-change set.
-        for i in range(201):
-            x = -1.0 + i / 100.0
-            if not any(s.degree(x) > 0.0 for s in self.power_change_sets):
-                raise ValueError(f"power_change sets leave {x:.2f} uncovered")
+        # Every point of [-1, 1] must fire at least one power-change set. A set
+        # fires on the open interval between its feet, a shoulder reaching
+        # outward without end; x is the least point not yet shown to fire one.
+        supports = [
+            (-math.inf if s.left_foot == s.center else s.left_foot,
+             math.inf if s.right_foot == s.center else s.right_foot)
+            for s in self.power_change_sets
+        ]
+        x = -1.0
+        while x <= 1.0:
+            reach = max((right for left, right in supports if left < x), default=x)
+            if reach <= x:
+                raise ValueError(f"power_change sets leave {x!r} uncovered")
+            x = reach
 
         neg = min(self.last_action_sets, key=lambda s: s.center)
         pos = max(self.last_action_sets, key=lambda s: s.center)

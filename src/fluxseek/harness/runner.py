@@ -10,7 +10,8 @@ search, ``TorqueCompensator.output``.
 
 The supervisor runs on events (see ``optimizer``): an ordinary step only tests
 the speed error against the band, and the steps of search entry and of each
-sample are known ahead of time.
+sample are known ahead of time. The loop's ``searching`` flag is the drive
+mode's only record; entry and abandon each start a fresh ``SearchState``.
 
 Rows are packed: each row's 9 state floats (time, commands, currents, flux and
 load) go into one ``array("d")`` and its mode into a byte, so a per-step run
@@ -44,14 +45,7 @@ from typing import NamedTuple
 from ..compensator import TorqueCompensator
 from ..errors import NonFiniteError, SimulationDivergedError
 from ..machine import InductionMachine
-from ..optimizer import (
-    DriveMode,
-    SearchState,
-    next_sample,
-    search_sample,
-    steady_entry,
-    update_mode,
-)
+from ..optimizer import SearchState, next_sample, search_sample
 from .config import DriveConfig, check_search_speeds, check_step_size
 from .scenario import Scenario
 
@@ -89,7 +83,7 @@ class TelemetryRecord(NamedTuple):
 # after time, and the mode as a byte indexing _MODES
 _STATE = (*TelemetryRecord._fields[:8], "load_torque")
 _WIDTH = len(_STATE)
-_MODES = (DriveMode.TRANSIENT_RATED_FLUX, DriveMode.STEADY_SEARCH)
+_MODES = ("transient", "search")
 _ROW = struct.Struct(f"{_WIDTH}d")  # native doubles, as in the array
 
 
@@ -204,9 +198,10 @@ def simulate(
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
     fixed = False  # the last computed step left its state unchanged
-    # the supervisor's events: in the search, the next sample's step and the
-    # search time it leaves over; in transient, while the speed error stays
-    # in the band, the step the search is entered on, else -1
+    # the drive mode, and the supervisor's events: in the search, the next
+    # sample's step and the search time it leaves over; in transient, while
+    # the speed error stays in the band, the step the search is entered on,
+    # else -1
     searching = False
     sample_step = n_steps
     timer = 0.0
@@ -229,7 +224,7 @@ def simulate(
             in_band = neg_tolerance <= error <= tolerance  # abs(error) <= tolerance
             if searching:
                 if command_changed or not in_band:
-                    update_mode(search, settings, error, command_changed)
+                    search = SearchState()
                     searching = hold = False
                     i_ds_cmd = i_ds_rated
                     if comp is not None:
@@ -241,9 +236,9 @@ def simulate(
                 entry = -1
             else:
                 if entry < 0:
-                    entry = steady_entry(k, settings)
+                    entry = k + settings.steady_steps - 1
                 if k == entry:
-                    update_mode(search, settings, error, command_changed)
+                    search = SearchState()
                     searching = True
                     hold = False
                     entry = -1
@@ -293,7 +288,7 @@ def simulate(
             p_d = machine.power_terms(psi, omega_r, i_ds, i_qs)[5]
             comp_now = comp.output(psi, t) if comp is not None else 0.0
             iqs_cmd_now = min(max(iqs_pi + comp_now, -i_qs_max), i_qs_max)
-            search, i_ds_cmd = search_sample(
+            i_ds_cmd = search_sample(
                 search, settings, ctrl, p_d, omega_r, i_ds_cmd, iqs_cmd_now
             )
             sample_count += 1

@@ -7,27 +7,19 @@ small band long enough, the supervisor samples dc-link power on a slow period
 and walks the excitation command toward minimum input power; any speed or
 load command change abandons the search immediately and clears its history.
 
-The supervisor runs on events, not on every step. Between them the only rule
-is the band test ``abs(error) <= steady_speed_tolerance``. ``steady_entry``
-gives the step the search is entered on, ``next_sample`` the step of the next
-power sample, and ``update_mode`` changes the mode on the steps where it can
-change.
+The runner owns the drive mode and runs the supervisor on events, not on
+every step. Between them the only rule is the band test
+``abs(error) <= steady_speed_tolerance``; the search is entered on the
+``steady_steps``-th consecutive in-band step, and ``next_sample`` gives the
+step of the next power sample. Entering and abandoning the search each start
+a fresh ``SearchState``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import SearchModeError
 from .fuzzy import EfficiencyController, efficiency_step
-
-
-class DriveMode:
-    """The drive's two positions, as the strings telemetry rows carry; a
-    ``SearchState.mode`` holds only these two objects, so ``is`` compares."""
-
-    TRANSIENT_RATED_FLUX = "transient"
-    STEADY_SEARCH = "search"
 
 
 @dataclass(frozen=True)
@@ -45,51 +37,14 @@ class SearchSettings:
 
 @dataclass
 class SearchState:
-    """Mutable supervisor state, owned and advanced by one simulation loop."""
+    """Mutable state of one search, from its entry on; owned and advanced by
+    one simulation loop."""
 
-    mode: str = DriveMode.TRANSIENT_RATED_FLUX
     previous_power: float | None = None
     last_di_ds: float = 0.0
     converged: bool = False
     convergence_counter: int = 0
     awaiting_first_step: bool = field(default=False, repr=False)
-
-    def _enter(self, mode: str) -> None:
-        self.mode = mode
-        self.previous_power = None
-        self.last_di_ds = 0.0
-        self.converged = False
-        self.convergence_counter = 0
-        self.awaiting_first_step = False
-
-
-def update_mode(
-    state: SearchState,
-    settings: SearchSettings,
-    speed_error: float,
-    command_changed: bool,
-) -> SearchState:
-    """Change the mode on a step where it can change.
-
-    In the search, a command change or a speed error outside the band
-    abandons it to the rated-flux transient position with cleared history.
-    In transient, the step is ``steady_entry``'s: the error has stayed in the
-    band, without a command change, for ``steady_steps`` steps, and the
-    search is entered.
-    """
-    in_band = abs(speed_error) <= settings.steady_speed_tolerance
-    if command_changed or not in_band:
-        state._enter(DriveMode.TRANSIENT_RATED_FLUX)
-    elif state.mode is DriveMode.TRANSIENT_RATED_FLUX:
-        state._enter(DriveMode.STEADY_SEARCH)
-    return state
-
-
-def steady_entry(first_in_band: int, settings: SearchSettings) -> int:
-    """The step the search is entered on when the speed error is in the band,
-    without a command change, on every step from ``first_in_band`` on: the
-    ``steady_steps``-th such step."""
-    return first_in_band + settings.steady_steps - 1
 
 
 def next_sample(
@@ -122,10 +77,11 @@ def search_sample(
     omega_r: float,
     i_ds_cmd: float,
     i_qs_cmd: float,
-) -> tuple[SearchState, float]:
-    """One slow-period power sample; returns the new excitation command.
+) -> float:
+    """One slow-period power sample: advances ``state`` and returns the new
+    excitation command.
 
-    The first sample after mode entry only primes the power memory (the power
+    The first sample after search entry only primes the power memory (the power
     increment is undefined without a predecessor). The next sample launches
     the search with the configured exploratory decrement; after that, steps
     come from the fuzzy controller. The recorded last step is the applied,
@@ -138,12 +94,10 @@ def search_sample(
     tail keeps a tiny nonzero step, so sustained power drift re-arms stepping
     within a few samples as the memory regrows.
     """
-    if state.mode is not DriveMode.STEADY_SEARCH:
-        raise SearchModeError("search_sample called outside SteadySearch mode")
     if state.previous_power is None:
         state.previous_power = p_d
         state.awaiting_first_step = True
-        return state, i_ds_cmd
+        return i_ds_cmd
 
     i_b = ctrl.output_base(omega_r, i_ds_cmd, i_qs_cmd)
     if state.awaiting_first_step:
@@ -166,4 +120,4 @@ def search_sample(
     else:
         state.convergence_counter = 0
     state.converged = state.convergence_counter >= settings.convergence_samples
-    return state, new_cmd
+    return new_cmd

@@ -1,8 +1,8 @@
 """Shared fixtures: the default configuration and the paired part-load runs
 that back both the report tests and the acceptance suite; the reference speed
 PI, machine step and power terms, a generic RK4; the telemetry CSV as bytes or
-as its SHA-256; and the CSV that rows must give, built line by line without
-the writer."""
+as its SHA-256; the CSV that rows must give, built line by line without the
+writer; and a run's energy ledger."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import io
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -166,6 +167,45 @@ def reference_csv(records) -> bytes:
         efficiency = repr(p_out / p_in) if p_in > 0.0 else ""
         lines.append(",".join((*map(repr, fields), efficiency, r.mode)))
     return "".join(line + "\n" for line in lines).encode()
+
+
+class EnergyLedger(NamedTuple):
+    """Where a run's input energy went, in joules."""
+
+    energy_in: float      # the integral of p_in
+    stator_copper: float  # the four loss energies
+    rotor_copper: float
+    iron: float
+    converter: float
+    load_work: float      # the integral of T_load * omega
+    friction: float       # the integral of B * omega**2
+    kinetic: float        # the change in J * omega**2 / 2
+    residual: float       # energy_in less all of the above
+
+
+def energy_ledger(records) -> EnergyLedger:
+    """The energy ledger of a run's rows, integrated by trapezoids from the
+    pre-magnetised standstill state (rated flux and excitation, shaft at rest)
+    at time 0. ``machine.step`` integrates J dω/dt = T_e - T_load - Bω, and
+    p_in is T_e ω plus the losses, so the residual is the integration error
+    alone: small for rows every step, and growing where a row pair spans a
+    load step."""
+    machine = records._machine
+    p = machine.params
+    rated = p.rated_excitation_current
+    _, *losses, p_in = machine.power_terms(p.rated_flux, 0.0, rated, 0.0)
+    # the integrands: p_in, the four losses, load power and friction power
+    before = (0.0, (p_in, *losses, 0.0, 0.0))
+    totals = [0.0] * 7
+    for r in records:
+        omega = r.omega_r
+        now = (r.time, (r.p_in, r.loss_stator_copper, r.loss_rotor_copper, r.loss_iron,
+                        r.loss_converter, r.load_torque * omega, p.friction * omega * omega))
+        half = 0.5 * (now[0] - before[0])
+        totals = [total + half * (a + b) for total, a, b in zip(totals, before[1], now[1])]
+        before = now
+    kinetic = 0.5 * p.inertia * omega * omega if records else 0.0
+    return EnergyLedger(*totals, kinetic, totals[0] - sum(totals[1:]) - kinetic)
 
 
 @dataclass(frozen=True)

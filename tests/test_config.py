@@ -138,6 +138,23 @@ def test_min_excitation_below_the_flux_floor_rejected(default_text):
     )
 
 
+def test_power_change_gap_between_grid_points_rejected(default_text):
+    # ZE ends at 0.004 and PS starts at 0.006: no power-change set fires in
+    # between, where height defuzzification would find no rule fired
+    gap = default_text.replace(
+        "{label: ZE, left: -0.3333333333333333, center: 0.0, right: 0.3333333333333333}",
+        "{label: ZE, left: -0.3333333333333333, center: 0.0, right: 0.004}",
+    ).replace(
+        "{label: PS, left: 0.0, center: 0.3333333333333333, right: 0.6666666666666666}",
+        "{label: PS, left: 0.006, center: 0.3333333333333333, right: 0.6666666666666666}",
+    )
+    assert "center: 0.0, right: 0.004}" in gap and "{label: PS, left: 0.006," in gap
+    with pytest.raises(ConfigError) as info:
+        parse_config(gap)
+    assert info.value.key == "fuzzy.power_change"
+    assert str(info.value) == "fuzzy.power_change: power_change sets leave 0.004 uncovered"
+
+
 def test_missing_rule_is_totality_error(default_text):
     broken = default_text.replace(
         "    - {power: PB, last: P, output: NM}\n", ""

@@ -138,6 +138,31 @@ def test_coverage_gap_rejected(rulebase):
         )
 
 
+@pytest.mark.parametrize(
+    "changes,uncovered",
+    [
+        # two feet meet: their common point fires neither set
+        ({"ZE": {"right_foot": 0.005}, "PS": {"left_foot": 0.005}}, 0.005),
+        # a gap between the points of a 0.01 grid
+        ({"ZE": {"right_foot": 0.004}, "PS": {"left_foot": 0.006}}, 0.004),
+        # PB reaches the end of the universe only as a shoulder
+        ({"PB": {"center": 0.8}}, 1.0),
+    ],
+)
+def test_coverage_checked_exactly_at_the_feet(rulebase, changes, uncovered):
+    sets = {s.label: s for s in rulebase.power_change_sets}
+    for label, fields in changes.items():
+        sets[label] = dataclasses.replace(sets[label], **fields)
+    assert not any(s.degree(uncovered) for s in sets.values())
+    with pytest.raises(ValueError, match=f"leave {uncovered!r} uncovered"):
+        FuzzyRuleBase(
+            power_change_sets=tuple(sets.values()),
+            last_action_sets=rulebase.last_action_sets,
+            output_sets=rulebase.output_sets,
+            rules=rulebase.rules,
+        )
+
+
 def test_last_action_overlap_required(rulebase):
     gap = (
         MembershipFunction("N", -0.5, -0.5, -0.01),

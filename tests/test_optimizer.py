@@ -1,5 +1,5 @@
-"""Search supervisor: mode machine and its event steps, sample priming,
-clamping, convergence."""
+"""Search supervisor: its per-step rules on ``simulate``'s mode column, the
+sample steps, sample priming, clamping, convergence."""
 
 from __future__ import annotations
 
@@ -10,18 +10,10 @@ from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from fluxseek.errors import SearchModeError
 from fluxseek.fuzzy import EfficiencyController, estimate_torque, output_gain
 from fluxseek.harness.runner import simulate
-from fluxseek.harness.scenario import constant_scenario
-from fluxseek.optimizer import (
-    DriveMode,
-    SearchState,
-    next_sample,
-    search_sample,
-    steady_entry,
-    update_mode,
-)
+from fluxseek.harness.scenario import Scenario, constant_scenario
+from fluxseek.optimizer import SearchState, next_sample, search_sample
 
 
 @pytest.fixture(scope="module")
@@ -34,36 +26,27 @@ def controller(config):
     return EfficiencyController(config.rulebase, config.gains, config.machine)
 
 
-def searching_state(**overrides) -> SearchState:
-    state = SearchState(mode=DriveMode.STEADY_SEARCH)
-    for key, value in overrides.items():
-        setattr(state, key, value)
-    return state
-
-
 def i_b_at(controller, omega, i_ds, i_qs) -> float:
     return output_gain(
         controller.gains, omega, estimate_torque(controller.params, i_ds, i_qs)
     )
 
 
-# -- mode machine -----------------------------------------------------------------
+# -- the mode, per step --------------------------------------------------------------
 
 
-def test_command_change_abandons_search(settings):
-    state = searching_state(previous_power=1500.0, last_di_ds=-0.2, converged=True)
-    update_mode(state, settings, 0.0, command_changed=True)
-    assert state.mode is DriveMode.TRANSIENT_RATED_FLUX
-    assert state.last_di_ds == 0.0
-    assert state.previous_power is None
-    assert not state.converged
-
-
-def test_large_speed_error_abandons_search(settings):
-    state = searching_state(previous_power=1500.0, last_di_ds=-0.2)
-    update_mode(state, settings, 2.0 * settings.steady_speed_tolerance, False)
-    assert state.mode is DriveMode.TRANSIENT_RATED_FLUX
-    assert state.last_di_ds == 0.0
+def _per_step(scenario, config):
+    """A run's rows at decimation 1, and for each step its mode, whether the
+    speed error it started from was in the band, and whether a speed or load
+    command changed on it."""
+    records = simulate(scenario, config, decimation=1).records
+    tolerance = config.search.steady_speed_tolerance
+    commands = list(zip(records.column("omega_ref"), records.column("load_torque")))
+    # a row's speed is the one after its step; the first step starts at rest
+    omega = (0.0, *records.column("omega_r"))
+    in_band = [abs(ref - w) <= tolerance for (ref, _), w in zip(commands, omega)]
+    changed = [False] + [a != b for a, b in zip(commands, commands[1:])]
+    return records, [r.mode for r in records], in_band, changed
 
 
 def _entry_by_counting(in_band: list[bool], steady_steps: int) -> int | None:
@@ -77,29 +60,62 @@ def _entry_by_counting(in_band: list[bool], steady_steps: int) -> int | None:
     return None
 
 
-def test_exactly_n_steady_steps_enter_search(settings):
-    n = settings.steady_steps
-    assert steady_entry(0, settings) == _entry_by_counting([True] * (n + 5), n) == n - 1
-    assert steady_entry(37, settings) == 37 + n - 1
-    # update_mode on the entry step enters the search with cleared history
-    state = SearchState()
-    update_mode(state, settings, 0.0, False)
-    assert state.mode is DriveMode.STEADY_SEARCH
-    assert state.last_di_ds == 0.0
-    assert state.previous_power is None
+@pytest.fixture(scope="module")
+def tight_band(config):
+    """A 0.05 rad/s band and no compensator: the settling speed passes through
+    the band for one step before it stays, and each search step's torque dip
+    takes the speed out of the band."""
+    cfg = dataclasses.replace(
+        config, search=dataclasses.replace(config.search, steady_speed_tolerance=0.05))
+    scenario = constant_scenario("tight", 3.0, 1e-3, 150.0, 6.0, compensator_enabled=False)
+    return cfg, _per_step(scenario, cfg)
 
 
-def test_counter_resets_when_error_leaves_band(settings):
+def test_command_change_abandons_search(config):
+    scenario = Scenario("abandon", 3.0, 1e-3, ((0.0, 150.0),), ((0.0, 6.0), (2.0, 9.0)))
+    records, modes, in_band, changed = _per_step(scenario, config)
+    k = changed.index(True)
+    assert k == 2000 and in_band[k]  # the command change alone abandons
+    assert modes[k - 1] == "search" and modes[k] == "transient"
+    rated = config.machine.rated_excitation_current
+    assert records[k - 1].i_ds_cmd < rated == records[k].i_ds_cmd
+
+
+def test_large_speed_error_abandons_search(tight_band):
+    cfg, (records, modes, in_band, changed) = tight_band
+    # the search runs only on in-band steps, and leaves on the first other one
+    assert all(ok for ok, mode in zip(in_band, modes) if mode == "search")
+    k = next(k for k in range(1, len(modes)) if modes[k - 1] == "search" != modes[k])
+    assert not in_band[k] and not any(changed)
+    assert records[k].i_ds_cmd == cfg.machine.rated_excitation_current
+
+
+def test_exactly_n_steady_steps_enter_search(config, settings):
     n = settings.steady_steps
-    # n - 1 steps in the band, one out: the count starts again after it
-    in_band = [True] * (n - 1) + [False] + [True] * (n + 3)
-    assert _entry_by_counting(in_band, n) == steady_entry(n, settings) == 2 * n - 1
-    # a step outside the band leaves a transient state in transient
-    state = SearchState()
-    update_mode(state, settings, 10.0, False)
-    assert state.mode is DriveMode.TRANSIENT_RATED_FLUX
-    update_mode(state, settings, 0.0, True)
-    assert state.mode is DriveMode.TRANSIENT_RATED_FLUX
+    assert _entry_by_counting([True] * (n + 5), n) == n - 1
+    for steady_steps in (n, 37):
+        cfg = dataclasses.replace(
+            config, search=dataclasses.replace(settings, steady_steps=steady_steps))
+        scenario = constant_scenario("calm", 1.0, 1e-3, 150.0, 6.0)
+        _, modes, in_band, changed = _per_step(scenario, cfg)
+        entry = modes.index("search")
+        eligible = [ok and not change for ok, change in zip(in_band, changed)]
+        assert entry == _entry_by_counting(eligible, steady_steps)
+        assert modes[entry:] == ["search"] * (len(modes) - entry)
+
+
+def test_counter_resets_when_error_leaves_band(tight_band, settings):
+    n = settings.steady_steps
+    _, (_, modes, in_band, _) = tight_band
+    # fewer than n steps in the band, one out: the count starts again after it
+    first = in_band.index(True)
+    assert not all(in_band[first:first + n])
+    entry = modes.index("search")
+    assert entry == _entry_by_counting(in_band, n) > first + n - 1
+    # after an out-of-band abandon, the count starts on the step after it
+    abandon = modes.index("transient", entry)
+    assert modes.index("search", abandon) == (
+        abandon + 1 + _entry_by_counting(in_band[abandon + 1:], n))
 
 
 def _per_step_samples(period: float, dt: float, timer: float, n_steps: int) -> list[int]:
@@ -163,46 +179,41 @@ def test_sample_timer_inert_outside_search(config):
 # -- sampling ------------------------------------------------------------------------
 
 
-def test_sample_outside_search_is_contract_violation(settings, controller):
-    with pytest.raises(SearchModeError):
-        search_sample(SearchState(), settings, controller, 1500.0, 150.0, 5.0, 3.0)
-
-
 def test_first_sample_only_primes(settings, controller):
-    state = searching_state()
-    state, cmd = search_sample(state, settings, controller, 1500.0, 150.0, 5.0, 3.0)
+    state = SearchState()
+    cmd = search_sample(state, settings, controller, 1500.0, 150.0, 5.0, 3.0)
     assert cmd == 5.0
     assert state.previous_power == 1500.0
     assert state.last_di_ds == 0.0
 
 
 def test_second_sample_applies_exploratory_decrement(settings, controller):
-    state = searching_state()
-    state, _ = search_sample(state, settings, controller, 1500.0, 150.0, 5.0, 3.0)
-    state, cmd = search_sample(state, settings, controller, 1500.0, 150.0, 5.0, 3.0)
+    state = SearchState()
+    search_sample(state, settings, controller, 1500.0, 150.0, 5.0, 3.0)
+    cmd = search_sample(state, settings, controller, 1500.0, 150.0, 5.0, 3.0)
     i_b = i_b_at(controller, 150.0, 5.0, 3.0)
     assert cmd == pytest.approx(5.0 - settings.initial_step_fraction * i_b, rel=1e-12)
     assert state.last_di_ds == pytest.approx(-settings.initial_step_fraction * i_b, rel=1e-12)
 
 
 def test_power_drop_while_decrementing_continues_down(settings, controller):
-    state = searching_state(previous_power=1500.0, last_di_ds=-0.3)
-    state, cmd = search_sample(state, settings, controller, 1400.0, 150.0, 4.0, 4.0)
+    state = SearchState(previous_power=1500.0, last_di_ds=-0.3)
+    cmd = search_sample(state, settings, controller, 1400.0, 150.0, 4.0, 4.0)
     assert cmd < 4.0
     assert state.last_di_ds < 0.0
     assert state.previous_power == 1400.0
 
 
 def test_power_rise_while_decrementing_reverses(settings, controller):
-    state = searching_state(previous_power=1400.0, last_di_ds=-0.3)
-    state, cmd = search_sample(state, settings, controller, 1460.0, 150.0, 3.0, 5.0)
+    state = SearchState(previous_power=1400.0, last_di_ds=-0.3)
+    cmd = search_sample(state, settings, controller, 1460.0, 150.0, 3.0, 5.0)
     assert cmd > 3.0
 
 
 def test_clamp_at_minimum_records_zero_step(settings, controller, config):
     lo = config.machine.min_excitation_current
-    state = searching_state(previous_power=1500.0, last_di_ds=-0.3)
-    state, cmd = search_sample(state, settings, controller, 1400.0, 150.0, lo, 8.0)
+    state = SearchState(previous_power=1500.0, last_di_ds=-0.3)
+    cmd = search_sample(state, settings, controller, 1400.0, 150.0, lo, 8.0)
     assert cmd == lo
     assert state.last_di_ds == 0.0
 
@@ -210,29 +221,29 @@ def test_clamp_at_minimum_records_zero_step(settings, controller, config):
 def test_clamp_at_rated_records_zero_step(settings, controller, config):
     hi = config.machine.rated_excitation_current
     # rising power with increasing history reverses upward, clamped at rated
-    state = searching_state(previous_power=1400.0, last_di_ds=0.3)
-    state, cmd = search_sample(state, settings, controller, 1380.0, 150.0, hi, 3.0)
+    state = SearchState(previous_power=1400.0, last_di_ds=0.3)
+    cmd = search_sample(state, settings, controller, 1380.0, 150.0, hi, 3.0)
     assert cmd == hi
     assert state.last_di_ds == 0.0
 
 
 def test_convergence_flag_needs_m_consecutive_small_steps(settings, controller):
-    state = searching_state(previous_power=1500.0, last_di_ds=-0.001)
+    state = SearchState(previous_power=1500.0, last_di_ds=-0.001)
     # tiny power changes produce sub-threshold steps
     for i in range(settings.convergence_samples - 1):
-        state, _ = search_sample(state, settings, controller, 1500.0, 150.0, 3.0, 5.0)
+        search_sample(state, settings, controller, 1500.0, 150.0, 3.0, 5.0)
         assert not state.converged
-    state, _ = search_sample(state, settings, controller, 1500.0, 150.0, 3.0, 5.0)
+    search_sample(state, settings, controller, 1500.0, 150.0, 3.0, 5.0)
     assert state.converged
     assert state.convergence_counter >= settings.convergence_samples
 
 
 def test_large_step_resets_convergence_counter(settings, controller):
     # Mid-search direction memory, two small-step ticks already counted.
-    state = searching_state(
+    state = SearchState(
         previous_power=1500.0, last_di_ds=-0.3, convergence_counter=2
     )
-    state, cmd = search_sample(state, settings, controller, 1100.0, 150.0, 3.0, 5.0)
+    cmd = search_sample(state, settings, controller, 1100.0, 150.0, 3.0, 5.0)
     assert cmd < 3.0 - settings.convergence_step_fraction  # a real step
     assert state.convergence_counter == 0
     assert not state.converged
@@ -242,7 +253,7 @@ def test_search_stays_armed_after_convergence(settings, controller):
     # A converged tail keeps a tiny nonzero last step (exact zeros only occur
     # at the clamp boundary); sustained power drift then re-arms the search
     # within a few samples as the direction memory regrows.
-    state = searching_state(
+    state = SearchState(
         previous_power=1500.0,
         last_di_ds=-1e-4,
         convergence_counter=settings.convergence_samples,
@@ -252,7 +263,7 @@ def test_search_stays_armed_after_convergence(settings, controller):
     cmd = 3.0
     for _ in range(5):
         power -= 400.0
-        state, cmd = search_sample(state, settings, controller, power, 150.0, cmd, 5.0)
+        cmd = search_sample(state, settings, controller, power, 150.0, cmd, 5.0)
         if not state.converged:
             break
     assert not state.converged

@@ -3,7 +3,8 @@ cache-free ``reference_step``, losses and power by ``reference_power_terms``,
 the profile looked up on each step, and the supervisor's steady counter and
 sample timer advanced on every step, as the rules read. The runner's hold,
 jumps over held stretches, command schedule and event-driven supervisor, and
-the machine step's d-axis lag cache, must change no output bit."""
+the machine step's d-axis lag cache, must change no output bit. Each run's
+energy ledger must also balance."""
 
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from fluxseek.compensator import TorqueCompensator
 from fluxseek.harness.runner import CSV_HEADER, simulate
 from fluxseek.harness.scenario import Scenario
-from fluxseek.optimizer import DriveMode, SearchState, search_sample
+from fluxseek.optimizer import SearchState, search_sample
 
-from conftest import csv_bytes, reference_power_terms, reference_step, speed_pi_step
+from conftest import (
+    csv_bytes, energy_ledger, reference_power_terms, reference_step, speed_pi_step)
 
 
 def reference_run(scenario: Scenario, config, decimation: int):
@@ -35,6 +37,7 @@ def reference_run(scenario: Scenario, config, decimation: int):
     psi, omega_r, i_ds, i_qs = p.rated_flux, 0.0, rated, 0.0
     integrator = 0.0
     i_ds_cmd = rated
+    mode = "transient"
     search = SearchState()
     counter = 0    # consecutive in-band steps without a command change
     timer = 0.0    # search time since the last sample
@@ -55,12 +58,12 @@ def reference_run(scenario: Scenario, config, decimation: int):
         sample = False
         if scenario.flc_enabled:
             if changed or not abs(error) <= settings_.steady_speed_tolerance:
-                search, counter, timer = SearchState(), 0, 0.0
-            elif search.mode is DriveMode.TRANSIENT_RATED_FLUX:
+                mode, search, counter, timer = "transient", SearchState(), 0, 0.0
+            elif mode == "transient":
                 counter += 1
                 if counter >= settings_.steady_steps:
-                    search, counter, timer = SearchState(mode=DriveMode.STEADY_SEARCH), 0, 0.0
-            if search.mode is DriveMode.TRANSIENT_RATED_FLUX:
+                    mode, search, counter, timer = "search", SearchState(), 0, 0.0
+            if mode == "transient":
                 i_ds_cmd = rated
                 if comp is not None:
                     comp.reset()
@@ -73,15 +76,14 @@ def reference_run(scenario: Scenario, config, decimation: int):
             p_d = reference_power_terms(p, psi, omega_r, i_ds, i_qs)[5]
             comp_now = comp.output(psi, t) if comp is not None else 0.0
             iqs_now = min(max(iqs_pi + comp_now, -limit), limit)
-            search, i_ds_cmd = search_sample(
+            i_ds_cmd = search_sample(
                 search, settings_, ctrl, p_d, omega_r, i_ds_cmd, iqs_now)
             samples += 1
             if search.converged and first_converged[0] is None:
                 first_converged = (samples, t)
             if comp is not None:
                 comp.latch(psi, iqs_pi, i_ds_cmd, t)
-        searching = search.mode is DriveMode.STEADY_SEARCH
-        comp_out = comp.output(psi, t) if comp is not None and searching else 0.0
+        comp_out = comp.output(psi, t) if comp is not None and mode == "search" else 0.0
         i_qs_cmd = min(max(iqs_pi + comp_out, -limit), limit)
         psi, omega_r, i_ds, i_qs = reference_step(
             p, psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt)
@@ -92,13 +94,23 @@ def reference_run(scenario: Scenario, config, decimation: int):
             fields = (time, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_e,
                       t_load, *losses, p_in, p_out)
             efficiency = repr(p_out / p_in) if p_in > 0.0 else ""
-            lines.append(",".join((*map(repr, fields), efficiency, search.mode)))
+            lines.append(",".join((*map(repr, fields), efficiency, mode)))
     text = "".join(line + "\n" for line in lines).encode()
     return text, samples, search.converged, *first_converged
 
 
+# The energy ledger's residual, as a fraction of the energy that flows (the sum
+# of its terms' magnitudes): the worst measured over the generated runs is
+# 4.1e-3, at 2 ms steps with a row every 7th step. The trapezoids are coarse
+# here, so this bound is looser than the shipped scenarios' in
+# test_energy_ledger.py.
+GENERATED_LEDGER_BOUND = 2e-2
+
+
 def _assert_matches_reference(scenario, config, decimation):
     result = simulate(scenario, config, decimation=decimation)
+    ledger = energy_ledger(result.records)
+    assert abs(ledger.residual) <= GENERATED_LEDGER_BOUND * sum(map(abs, ledger[:-1])), ledger
     text, samples, converged, samples_to_convergence, convergence_time = reference_run(
         scenario, config, decimation)
     assert csv_bytes(result.records) == text
