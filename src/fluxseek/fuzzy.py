@@ -11,7 +11,7 @@ condition: equal per-unit inputs produce equal per-unit outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, InferenceError
 from .machine import MachineParams
@@ -25,12 +25,12 @@ class MembershipFunction:
     """
 
     label: str
-    left_foot: float
+    left: float
     center: float
-    right_foot: float
+    right: float
 
     def __post_init__(self) -> None:
-        if not self.left_foot <= self.center <= self.right_foot:
+        if not self.left <= self.center <= self.right:
             raise ValueError(
                 f"set {self.label}: feet must satisfy left <= center <= right"
             )
@@ -39,26 +39,43 @@ class MembershipFunction:
         if x == self.center:
             return 1.0
         if x < self.center:
-            if self.left_foot == self.center:
+            if self.left == self.center:
                 return 1.0
-            if x <= self.left_foot:
+            if x <= self.left:
                 return 0.0
-            return (x - self.left_foot) / (self.center - self.left_foot)
-        if self.right_foot == self.center:
+            return (x - self.left) / (self.center - self.left)
+        if self.right == self.center:
             return 1.0
-        if x >= self.right_foot:
+        if x >= self.right:
             return 0.0
-        return (self.right_foot - x) / (self.right_foot - self.center)
+        return (self.right - x) / (self.right - self.center)
 
 
 @dataclass(frozen=True)
 class FuzzyRule:
-    """IF power-change is `power` AND last action is `last_action`
+    """IF power-change is `power` AND last action is `last`
     THEN excitation increment is `output`."""
 
     power: str
-    last_action: str
+    last: str
     output: str
+
+
+def _check_coverage(name: str, sets: tuple[MembershipFunction, ...]) -> None:
+    """Raise ValueError unless every point of [-1, 1] fires at least one of
+    ``sets``. A set fires on the open interval between its feet, a shoulder
+    reaching outward without end; x is the least point not yet shown to fire one."""
+    supports = [
+        (-math.inf if s.left == s.center else s.left,
+         math.inf if s.right == s.center else s.right)
+        for s in sets
+    ]
+    x = -1.0
+    while x <= 1.0:
+        reach = max((right for left, right in supports if left < x), default=x)
+        if reach <= x:
+            raise ValueError(f"{name} sets leave {x!r} uncovered")
+        x = reach
 
 
 @dataclass(frozen=True)
@@ -66,15 +83,18 @@ class FuzzyRuleBase:
     """Linguistic variables and the 14-entry rule table.
 
     Validated for totality (every power x last-action pair appears exactly
-    once), universe coverage of the power-change partition, and a nonempty
-    small overlap of the two last-action sets around zero so the height
-    defuzzifier can never see an all-zero firing vector.
+    once), for both antecedent partitions, power change and last action,
+    covering all of [-1, 1], and for a nonempty small overlap of the two
+    last-action sets around zero, so the height defuzzifier can never see an
+    all-zero firing vector.
     """
 
     power_change_sets: tuple[MembershipFunction, ...]
     last_action_sets: tuple[MembershipFunction, ...]
     output_sets: tuple[MembershipFunction, ...]
     rules: tuple[FuzzyRule, ...]
+    # the center of each rule's output set, in rule-table order
+    rule_output_centers: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         power_labels = [s.label for s in self.power_change_sets]
@@ -94,13 +114,11 @@ class FuzzyRuleBase:
         for rule in self.rules:
             if rule.power not in power_labels:
                 raise ValueError(f"rule references unknown power label {rule.power!r}")
-            if rule.last_action not in last_labels:
-                raise ValueError(
-                    f"rule references unknown last-action label {rule.last_action!r}"
-                )
+            if rule.last not in last_labels:
+                raise ValueError(f"rule references unknown last-action label {rule.last!r}")
             if rule.output not in output_labels:
                 raise ValueError(f"rule references unknown output label {rule.output!r}")
-            key = (rule.power, rule.last_action)
+            key = (rule.power, rule.last)
             if key in seen:
                 raise ValueError(f"duplicate rule for antecedent {key}")
             seen.add(key)
@@ -110,39 +128,22 @@ class FuzzyRuleBase:
         if missing:
             raise ValueError(f"rule table not total, missing antecedents: {missing}")
 
-        # Every point of [-1, 1] must fire at least one power-change set. A set
-        # fires on the open interval between its feet, a shoulder reaching
-        # outward without end; x is the least point not yet shown to fire one.
-        supports = [
-            (-math.inf if s.left_foot == s.center else s.left_foot,
-             math.inf if s.right_foot == s.center else s.right_foot)
-            for s in self.power_change_sets
-        ]
-        x = -1.0
-        while x <= 1.0:
-            reach = max((right for left, right in supports if left < x), default=x)
-            if reach <= x:
-                raise ValueError(f"power_change sets leave {x!r} uncovered")
-            x = reach
-
+        _check_coverage("power_change", self.power_change_sets)
         neg = min(self.last_action_sets, key=lambda s: s.center)
         pos = max(self.last_action_sets, key=lambda s: s.center)
         if not (neg.center < 0.0 < pos.center):
             raise ValueError("last_action centers must straddle zero")
-        if not (neg.right_foot > 0.0 > pos.left_foot):
+        if not (neg.right > 0.0 > pos.left):
             raise ValueError(
                 "last_action sets must overlap around zero"
                 " (height defuzzification would be indeterminate)"
             )
+        _check_coverage("last_action", self.last_action_sets)
 
         centers = {s.label: s.center for s in self.output_sets}
         object.__setattr__(
-            self, "_rule_centers", tuple(centers[r.output] for r in self.rules)
+            self, "rule_output_centers", tuple(centers[r.output] for r in self.rules)
         )
-
-    @property
-    def rule_output_centers(self) -> tuple[float, ...]:
-        return self._rule_centers  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def infer(rulebase: FuzzyRuleBase, dp_pu: float, last_di_pu: float) -> tuple[flo
     power_deg = fuzzify(dp_pu, rulebase.power_change_sets)
     last_deg = fuzzify(last_di_pu, rulebase.last_action_sets)
     return tuple(
-        min(power_deg[r.power], last_deg[r.last_action]) for r in rulebase.rules
+        min(power_deg[r.power], last_deg[r.last]) for r in rulebase.rules
     )
 
 

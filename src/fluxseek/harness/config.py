@@ -219,20 +219,6 @@ def _one_of(choices: tuple[str, ...]) -> tuple:
 # -- the schema ------------------------------------------------------------------
 
 
-def _speed_gains(speed_kp: float, speed_ki: float) -> tuple[float, float]:
-    if speed_kp < 0.0 or speed_ki < 0.0:
-        raise ValueError("speed loop gains must be >= 0")
-    return speed_kp, speed_ki
-
-
-def _membership(label: str, left: float, center: float, right: float) -> MembershipFunction:
-    return MembershipFunction(label, left, center, right)
-
-
-def _rule(power: str, last: str, output: str) -> FuzzyRule:
-    return FuzzyRule(power, last, output)
-
-
 def _fuzzy(scaling, envelope, power_change, last_action, output, rules):
     scaling.validate_envelope(envelope["speed"], envelope["torque"])
     return scaling, FuzzyRuleBase(power_change, last_action, output, rules)
@@ -257,7 +243,7 @@ _MACHINE = {
     "rated_speed": (_number, _POSITIVE),
     "rated_torque": (_number, _POSITIVE),
 }
-_CONTROL = {"speed_kp": (_number, None), "speed_ki": (_number, None)}
+_CONTROL = {"speed_kp": (_number, _NONNEGATIVE), "speed_ki": (_number, _NONNEGATIVE)}
 _SCALING = {
     "a": (_number, None),
     "b": (_number, None),
@@ -276,10 +262,10 @@ _RULE = {"power": (_string, None), "last": (_string, None), "output": (_string, 
 _FUZZY = {
     "scaling": (_section(_SCALING, ScalingGains), None),
     "envelope": (_section(_ENVELOPE), None),
-    "power_change": (_entries(_SET, _membership), None),
-    "last_action": (_entries(_SET, _membership), None),
-    "output": (_entries(_SET, _membership), None),
-    "rules": (_entries(_RULE, _rule), None),
+    "power_change": (_entries(_SET, MembershipFunction), None),
+    "last_action": (_entries(_SET, MembershipFunction), None),
+    "output": (_entries(_SET, MembershipFunction), None),
+    "rules": (_entries(_RULE, FuzzyRule), None),
 }
 _OPTIMIZER = {
     "search_period": (_number, _POSITIVE),
@@ -306,7 +292,7 @@ _SCENARIO = {
 # the document; its sections' paths carry no prefix
 _ROOT = {
     "machine": (_section(_MACHINE, MachineParams), None),
-    "control": (_section(_CONTROL, _speed_gains), None),
+    "control": (_section(_CONTROL), None),
     "fuzzy": (_section(_FUZZY, _fuzzy), None),
     "optimizer": (_section(_OPTIMIZER), None),
     "compensator": (_section(_COMPENSATOR), None),
@@ -363,7 +349,6 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
         raise ConfigError(f"{source}: not valid YAML: {exc}") from exc
     sections = _read(root, _ROOT, source, prefix="")
     machine = sections["machine"]
-    speed_kp, speed_ki = sections["control"]
     gains, rulebase = sections["fuzzy"]
     optimizer = sections["optimizer"]
     tolerance_fraction = optimizer.pop("steady_speed_tolerance_fraction")
@@ -383,8 +368,7 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
 
     return DriveConfig(
         machine=machine,
-        speed_kp=speed_kp,
-        speed_ki=speed_ki,
+        **sections["control"],
         gains=gains,
         rulebase=rulebase,
         search=SearchSettings(

@@ -1,5 +1,6 @@
-"""Part-load efficiency report: paired runs with and without the efficiency
-controller at each load fraction, reduced to input power, output power and
+"""Part-load efficiency report: ``paired_runs`` runs the drive with and
+without the efficiency controller at each load fraction, and
+``efficiency_table`` reduces each pair to input power, output power and
 efficiency columns."""
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from .runner import PackedRecords, SimulationResult, simulate
 from .scenario import constant_scenario
 
 DEFAULT_LOAD_FRACTIONS = (0.25, 1.0 / 3.0, 0.5, 0.75)
+OFF_DURATION = 4.0  # s, the rated-flux run
+ON_DURATION = 14.0  # s, the search run
+DT = 1e-4           # s, the step of both runs
+WINDOW = 1.0        # s, the trailing window each row averages
 
 REPORT_CSV_HEADER = (
     "table,load_fraction,load_torque,input_power_w,output_power_w,"
@@ -39,15 +44,11 @@ class EfficiencyReport:
     flc_on: tuple[EfficiencyRow, ...]
 
 
-def _check_window(window: float) -> None:
-    if not (math.isfinite(window) and window > 0.0):
-        raise FluxseekError(f"steady window must be finite and > 0 s, got {window!r}")
-
-
 def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, float]:
     """Mean (p_in, p_out) over the rows of the trailing ``window`` seconds of
     telemetry, those with time > t_end - window; summed in row order."""
-    _check_window(window)
+    if not (math.isfinite(window) and window > 0.0):
+        raise FluxseekError(f"steady window must be finite and > 0 s, got {window!r}")
     if not records:
         raise FluxseekError("no telemetry records to average")
     times = records.column("time")  # non-decreasing; a view, not a copy
@@ -63,14 +64,32 @@ def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, fl
     return p_in / n, p_out / n
 
 
+def paired_runs(load_fractions, speed: float, config: DriveConfig):
+    """Yield ``(fraction, torque, off, on)`` for each load fraction in turn:
+    the torque is ``fraction`` of rated, ``off`` the ``OFF_DURATION`` run at
+    rated flux with the search and compensator off, and ``on`` the
+    ``ON_DURATION`` run with both on, each at ``speed`` in steps of ``DT``."""
+    for fraction in load_fractions:
+        torque = fraction * config.machine.rated_torque
+        off = simulate(
+            constant_scenario(
+                f"flc-off-{fraction:g}", OFF_DURATION, DT, speed, torque,
+                flc_enabled=False, compensator_enabled=False,
+            ),
+            config,
+        )
+        on = simulate(constant_scenario(f"flc-on-{fraction:g}", ON_DURATION, DT, speed, torque),
+                      config)
+        yield fraction, torque, off, on
+
+
 def _row(
     result: SimulationResult,
     load_fraction: float,
     load_torque: float,
-    window: float,
     search_run: bool,
 ) -> EfficiencyRow:
-    p_in, p_out = steady_window_mean(result.records, window)
+    p_in, p_out = steady_window_mean(result.records, WINDOW)
     return EfficiencyRow(
         load_fraction=load_fraction,
         load_torque=load_torque,
@@ -82,42 +101,19 @@ def _row(
     )
 
 
-def efficiency_table(
-    load_fractions,
-    speed: float,
-    config: DriveConfig,
-    *,
-    off_duration: float = 4.0,
-    on_duration: float = 14.0,
-    dt: float = 1e-4,
-    window: float = 1.0,
-) -> EfficiencyReport:
-    """Run the paired scenarios at each load fraction of rated torque.
+def efficiency_table(load_fractions, speed: float, config: DriveConfig) -> EfficiencyReport:
+    """The ``paired_runs`` at each load fraction of rated torque, each run
+    reduced to its mean powers over the trailing ``WINDOW`` seconds.
 
     Rows of a non-converged search run are flagged (``converged`` False), not
     silently truncated; their steady-window numbers are still reported.
     """
-    _check_window(window)
     off_rows = []
     on_rows = []
-    for fraction in load_fractions:
-        torque = fraction * config.machine.rated_torque
-        off = simulate(
-            constant_scenario(
-                f"flc-off-{fraction:g}", off_duration, dt, speed, torque,
-                flc_enabled=False, compensator_enabled=False,
-            ),
-            config,
-        )
-        on = simulate(
-            constant_scenario(
-                f"flc-on-{fraction:g}", on_duration, dt, speed, torque,
-                flc_enabled=True, compensator_enabled=True,
-            ),
-            config,
-        )
-        off_rows.append(_row(off, fraction, torque, window, search_run=False))
-        on_rows.append(_row(on, fraction, torque, window, search_run=True))
+    for fraction, torque, off, on in paired_runs(load_fractions, speed, config):
+        off_rows.append(_row(off, fraction, torque, search_run=False))
+        on_rows.append(_row(on, fraction, torque, search_run=True))
+        del off, on  # the next pair is then simulated without this one held
     return EfficiencyReport(speed=speed, flc_off=tuple(off_rows), flc_on=tuple(on_rows))
 
 

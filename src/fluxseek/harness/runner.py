@@ -115,13 +115,12 @@ class PackedRecords(Sequence):
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def column(self, name: str, start: int = 0) -> memoryview:
-        """One stored float field (``_STATE``) of rows ``start`` on, e.g.
+    def column(self, name: str) -> memoryview:
+        """One stored float field (``_STATE``) of every row, e.g.
         ``column("time")``: a read-only view of the packed rows, not a copy."""
         if name not in _STATE:
             raise ValueError(f"{name!r} is not a stored field; stored: {', '.join(_STATE)}")
-        view = memoryview(self._values).toreadonly()
-        return view[start * _WIDTH + _STATE.index(name)::_WIDTH]
+        return memoryview(self._values).toreadonly()[_STATE.index(name)::_WIDTH]
 
     def _tails(self, start: int):
         """``_row_tail`` of each row from ``start`` on, in row order."""

@@ -18,11 +18,9 @@ import pytest
 from fluxseek.errors import NonFiniteError
 from fluxseek.harness.config import DriveConfig, load_config
 from fluxseek.harness.oracle import OracleSweepResult, oracle_sweep
-from fluxseek.harness.runner import CSV_HEADER, SimulationResult, simulate, write_csv
-from fluxseek.harness.scenario import constant_scenario
+from fluxseek.harness.report import DEFAULT_LOAD_FRACTIONS, paired_runs
+from fluxseek.harness.runner import CSV_HEADER, SimulationResult, write_csv
 from fluxseek.machine import MachineParams
-
-LOAD_FRACTIONS = (0.25, 1.0 / 3.0, 0.5, 0.75)
 
 
 def speed_pi_step(
@@ -224,24 +222,11 @@ def config() -> DriveConfig:
 
 @pytest.fixture(scope="session")
 def table_runs(config) -> tuple[PairedRun, ...]:
-    """FLC-off / FLC-on pair plus oracle sweep at each table load fraction."""
+    """The runs ``fluxseek table`` makes, FLC-off / FLC-on at each of its load
+    fractions (``report.paired_runs``), each pair with its oracle sweep."""
     speed = config.machine.rated_speed
-    runs = []
-    for fraction in LOAD_FRACTIONS:
-        torque = fraction * config.machine.rated_torque
-        off = simulate(
-            constant_scenario(
-                f"off-{fraction:g}", 4.0, 1e-4, speed, torque,
-                flc_enabled=False, compensator_enabled=False,
-            ),
-            config,
-        )
-        on = simulate(
-            constant_scenario(f"on-{fraction:g}", 14.0, 1e-4, speed, torque),
-            config,
-        )
-        runs.append(
-            PairedRun(fraction, torque, off, on, oracle_sweep(speed, torque, 200, config))
-        )
-    return tuple(runs)
+    return tuple(
+        PairedRun(fraction, torque, off, on, oracle_sweep(speed, torque, 200, config))
+        for fraction, torque, off, on in paired_runs(DEFAULT_LOAD_FRACTIONS, speed, config)
+    )
 

@@ -155,6 +155,20 @@ def test_power_change_gap_between_grid_points_rejected(default_text):
     assert str(info.value) == "fuzzy.power_change: power_change sets leave 0.004 uncovered"
 
 
+def test_last_action_outer_gap_rejected(default_text):
+    # N's outer foot at -0.8 leaves [-1, -0.8] to no last-action set: a 0.9
+    # per-unit exploratory step then fires no rule at the first fuzzy step
+    gap = default_text.replace(
+        "{label: N, left: -0.5, center: -0.5, right: 0.05}",
+        "{label: N, left: -0.8, center: -0.5, right: 0.05}",
+    ).replace("initial_step_fraction: 0.5", "initial_step_fraction: 0.9")
+    assert "{label: N, left: -0.8," in gap and "initial_step_fraction: 0.9" in gap
+    with pytest.raises(ConfigError) as info:
+        parse_config(gap)
+    assert info.value.key == "fuzzy.last_action"
+    assert str(info.value) == "fuzzy.last_action: last_action sets leave -1.0 uncovered"
+
+
 def test_missing_rule_is_totality_error(default_text):
     broken = default_text.replace(
         "    - {power: PB, last: P, output: NM}\n", ""
@@ -202,7 +216,7 @@ def test_unknown_keys_rejected_with_path(default_text, needle, replacement, key_
         ("inertia: 0.05", "inertia: 1" + "0" * 400, r"machine\.inertia"),
         ("pole_pairs: 2", "pole_pairs: 1" + "0" * 400, r"machine\.pole_pairs: expected a finite"),
         ("load_torque: [[0.0, 6.0]]", "load_torque: [[0.0, 1" + "0" * 400 + "]]", r"scenarios\[0\]\.load_torque\[0\]"),
-        ("speed_kp: 2.0", "speed_kp: -1.0", r"control: speed loop gains must be >= 0"),
+        ("speed_kp: 2.0", "speed_kp: -1.0", r"control\.speed_kp: must be >= 0"),
     ],
     ids=[
         "friction-nan", "converter-loss-nan", "search-period-inf", "envelope-inf",
@@ -332,6 +346,7 @@ def test_commented_default_is_fully_documented(default_text):
 # across keys (checked by its own test above).
 BOUNDED_TABLES = {
     "machine": config_module._MACHINE,
+    "control": config_module._CONTROL,
     "optimizer": config_module._OPTIMIZER,
     "compensator": config_module._COMPENSATOR,
     "telemetry": config_module._TELEMETRY,

@@ -87,7 +87,7 @@ def test_degrees_stay_in_unit_interval(rulebase):
 
 def test_default_rulebase_is_total(rulebase):
     assert len(rulebase.rules) == 14
-    antecedents = {(r.power, r.last_action) for r in rulebase.rules}
+    antecedents = {(r.power, r.last) for r in rulebase.rules}
     assert len(antecedents) == 14
 
 
@@ -142,9 +142,9 @@ def test_coverage_gap_rejected(rulebase):
     "changes,uncovered",
     [
         # two feet meet: their common point fires neither set
-        ({"ZE": {"right_foot": 0.005}, "PS": {"left_foot": 0.005}}, 0.005),
+        ({"ZE": {"right": 0.005}, "PS": {"left": 0.005}}, 0.005),
         # a gap between the points of a 0.01 grid
-        ({"ZE": {"right_foot": 0.004}, "PS": {"left_foot": 0.006}}, 0.004),
+        ({"ZE": {"right": 0.004}, "PS": {"left": 0.006}}, 0.004),
         # PB reaches the end of the universe only as a shoulder
         ({"PB": {"center": 0.8}}, 1.0),
     ],
@@ -172,6 +172,29 @@ def test_last_action_overlap_required(rulebase):
         FuzzyRuleBase(
             power_change_sets=rulebase.power_change_sets,
             last_action_sets=gap,
+            output_sets=rulebase.output_sets,
+            rules=rulebase.rules,
+        )
+
+
+@pytest.mark.parametrize(
+    "changes,uncovered",
+    [
+        # P ends at 0.5 without a shoulder: a larger step fires no set
+        ({"P": {"center": 0.25}}, 0.5),
+        # N's outer foot falls short of -1
+        ({"N": {"left": -0.8}}, -1.0),
+    ],
+)
+def test_last_action_coverage_checked(rulebase, changes, uncovered):
+    sets = {s.label: s for s in rulebase.last_action_sets}
+    for label, fields in changes.items():
+        sets[label] = dataclasses.replace(sets[label], **fields)
+    assert not any(s.degree(uncovered) for s in sets.values())
+    with pytest.raises(ValueError, match=f"^last_action sets leave {uncovered!r} uncovered$"):
+        FuzzyRuleBase(
+            power_change_sets=rulebase.power_change_sets,
+            last_action_sets=tuple(sets.values()),
             output_sets=rulebase.output_sets,
             rules=rulebase.rules,
         )
@@ -264,7 +287,7 @@ def test_example_rule_fires_fully(rulebase):
     by_rule = dict(zip(rulebase.rules, strengths))
     assert by_rule[FuzzyRule("NM", "N", "NM")] == 1.0
     for rule, strength in by_rule.items():
-        if rule.last_action == "P":
+        if rule.last == "P":
             assert strength == 0.0
 
 
@@ -281,10 +304,10 @@ def test_touched_rules_fire_at_half(rulebase):
 def test_zero_history_is_determinate(rulebase):
     strengths = infer(rulebase, -2.0 * THIRD, 0.0)
     n_strength = sum(
-        s for r, s in zip(rulebase.rules, strengths) if r.last_action == "N"
+        s for r, s in zip(rulebase.rules, strengths) if r.last == "N"
     )
     p_strength = sum(
-        s for r, s in zip(rulebase.rules, strengths) if r.last_action == "P"
+        s for r, s in zip(rulebase.rules, strengths) if r.last == "P"
     )
     assert n_strength > 0.0 and p_strength > 0.0
     height_defuzzify(strengths, rulebase)  # must not raise

@@ -28,12 +28,11 @@ from fluxseek.machine import InductionMachine
 
 @pytest.fixture(scope="module")
 def small_report(config):
-    # One load fraction with short horizons: structure only, trends are
+    # One load fraction with a short search run: structure only, trends are
     # covered by the acceptance suite on full-length runs.
-    return efficiency_table(
-        (0.25,), config.machine.rated_speed, config,
-        off_duration=1.5, on_duration=2.0, window=0.4,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "ON_DURATION", 2.0)
+        return efficiency_table((0.25,), config.machine.rated_speed, config)
 
 
 def test_report_row_structure(small_report):
@@ -81,16 +80,36 @@ def test_steady_window_mean_requires_records():
 
 
 @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
-def test_steady_window_must_be_finite_and_positive(config, window, monkeypatch):
+def test_steady_window_must_be_finite_and_positive(config, window):
     records = simulate(constant_scenario("w", 0.01, 1e-4, 150.0, 6.0), config).records
     with pytest.raises(FluxseekError, match=rf"window .*{window!r}"):
         steady_window_mean(records, window)
-    # the table checks the window before it simulates anything
-    runs = []
-    monkeypatch.setattr(report, "simulate", lambda *args, **kwargs: runs.append(args))
-    with pytest.raises(FluxseekError, match=rf"window .*{window!r}"):
-        efficiency_table((0.25,), 150.0, config, window=window)
-    assert runs == []
+
+
+def test_table_runs_each_pair_through_report_simulate(config, monkeypatch):
+    # The table's runs go through the module's ``simulate``, the hook a caller
+    # can wrap to check each of them: at each load fraction the rated-flux run
+    # first, then the search run, at the fixed durations and step.
+    short = simulate(constant_scenario("short", 0.01, 1e-4, 150.0, 6.0), config)
+    calls = []
+
+    def recorder(scenario, drive_config, **kwargs):
+        calls.append((scenario, drive_config, kwargs))
+        return short
+
+    monkeypatch.setattr(report, "simulate", recorder)
+    fractions = (0.25, 0.5)
+    efficiency_table(fractions, 150.0, config)
+    assert len(calls) == 2 * len(fractions)
+    for i, (scenario, drive_config, kwargs) in enumerate(calls):
+        search = i % 2 == 1
+        torque = fractions[i // 2] * config.machine.rated_torque
+        assert drive_config is config and kwargs == {}
+        assert scenario.duration == (report.ON_DURATION if search else report.OFF_DURATION)
+        assert scenario.dt == report.DT
+        assert scenario.flc_enabled is search and scenario.compensator_enabled is search
+        assert scenario.speed_reference == ((0.0, 150.0),)
+        assert scenario.load_torque == ((0.0, torque),)
 
 
 @st.composite

@@ -458,10 +458,10 @@ def test_packed_records_read_as_a_sequence_of_records(config):
     assert tuple(records) == rows
     # efficiency is not stored: it reads back as computed from p_in and p_out
     assert all(r.efficiency == r.p_out / r.p_in for r in rows)
-    # a column is the records' stored field from its start row; a computed
-    # field is not stored, and is read from the records
+    # a column is the records' stored field, and a slice of it starts at a
+    # row; a computed field is not stored, and is read from the records
     for name in ("time", "omega_ref", "i_qs_cmd", "psi_dr", "load_torque"):
-        assert records.column(name, 990).tolist() == [getattr(r, name) for r in rows[990:]]
+        assert records.column(name)[990:].tolist() == [getattr(r, name) for r in rows[990:]]
     with pytest.raises(ValueError, match="'p_out' is not a stored field"):
         records.column("p_out")
     text = csv_bytes(records)
