@@ -29,8 +29,9 @@ bit is a fixed point, so the next step is *held*: it reuses the state without
 the PI, compensator, clamp or machine step, unless a command, the mode or a
 search sample changes. With the state fixed the speed error is too, so no
 other event falls before the next command change, sample or search entry: the
-loop jumps there, advancing the clock and writing the rows in between. The
-CSV output is byte-identical for identical scenario and config.
+loop jumps there and writes the rows in between. Every row's time comes from
+``Scenario.row_times``; the loop keeps no time but its integer step. The CSV
+output is byte-identical for identical scenario and config.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import NamedTuple
 from ..compensator import TorqueCompensator
 from ..errors import NonFiniteError, SimulationDivergedError
 from ..machine import InductionMachine
-from ..optimizer import SearchState, next_sample, search_sample
+from ..optimizer import SearchState, sample_steps, search_sample
 from .config import DriveConfig, check_search_speeds, check_step_size
 from .scenario import Scenario
 
@@ -176,7 +177,6 @@ def simulate(
     omega_r = 0.0
     i_ds = i_ds_rated
     i_qs = 0.0
-    simulated_time = 0.0
     i_ds_cmd = i_ds_rated
     step = machine.step
 
@@ -193,18 +193,16 @@ def simulate(
     modes = bytearray(n_rows)
     pack_row = _ROW.pack_into
     row_size = _WIDTH * values.itemsize
+    clock = scenario.row_times(decim)  # each row's time, in row order
     sample_count = 0
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
     fixed = False  # the last computed step left its state unchanged
-    # the drive mode, and the supervisor's events: in the search, the next
-    # sample's step and the search time it leaves over; in transient, while
-    # the speed error stays in the band, the step the search is entered on,
-    # else -1
+    # the drive mode, and the supervisor's event step: in the search, the next
+    # sample's; in transient, while the speed error stays in the band, the
+    # search entry's; else n_steps, past the end, which leaves it unarmed
     searching = False
-    sample_step = n_steps
-    timer = 0.0
-    entry = -1
+    event = n_steps
 
     steps_left = iter(range(n_steps))
     for k in steps_left:
@@ -225,38 +223,35 @@ def simulate(
                 if command_changed or not in_band:
                     search = SearchState()
                     searching = hold = False
+                    event = n_steps
                     i_ds_cmd = i_ds_rated
                     if comp is not None:
                         comp.reset()
-                elif k == sample_step:
+                elif k == event:
                     sample_due = True
                     hold = False
             elif command_changed or not in_band:
-                entry = -1
+                event = n_steps
             else:
-                if entry < 0:
-                    entry = k + settings.steady_steps - 1
-                if k == entry:
+                if event == n_steps:
+                    event = k + settings.steady_steps - 1
+                if k == event:
                     search = SearchState()
                     searching = True
                     hold = False
-                    entry = -1
-                    steps, timer = next_sample(settings, dt, 0.0, n_steps - k)
-                    sample_step = k + steps - 1
-                    sample_due = k == sample_step
+                    samples = sample_steps(settings, dt, k, n_steps)
+                    event = next(samples, n_steps)
+                    sample_due = k == event
 
         if hold:
             # Nothing changes before the next command change or supervisor
             # event, as the state and so the speed error stay the same: steps
             # k to stop - 1 end at once. Their rows differ only in time.
-            stop = min(next_change, sample_step if searching else entry if entry >= 0 else n_steps)
-            for end in range(k + 1, stop + 1):
-                simulated_time += dt
-                if end % decim == 0:
-                    row = end // decim - 1
-                    pack_row(values, row * row_size, simulated_time, omega_ref, omega_r,
-                             i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load)
-                    modes[row] = searching  # its index in _MODES
+            stop = min(next_change, event)
+            for row in range(k // decim, stop // decim):
+                pack_row(values, row * row_size, next(clock), omega_ref, omega_r,
+                         i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load)
+                modes[row] = searching  # its index in _MODES
             skip = stop - k - 1  # the loop goes on at step stop
             next(islice(steps_left, skip, skip), None)
             continue
@@ -296,8 +291,7 @@ def simulate(
                 convergence_time = t
             if comp is not None:
                 comp.latch(psi, iqs_pi, i_ds_cmd, t)
-            steps, timer = next_sample(settings, dt, timer, n_steps - k - 1)
-            sample_step = k + steps
+            event = next(samples, n_steps)
 
         comp_out = comp.output(psi, t) if comp is not None and searching else 0.0
         # i_ds_cmd needs no clamp: it is rated or what search_sample clamped.
@@ -319,10 +313,9 @@ def simulate(
             (psi, omega_r, i_ds, i_qs, integrator_before), (*new, integrator))
         psi, omega_r, i_ds, i_qs = new
 
-        simulated_time += dt
         if (k + 1) % decim == 0:
             row = k // decim
-            pack_row(values, row * row_size, simulated_time, omega_ref, omega_r,
+            pack_row(values, row * row_size, next(clock), omega_ref, omega_r,
                      i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load)
             modes[row] = searching  # its index in _MODES
 

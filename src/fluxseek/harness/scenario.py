@@ -2,20 +2,21 @@
 simulation horizon. Fully deterministic, no randomness anywhere.
 
 The only module that maps a profile onto integration steps: a ``Scenario``
-computes ``steps`` and ``commands`` (the step each command takes effect on) once,
-when built or replaced, for the runner and the config's search checks to read."""
+computes ``steps`` and ``commands`` (the step each command takes effect on)
+once, when built or replaced, and ``row_times`` gives each row's time."""
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, islice, repeat
 
 Profile = tuple[tuple[float, float], ...]
 
 # relative: a duration within this of a whole number of steps runs that number
 STEP_TOLERANCE = 1e-9
+MAX_STEPS = 10**7  # a per-step run keeps 73 bytes a row
 
 
 def _validate_profile(profile: Profile, what: str) -> None:
@@ -54,13 +55,17 @@ class Scenario:
         _validate_profile(self.speed_reference, "speed_reference")
         _validate_profile(self.load_torque, "load_torque")
         steps = self.duration / self.dt
-        if not steps < sys.maxsize:  # the schedule indexes steps; NaN fails too
-            raise ValueError(f"duration / dt = {steps!r} steps must be below {sys.maxsize}")
+        if not steps <= MAX_STEPS:  # NaN fails too
+            raise ValueError(f"dt = {self.dt!r} s: {steps!r} steps must be below or at {MAX_STEPS}")
         if abs(steps - round(steps)) > STEP_TOLERANCE * steps:
             raise ValueError(f"duration = {self.duration!r} s must be a whole number of"
                              f" dt = {self.dt!r} s steps, not {steps!r}")
         object.__setattr__(self, "steps", round(steps))  # the dataclass is frozen
         object.__setattr__(self, "commands", _command_schedule(self, self.steps))
+
+    def row_times(self, decimation: int):
+        """Each ``decimation``-th step's end time: ``dt`` summed step by step."""
+        return islice(accumulate(repeat(self.dt, self.steps)), decimation - 1, None, decimation)
 
 
 def _breakpoint_step(t_b: float, dt: float, n_steps: int) -> int:

@@ -10,8 +10,8 @@ load command change abandons the search immediately and clears its history.
 The runner owns the drive mode and runs the supervisor on events, not on
 every step. Between them the only rule is the band test
 ``abs(error) <= steady_speed_tolerance``; the search is entered on the
-``steady_steps``-th consecutive in-band step, and ``next_sample`` gives the
-step of the next power sample. Entering and abandoning the search each start
+``steady_steps``-th consecutive in-band step, and ``sample_steps`` gives the
+steps of its power samples. Entering and abandoning the search each start
 a fresh ``SearchState``.
 """
 
@@ -47,26 +47,19 @@ class SearchState:
     awaiting_first_step: bool = field(default=False, repr=False)
 
 
-def next_sample(
-    settings: SearchSettings, dt: float, timer: float, horizon: int
-) -> tuple[int, float]:
-    """The step the next power sample falls on, counting from 1 the next step
-    that adds ``dt``, and the search time it carries over to the sample after.
-
-    ``timer`` is the search time since the last sample: 0.0 on entering the
-    search, else what the last call returned. Each step adds ``dt``, and the
-    sample falls on the first step where the sum reaches ``search_period``;
-    the period is then taken off. The float additions are replayed one by
-    one, so 5000 steps of 1e-4 s sum to 0.49999999999996125 and a 0.5 s
-    period's first sample falls on step 5001. At most ``horizon`` steps are
-    replayed; a sample past them returns ``horizon + 1``.
-    """
+def sample_steps(settings: SearchSettings, dt: float, entry: int, n_steps: int):
+    """The steps below ``n_steps`` of the power samples of a search entered on
+    step ``entry``: from it on, each step adds ``dt`` to a timer, and a sample
+    falls where it reaches ``search_period``, which is then taken off. 5000
+    steps of 1e-4 s sum to 0.49999999999996125, so a 0.5 s period's first
+    sample falls on the search's 5001st step."""
     period = settings.search_period
-    for steps in range(1, horizon + 1):
+    timer = 0.0
+    for k in range(entry, n_steps):
         timer += dt
         if timer >= period:
-            return steps, timer - period
-    return horizon + 1, timer
+            timer -= period
+            yield k
 
 
 def search_sample(

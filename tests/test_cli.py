@@ -79,6 +79,15 @@ def test_bad_config_reports_diagnostic(tmp_path, capsys):
     assert "machine" in err
 
 
+def test_run_with_too_many_steps_fails_with_the_key(tmp_path, capsys):
+    demo = "name: short-demo\n    duration: 1.0\n    dt: 1.0e-4"
+    huge = tmp_path / "huge.yaml"
+    huge.write_text(default_config_text().replace(demo, demo.replace("1.0e-4", "1.0e-12")))
+    code = main(["run", "short-demo", "--config", str(huge), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "scenarios[3].dt" in capsys.readouterr().err
+
+
 def test_sweep_prints_curve_and_minimizer(capsys):
     assert main(["sweep", "--speed", "150", "--torque", "6", "--grid", "50"]) == 0
     out = capsys.readouterr().out

@@ -251,6 +251,15 @@ def test_unstable_step_size_rejected(default_text):
         parse_config(ten_steps(0.42))
 
 
+def test_step_count_above_the_cap_rejected_with_path(default_text):
+    # 10**12 steps: the run's rows would not fit in memory
+    demo = "name: short-demo\n    duration: 1.0\n    dt: 1.0e-4"
+    assert demo in default_text
+    with pytest.raises(ConfigError, match=r"^scenarios\[3\]\.dt: .*steps must be below") as info:
+        parse_config(default_text.replace(demo, demo.replace("1.0e-4", "1.0e-12")))
+    assert info.value.key == "scenarios[3].dt"
+
+
 def test_fractional_duration_rejected_with_path(default_text):
     demo = "name: short-demo\n    duration: 1.0\n"
     assert demo in default_text

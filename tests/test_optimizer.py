@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fluxseek.fuzzy import EfficiencyController, estimate_torque, output_gain
 from fluxseek.harness.runner import simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
-from fluxseek.optimizer import SearchState, next_sample, search_sample
+from fluxseek.optimizer import SearchState, sample_steps, search_sample
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +118,10 @@ def test_counter_resets_when_error_leaves_band(tight_band, settings):
         abandon + 1 + _entry_by_counting(in_band[abandon + 1:], n))
 
 
-def _per_step_samples(period: float, dt: float, timer: float, n_steps: int) -> list[int]:
+def _per_step_samples(period: float, dt: float, n_steps: int) -> list[int]:
     """The rule as a per-step timer: the steps, counting from 1, on which
     ``timer += dt`` reaches ``period``, each sample taking the period off."""
+    timer = 0.0
     fired = []
     for k in range(1, n_steps + 1):
         timer += dt
@@ -132,39 +133,31 @@ def _per_step_samples(period: float, dt: float, timer: float, n_steps: int) -> l
 
 def test_sample_timer_fires_on_period(settings):
     dt = settings.search_period / 4.0
-    assert next_sample(settings, dt, 0.0, 100) == (4, 0.0)
-    # 5000 additions of 1e-4 s fall short of 0.5 s: the first sample is on
-    # step 5001, and the remainder carried over puts the next 5000 later
+    assert list(sample_steps(settings, dt, 0, 12)) == [3, 7, 11]
+    # 5000 additions of 1e-4 s fall short of 0.5 s: the first sample is on the
+    # search's 5001st step, and the remainder carried over puts the next 5000
+    # later
     half = dataclasses.replace(settings, search_period=0.5)
-    first, timer = next_sample(half, 1e-4, 0.0, 10**6)
-    assert first == 5001
-    assert timer == pytest.approx(1e-4 - 3.9e-14, abs=1e-15)
-    assert next_sample(half, 1e-4, timer, 10**6)[0] == 5000
-    # a sample past the horizon is reported as past it
-    assert next_sample(half, 1e-4, 0.0, 5000) == (5001, pytest.approx(0.5))
+    assert list(sample_steps(half, 1e-4, 0, 10**4 + 1)) == [5000, 10000]
+    assert list(sample_steps(half, 1e-4, 7, 10**4 + 8)) == [5007, 10007]
+    # no sample falls past the run
+    assert list(sample_steps(half, 1e-4, 0, 5000)) == []
 
 
 @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     period=st.floats(1e-4, 1.0),
     steps_per_period=st.floats(0.5, 3000.0),
-    carried=st.floats(0.0, 1.0),
+    entry=st.integers(0, 6000),
 )
-# dt = 1e-4 at 0.5 s: samples on steps 5001 and 10001
-@example(period=0.5, steps_per_period=5000.0, carried=0.0)
-def test_next_sample_replays_the_per_step_timer(settings, period, steps_per_period, carried):
-    # each call starts from the timer the last one carried over
+# dt = 1e-4 at 0.5 s: samples on the search's 5001st and 10001st steps
+@example(period=0.5, steps_per_period=5000.0, entry=0)
+def test_sample_steps_replay_the_per_step_timer(settings, period, steps_per_period, entry):
     dt = period / steps_per_period
     search = dataclasses.replace(settings, search_period=period)
     n_steps = 12000
-    fired, step, timer = [], 0, carried * period
-    while True:
-        steps, timer = next_sample(search, dt, timer, n_steps - step)
-        step += steps
-        if step > n_steps:
-            break
-        fired.append(step)
-    assert fired == _per_step_samples(period, dt, carried * period, n_steps)
+    fired = [entry + k - 1 for k in _per_step_samples(period, dt, n_steps - entry)]
+    assert list(sample_steps(search, dt, entry, n_steps)) == fired
 
 
 def test_sample_timer_inert_outside_search(config):

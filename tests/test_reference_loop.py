@@ -150,6 +150,9 @@ def held_cases(draw):
         draw(st.sampled_from(("measured", "predicted"))),
         draw(st.sampled_from(("continuous", "discrete"))),
         draw(st.sampled_from((200, 2000))),  # steady_steps
+        # search_period: 0.0123 s is no whole number of steps, and at 1e-3 s
+        # (no longer than dt) a sample falls on the entry step
+        draw(st.sampled_from((0.5, 0.25, 0.0123, 1e-3))),
         draw(st.sampled_from((1, 7))),
     )
 
@@ -163,20 +166,29 @@ def _settled(load_torque, **kwargs):
 # the load's sign flips at a settled state: == sees no command change
 @example(case=(
     _settled(((0.0, 0.0), (2.0, -0.0)), flc_enabled=False),
-    0.002, "measured", "continuous", 200, 1,
+    0.002, "measured", "continuous", 200, 0.5, 1,
 ))
 # the search starts after the speed has settled bit for bit
-@example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "continuous", 2000, 1))
+@example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "continuous", 2000, 0.5, 1))
 # a load step between two step times, once the search runs
-@example(case=(_settled(((0.0, 6.0), (2.5003, 9.0))), 0.002, "measured", "continuous", 200, 1))
+@example(case=(
+    _settled(((0.0, 6.0), (2.5003, 9.0))), 0.002, "measured", "continuous", 200, 0.5, 1))
 # held stretches that end on search samples, rows every 7th step
-@example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "discrete", 200, 7))
+@example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "discrete", 200, 0.5, 7))
+# samples off the step grid, and a sample on every step from the entry on,
+# before and after a load step
+@example(case=(
+    _settled(((0.0, 6.0), (2.5003, 9.0))), 0.002, "measured", "discrete", 200, 0.0123, 7))
+@example(case=(
+    _settled(((0.0, 6.0), (2.5003, 9.0))), 0.002, "measured", "continuous", 200, 1e-3, 1))
 def test_simulate_matches_reference_loop(config, case):
-    scenario, tau_i, flux_source, compensation_mode, steady_steps, decimation = case
+    (scenario, tau_i, flux_source, compensation_mode, steady_steps, search_period,
+     decimation) = case
     cfg = dataclasses.replace(
         config,
         machine=dataclasses.replace(config.machine, current_tracking_time_constant=tau_i),
-        search=dataclasses.replace(config.search, steady_steps=steady_steps),
+        search=dataclasses.replace(
+            config.search, steady_steps=steady_steps, search_period=search_period),
         flux_source=flux_source,
         compensation_mode=compensation_mode,
     )

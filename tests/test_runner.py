@@ -71,10 +71,18 @@ def test_scenario_validation():
         Scenario("bad", 1.0, 1e-4, ((1.0, 150.0),), ((0.0, 6.0),))
     with pytest.raises(ValueError):
         Scenario("bad", 1.0, 1e-4, ((0.0, 150.0), (0.5, 100.0), (0.5, 90.0)), ((0.0, 6.0),))
-    # the step count must index: finite and below sys.maxsize
+    # the step count must be finite and at most MAX_STEPS
     for duration in (math.inf, math.nan, 1e15):
         with pytest.raises(ValueError, match="steps must be below"):
             Scenario("bad", duration, 1e-4, ((0.0, 150.0), (0.5, 100.0)), ((0.0, 6.0),))
+
+
+def test_step_count_cap_is_inclusive():
+    assert constant_scenario("long", 1000.0, 1e-4, 150.0, 6.0).steps == scenario_module.MAX_STEPS
+    with pytest.raises(ValueError, match="steps must be below"):
+        constant_scenario("long", 1000.0001, 1e-4, 150.0, 6.0)
+    with pytest.raises(ValueError, match=r"^dt = 1e-12 s: .*steps must be below"):
+        constant_scenario("long", 1.0, 1e-12, 150.0, 6.0)
 
 
 def test_duration_must_be_a_whole_number_of_steps():
@@ -130,6 +138,35 @@ def test_decimation_controls_record_count(config):
     assert len(per_step.records) == 1000
     # the decimated stream is a subsequence of the per-step stream
     assert default.records[0] == per_step.records[9]
+
+
+@pytest.mark.parametrize("decimation", [1, 7])
+def test_row_times_add_dt_step_by_step(decimation):
+    scenario = constant_scenario("clock", 0.05, 1e-4, 150.0, 6.0)
+    time, expected = 0.0, []
+    for k in range(1, scenario.steps + 1):
+        time += scenario.dt
+        if k % decimation == 0:
+            expected.append(time)
+    assert list(scenario.row_times(decimation)) == expected
+
+
+def test_rows_take_their_times_from_row_times(config, monkeypatch):
+    # at rest the loop holds from the third step on, up to the search entry
+    # and its sample
+    steps = _count_steps(monkeypatch)
+    scenario = constant_scenario("still", 1.0, 1e-4, 0.0, 0.0, compensator_enabled=False)
+    result = simulate(scenario, config, decimation=7)
+    assert steps() < 10 and result.sample_count == 1
+    assert result.records.column("time").tolist() == list(scenario.row_times(7))
+
+
+def test_quarter_load_search_last_row_time_is_pinned(config):
+    # the float sum of 140000 steps of 1e-4 s, drifted from 14.0; an integer
+    # step clock (ROADMAP.md item 3) re-pins it
+    scenario = config.scenario("quarter-load-search")
+    *_, last = scenario.row_times(config.telemetry_decimation)
+    assert last == 13.99999999998071
 
 
 def test_energy_bookkeeping_exact_on_telemetry(config):
