@@ -5,7 +5,11 @@ The controller turns a measured dc-link power change and the previous
 excitation step into the next excitation-current decrement. Operating-point
 dependent gains (an affine power base P_b and an affine current base I_b)
 normalize both sides so a single rule base serves every torque and speed
-condition: equal per-unit inputs produce equal per-unit outputs.
+condition: equal per-unit inputs produce equal per-unit outputs. The two
+antecedents are triangular partitions; each consequent is a singleton, a
+label and the center that height defuzzification reads. The rule base and the
+gains travel in ``optimizer.SearchSettings``, which holds everything one
+search reads apart from the machine.
 """
 
 from __future__ import annotations
@@ -91,15 +95,15 @@ class FuzzyRuleBase:
 
     power_change_sets: tuple[MembershipFunction, ...]
     last_action_sets: tuple[MembershipFunction, ...]
-    output_sets: tuple[MembershipFunction, ...]
+    output_centers: tuple[tuple[str, float], ...]  # (label, center) singletons
     rules: tuple[FuzzyRule, ...]
-    # the center of each rule's output set, in rule-table order
+    # the center of each rule's output, in rule-table order
     rule_output_centers: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         power_labels = [s.label for s in self.power_change_sets]
         last_labels = [s.label for s in self.last_action_sets]
-        output_labels = [s.label for s in self.output_sets]
+        output_labels = [label for label, _ in self.output_centers]
         for name, labels in (
             ("power_change", power_labels),
             ("last_action", last_labels),
@@ -140,7 +144,7 @@ class FuzzyRuleBase:
             )
         _check_coverage("last_action", self.last_action_sets)
 
-        centers = {s.label: s.center for s in self.output_sets}
+        centers = dict(self.output_centers)
         object.__setattr__(
             self, "rule_output_centers", tuple(centers[r.output] for r in self.rules)
         )
@@ -230,34 +234,13 @@ def height_defuzzify(strengths: tuple[float, ...], rulebase: FuzzyRuleBase) -> f
     return num / den
 
 
-@dataclass(frozen=True)
-class EfficiencyController:
-    """Bundles rule base, scaling gains and machine constants for stepping."""
-
-    rulebase: FuzzyRuleBase
-    gains: ScalingGains
-    params: MachineParams
-
-    def output_base(self, omega_r: float, i_ds_cmd: float, i_qs_cmd: float) -> float:
-        """I_b at the present operating point (torque estimated from commands)."""
-        t_est = estimate_torque(self.params, i_ds_cmd, i_qs_cmd)
-        return output_gain(self.gains, omega_r, t_est)
-
-
 def efficiency_step(
-    ctrl: EfficiencyController,
-    dp_d: float,
-    omega_r: float,
-    i_ds_cmd: float,
-    i_qs_cmd: float,
-    last_di_ds: float,
+    rulebase: FuzzyRuleBase, p_b: float, i_b: float, dp_d: float, last_di_ds: float
 ) -> float:
-    """One fuzzy search step: normalized inference scaled back to amperes.
+    """One fuzzy search step at power base ``p_b`` and current base ``i_b``:
+    normalized inference scaled back to amperes.
 
     Returns I_b * defuzzify(infer(dP_d / P_b, last_di_ds / I_b)). Negative
     output continues the flux decrement, positive reverses it.
     """
-    p_b = input_gain(ctrl.gains, omega_r)
-    i_b = ctrl.output_base(omega_r, i_ds_cmd, i_qs_cmd)
-    strengths = infer(ctrl.rulebase, dp_d / p_b, last_di_ds / i_b)
-    return i_b * height_defuzzify(strengths, ctrl.rulebase)
+    return i_b * height_defuzzify(infer(rulebase, dp_d / p_b, last_di_ds / i_b), rulebase)

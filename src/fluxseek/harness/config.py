@@ -27,14 +27,7 @@ import yaml
 from ..compensator import COMPENSATION_MODES, FLUX_SOURCES
 from ..errors import ConfigError
 from ..fuzzy import (
-    EfficiencyController,
-    FuzzyRule,
-    FuzzyRuleBase,
-    MembershipFunction,
-    ScalingGains,
-    input_gain,
-    output_gain,
-)
+    FuzzyRule, FuzzyRuleBase, MembershipFunction, ScalingGains, input_gain, output_gain)
 from ..machine import MachineParams
 from ..optimizer import SearchSettings
 from .scenario import Scenario
@@ -73,16 +66,11 @@ class DriveConfig:
     machine: MachineParams
     speed_kp: float
     speed_ki: float
-    gains: ScalingGains
-    rulebase: FuzzyRuleBase
     search: SearchSettings
     flux_source: str
     compensation_mode: str
     telemetry_decimation: int
     scenarios: tuple[Scenario, ...]
-
-    def controller(self) -> EfficiencyController:
-        return EfficiencyController(self.rulebase, self.gains, self.machine)
 
     def scenario(self, name: str) -> Scenario:
         for sc in self.scenarios:
@@ -258,13 +246,14 @@ _SET = {
     "center": (_number, None),
     "right": (_number, None),
 }
+_SINGLETON = {"label": (_string, None), "center": (_number, None)}
 _RULE = {"power": (_string, None), "last": (_string, None), "output": (_string, None)}
 _FUZZY = {
     "scaling": (_section(_SCALING, ScalingGains), None),
     "envelope": (_section(_ENVELOPE), None),
     "power_change": (_entries(_SET, MembershipFunction), None),
     "last_action": (_entries(_SET, MembershipFunction), None),
-    "output": (_entries(_SET, MembershipFunction), None),
+    "output": (_entries(_SINGLETON, lambda label, center: (label, center)), None),
     "rules": (_entries(_RULE, FuzzyRule), None),
 }
 _OPTIMIZER = {
@@ -369,9 +358,8 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
     return DriveConfig(
         machine=machine,
         **sections["control"],
-        gains=gains,
-        rulebase=rulebase,
         search=SearchSettings(
+            rulebase, gains,
             steady_speed_tolerance=tolerance_fraction * machine.rated_speed, **optimizer
         ),
         flux_source=sections["compensator"]["flux_source"],

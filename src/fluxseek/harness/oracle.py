@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from ..machine import InductionMachine
 from .config import DriveConfig
 
+# 500 times the default grid of 200; a point takes about 160 bytes, so the
+# largest sweep holds about 16 MB
+MAX_GRID = 10**5
+
 
 @dataclass(frozen=True)
 class OraclePoint:
@@ -60,8 +64,8 @@ def oracle_sweep(
     envelope guarantees feasible). Infeasible grid points stay in the curve
     but are excluded from the minimum.
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+    if not 1 <= grid_size <= MAX_GRID:
+        raise ValueError(f"grid_size = {grid_size} must be in [1, {MAX_GRID}]")
     for name, value in (("speed", speed), ("load_torque", load_torque)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")

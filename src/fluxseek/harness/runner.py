@@ -148,13 +148,12 @@ def simulate(
     params = config.machine
     machine = InductionMachine(params)
     settings = config.search
-    ctrl = config.controller()
     dt = scenario.dt
     decim = config.telemetry_decimation if decimation is None else decimation
     if decim < 1:
         raise ValueError("decimation must be >= 1")
     check_step_size(dt, params)
-    check_search_speeds(scenario, config.gains, params.friction)
+    check_search_speeds(scenario, settings.gains, params.friction)
 
     flc = scenario.flc_enabled
     kp = config.speed_kp
@@ -283,7 +282,7 @@ def simulate(
             comp_now = comp.output(psi, t) if comp is not None else 0.0
             iqs_cmd_now = min(max(iqs_pi + comp_now, -i_qs_max), i_qs_max)
             i_ds_cmd = search_sample(
-                search, settings, ctrl, p_d, omega_r, i_ds_cmd, iqs_cmd_now
+                search, settings, params, p_d, omega_r, i_ds_cmd, iqs_cmd_now
             )
             sample_count += 1
             if search.converged and samples_to_convergence is None:

@@ -12,21 +12,27 @@ every step. Between them the only rule is the band test
 ``abs(error) <= steady_speed_tolerance``; the search is entered on the
 ``steady_steps``-th consecutive in-band step, and ``sample_steps`` gives the
 steps of its power samples. Entering and abandoning the search each start
-a fresh ``SearchState``.
+a fresh ``SearchState``. ``SearchSettings`` is everything one search reads
+apart from the machine, which the caller passes to each sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .fuzzy import EfficiencyController, efficiency_step
+from .fuzzy import (
+    FuzzyRuleBase, ScalingGains, efficiency_step, estimate_torque, input_gain, output_gain)
+from .machine import MachineParams
 
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Supervisor thresholds and periods (all config keys, bounds checked on
-    load)."""
+    """Everything one search reads apart from the machine: the rule base, the
+    scaling gains, and the supervisor's thresholds and periods (all config
+    keys, bounds checked on load)."""
 
+    rulebase: FuzzyRuleBase
+    gains: ScalingGains
     search_period: float              # s between power samples
     steady_speed_tolerance: float     # rad/s band for steady-state detection
     steady_steps: int                 # consecutive in-band steps before search
@@ -40,11 +46,10 @@ class SearchState:
     """Mutable state of one search, from its entry on; owned and advanced by
     one simulation loop."""
 
-    previous_power: float | None = None
-    last_di_ds: float = 0.0
+    previous_power: float | None = None  # None until the priming sample
+    last_di_ds: float | None = None       # the applied step; None until the first
     converged: bool = False
     convergence_counter: int = 0
-    awaiting_first_step: bool = field(default=False, repr=False)
 
 
 def sample_steps(settings: SearchSettings, dt: float, entry: int, n_steps: int):
@@ -65,7 +70,7 @@ def sample_steps(settings: SearchSettings, dt: float, entry: int, n_steps: int):
 def search_sample(
     state: SearchState,
     settings: SearchSettings,
-    ctrl: EfficiencyController,
+    params: MachineParams,
     p_d: float,
     omega_r: float,
     i_ds_cmd: float,
@@ -89,20 +94,17 @@ def search_sample(
     """
     if state.previous_power is None:
         state.previous_power = p_d
-        state.awaiting_first_step = True
         return i_ds_cmd
 
-    i_b = ctrl.output_base(omega_r, i_ds_cmd, i_qs_cmd)
-    if state.awaiting_first_step:
+    i_b = output_gain(settings.gains, omega_r, estimate_torque(params, i_ds_cmd, i_qs_cmd))
+    if state.last_di_ds is None:
         di = -settings.initial_step_fraction * i_b
-        state.awaiting_first_step = False
     else:
+        p_b = input_gain(settings.gains, omega_r)
         di = efficiency_step(
-            ctrl, p_d - state.previous_power, omega_r, i_ds_cmd, i_qs_cmd,
-            state.last_di_ds,
-        )
-    lo = ctrl.params.min_excitation_current
-    hi = ctrl.params.rated_excitation_current
+            settings.rulebase, p_b, i_b, p_d - state.previous_power, state.last_di_ds)
+    lo = params.min_excitation_current
+    hi = params.rated_excitation_current
     new_cmd = min(max(i_ds_cmd + di, lo), hi)
     applied = new_cmd - i_ds_cmd
 

@@ -15,12 +15,13 @@ from contextlib import contextmanager
 import pytest
 
 from fluxseek.fuzzy import (
-    EfficiencyController,
     FuzzyRule,
     efficiency_step,
+    estimate_torque,
     height_defuzzify,
     infer,
     input_gain,
+    output_gain,
 )
 from fluxseek.harness.report import steady_window_mean
 from fluxseek.harness.runner import CSV_HEADER, simulate
@@ -202,16 +203,13 @@ def test_sensorless_predicted_flux_variant(config, table_runs):
 
 def test_criterion_5_fuzzy_policy_suite(config):
     with criterion(5, "fuzzy policy suite"):
-        rulebase = config.rulebase
-        ctrl = EfficiencyController(rulebase, config.gains, config.machine)
+        rulebase, gains = config.search.rulebase, config.search.gains
         omega, i_ds, i_qs = 150.0, 5.0, 3.15
-        p_b = input_gain(config.gains, omega)
-        i_b = ctrl.output_base(omega, i_ds, i_qs)
+        p_b = input_gain(gains, omega)
+        i_b = output_gain(gains, omega, estimate_torque(config.machine, i_ds, i_qs))
 
         def step(dp_pu: float, last_pu: float) -> float:
-            return efficiency_step(
-                ctrl, dp_pu * p_b, omega, i_ds, i_qs, last_pu * i_b
-            )
+            return efficiency_step(rulebase, p_b, i_b, dp_pu * p_b, last_pu * i_b)
 
         # direction: continue on falling power, reverse on rising power
         for dp_pu in (-1.0, -0.7, -0.4, -0.1, -0.02):
@@ -232,14 +230,12 @@ def test_criterion_5_fuzzy_policy_suite(config):
 
         # per-unit invariance across operating points
         for other in ((100.0, 4.0, 6.0), (60.0, 5.0, 2.0)):
-            p_b2 = input_gain(config.gains, other[0])
-            i_b2 = ctrl.output_base(*other)
+            p_b2 = input_gain(gains, other[0])
+            i_b2 = output_gain(gains, other[0], estimate_torque(config.machine, *other[1:]))
             for dp_pu, last_pu in ((-0.45, -0.3), (0.7, 0.2)):
                 here = step(dp_pu, last_pu) / i_b
                 there = (
-                    efficiency_step(
-                        ctrl, dp_pu * p_b2, other[0], other[1], other[2], last_pu * i_b2
-                    )
+                    efficiency_step(rulebase, p_b2, i_b2, dp_pu * p_b2, last_pu * i_b2)
                     / i_b2
                 )
                 assert here == pytest.approx(there, rel=1e-12)

@@ -132,6 +132,13 @@ def test_sweep_unreachable_point_fails(capsys):
     assert "not reachable" in capsys.readouterr().err
 
 
+def test_sweep_grid_above_the_cap_fails(capsys):
+    assert main(["sweep", "--speed", "150", "--torque", "6", "--grid", "100001"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "fluxseek: error: grid_size = 100001 must be in [1, 100000]\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_sweep_non_finite_point_fails(capsys, bad):
     assert main(["sweep", f"--speed={bad}", "--torque", "6"]) == 1

@@ -3,6 +3,7 @@ diagnostics, unknown-key rejection, and environment resolution."""
 
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
@@ -21,12 +22,12 @@ def default_text() -> str:
 def test_packaged_default_loads(config):
     assert config.machine.rated_torque == 24.0
     assert config.machine.rotor_time_constant == pytest.approx(0.15)
-    assert len(config.rulebase.rules) == 14
+    assert len(config.search.rulebase.rules) == 14
     # the YAML thirds are written with enough digits to parse to exact doubles
     third = 1.0 / 3.0
     centers = [-1.0, -2.0 * third, -third, 0.0, third, 2.0 * third, 1.0]
-    assert [s.center for s in config.rulebase.power_change_sets] == centers
-    assert [s.center for s in config.rulebase.output_sets] == centers
+    assert [s.center for s in config.search.rulebase.power_change_sets] == centers
+    assert [c for _, c in config.search.rulebase.output_centers] == centers
     assert config.search.steady_speed_tolerance == pytest.approx(
         0.005 * config.machine.rated_speed
     )
@@ -305,6 +306,73 @@ def test_search_load_outside_scaling_rejected(default_text):
     searching = demo + "\n    flc_enabled: true"
     assert searching in default_text
     assert parse_config(default_text.replace(searching, heavy + "\n    flc_enabled: false"))
+
+
+def _set(path: str, value):
+    """A change to a loaded document: the node at dotted ``path`` (list
+    indices as numbers) becomes ``value``."""
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+
+    def change(document):
+        for part in parents:
+            document = document[part]
+        document[last] = value
+    return change
+
+
+@pytest.mark.parametrize(
+    "change,key,message",
+    [
+        (_set("scenarios.0.name", 5), "scenarios[0].name", "expected a string"),
+        (_set("scenarios.0.flc_enabled", 1), "scenarios[0].flc_enabled", "expected a boolean"),
+        (_set("fuzzy.rules", "none"), "fuzzy.rules", "expected a list"),
+        (_set("scenarios.0.speed_reference", [[0.0, 150.0, 1.0]]),
+         "scenarios[0].speed_reference[0]", "expected a [time, value] pair"),
+        (_set("scenarios.0.load_torque", [[0.0, math.nan]]),
+         "scenarios[0].load_torque[0]", "expected a finite number"),
+        (_set("scenarios.0.load_torque", []), "scenarios[0].load_torque",
+         "load_torque profile must have at least one breakpoint"),
+        (_set("scenarios.0.name", ""), "scenarios[0]", "scenario name must be non-empty"),
+        (_set("fuzzy.envelope.speed", [0.0]), "fuzzy.envelope.speed",
+         "expected [low, high] numbers"),
+        (_set("fuzzy.envelope.speed", [160.0, 0.0]), "fuzzy.envelope.speed",
+         "range must satisfy low < high"),
+        (_set("control", 5), "control", "expected a mapping"),
+        (_set("fuzzy.power_change.1.label", "NB"), "fuzzy.power_change",
+         "power_change labels must be unique"),
+        (_set("fuzzy.output.1.label", "NB"), "fuzzy.output", "output labels must be unique"),
+        (lambda document: document["fuzzy"]["last_action"].append(
+            {"label": "Z", "left": -0.1, "center": 0.0, "right": 0.1}),
+         "fuzzy.last_action", "last_action needs exactly two sets"),
+        (_set("fuzzy.rules.0.power", "XX"), "fuzzy", "rule references unknown power label 'XX'"),
+        (_set("fuzzy.rules.0.last", "X"), "fuzzy",
+         "rule references unknown last-action label 'X'"),
+        (_set("fuzzy.last_action.0.center", 0.0), "fuzzy.last_action",
+         "last_action centers must straddle zero"),
+    ],
+    ids=[
+        "string", "boolean", "list", "profile-pair", "profile-non-finite", "profile-empty",
+        "scenario-name-empty", "range-shape", "range-order", "section-mapping",
+        "power-label-duplicate", "output-label-duplicate", "last-action-three-sets",
+        "rule-power-unknown", "rule-last-unknown", "last-action-one-side",
+    ],
+)
+def test_malformed_input_rejected_with_path(default_text, change, key, message):
+    document = yaml.safe_load(default_text)
+    change(document)
+    with pytest.raises(ConfigError) as info:
+        parse_config(yaml.safe_dump(document))
+    assert info.value.key == key
+    assert str(info.value) == f"{key}: {message}"
+
+
+def test_scenario_switches_default_to_on(default_text):
+    document = yaml.safe_load(default_text)
+    baseline = document["scenarios"][2]
+    assert baseline["name"] == "rated-flux-baseline"
+    assert baseline.pop("flc_enabled") is False and baseline.pop("compensator_enabled") is False
+    scenario = parse_config(yaml.safe_dump(document)).scenario("rated-flux-baseline")
+    assert scenario.flc_enabled is True and scenario.compensator_enabled is True
 
 
 def test_wrong_type_rejected(default_text):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fluxseek.errors import ConfigError, InferenceError
 from fluxseek.fuzzy import (
-    EfficiencyController,
     FuzzyRule,
     FuzzyRuleBase,
     MembershipFunction,
@@ -31,12 +30,13 @@ THIRD = 1.0 / 3.0
 
 @pytest.fixture(scope="module")
 def rulebase(config):
-    return config.rulebase
+    return config.search.rulebase
 
 
 @pytest.fixture(scope="module")
 def controller(config):
-    return EfficiencyController(config.rulebase, config.gains, config.machine)
+    """What one fuzzy step reads: the gains, the rule base and the machine."""
+    return config.search.gains, config.search.rulebase, config.machine
 
 
 # -- membership functions ------------------------------------------------------
@@ -75,6 +75,15 @@ def test_fuzzify_clamps_to_unit_interval(rulebase):
     )
 
 
+def test_fuzzify_clamps_before_a_set_reaching_past_one(rulebase):
+    # PB as a triangle whose right foot lies past the universe: unclamped, it
+    # would fire at 0.6 at x = 1.2 instead of 1 at x = 1
+    sets = rulebase.power_change_sets[:-1] + (
+        MembershipFunction("PB", 2.0 * THIRD, 1.0, 1.5),)
+    assert fuzzify(1.2, sets) == fuzzify(1.0, sets)
+    assert fuzzify(1.0, sets)["PB"] == 1.0
+
+
 def test_degrees_stay_in_unit_interval(rulebase):
     for i in range(-120, 121):
         x = i / 100.0
@@ -96,7 +105,7 @@ def test_missing_rule_rejected(rulebase):
         FuzzyRuleBase(
             power_change_sets=rulebase.power_change_sets,
             last_action_sets=rulebase.last_action_sets,
-            output_sets=rulebase.output_sets,
+            output_centers=rulebase.output_centers,
             rules=rulebase.rules[:-1],
         )
 
@@ -106,7 +115,7 @@ def test_duplicate_rule_rejected(rulebase):
         FuzzyRuleBase(
             power_change_sets=rulebase.power_change_sets,
             last_action_sets=rulebase.last_action_sets,
-            output_sets=rulebase.output_sets,
+            output_centers=rulebase.output_centers,
             rules=rulebase.rules + (rulebase.rules[0],),
         )
 
@@ -117,7 +126,7 @@ def test_unknown_label_rejected(rulebase):
         FuzzyRuleBase(
             power_change_sets=rulebase.power_change_sets,
             last_action_sets=rulebase.last_action_sets,
-            output_sets=rulebase.output_sets,
+            output_centers=rulebase.output_centers,
             rules=bad,
         )
 
@@ -133,7 +142,7 @@ def test_coverage_gap_rejected(rulebase):
         FuzzyRuleBase(
             power_change_sets=narrow,
             last_action_sets=rulebase.last_action_sets,
-            output_sets=rulebase.output_sets,
+            output_centers=rulebase.output_centers,
             rules=rulebase.rules,
         )
 
@@ -158,7 +167,7 @@ def test_coverage_checked_exactly_at_the_feet(rulebase, changes, uncovered):
         FuzzyRuleBase(
             power_change_sets=tuple(sets.values()),
             last_action_sets=rulebase.last_action_sets,
-            output_sets=rulebase.output_sets,
+            output_centers=rulebase.output_centers,
             rules=rulebase.rules,
         )
 
@@ -172,7 +181,7 @@ def test_last_action_overlap_required(rulebase):
         FuzzyRuleBase(
             power_change_sets=rulebase.power_change_sets,
             last_action_sets=gap,
-            output_sets=rulebase.output_sets,
+            output_centers=rulebase.output_centers,
             rules=rulebase.rules,
         )
 
@@ -195,7 +204,7 @@ def test_last_action_coverage_checked(rulebase, changes, uncovered):
         FuzzyRuleBase(
             power_change_sets=rulebase.power_change_sets,
             last_action_sets=tuple(sets.values()),
-            output_sets=rulebase.output_sets,
+            output_centers=rulebase.output_centers,
             rules=rulebase.rules,
         )
 
@@ -352,12 +361,10 @@ def test_defuzzified_output_stays_in_unit_interval(rulebase, dp, last):
 
 
 def step_at(controller, dp_pu, last_pu, omega=150.0, i_ds=5.0, i_qs=3.15):
-    p_b = input_gain(controller.gains, omega)
-    i_b = controller.output_base(omega, i_ds, i_qs)
-    return (
-        efficiency_step(controller, dp_pu * p_b, omega, i_ds, i_qs, last_pu * i_b),
-        i_b,
-    )
+    gains, rulebase, params = controller
+    p_b = input_gain(gains, omega)
+    i_b = output_gain(gains, omega, estimate_torque(params, i_ds, i_qs))
+    return efficiency_step(rulebase, p_b, i_b, dp_pu * p_b, last_pu * i_b), i_b
 
 
 def test_continue_decrementing_on_power_drop(controller):

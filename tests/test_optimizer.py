@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from fluxseek.fuzzy import EfficiencyController, estimate_torque, output_gain
+from fluxseek.fuzzy import estimate_torque, output_gain
 from fluxseek.harness.runner import simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
 from fluxseek.optimizer import SearchState, sample_steps, search_sample
@@ -22,14 +22,12 @@ def settings(config):
 
 
 @pytest.fixture(scope="module")
-def controller(config):
-    return EfficiencyController(config.rulebase, config.gains, config.machine)
+def params(config):
+    return config.machine
 
 
-def i_b_at(controller, omega, i_ds, i_qs) -> float:
-    return output_gain(
-        controller.gains, omega, estimate_torque(controller.params, i_ds, i_qs)
-    )
+def i_b_at(settings, params, omega, i_ds, i_qs) -> float:
+    return output_gain(settings.gains, omega, estimate_torque(params, i_ds, i_qs))
 
 
 # -- the mode, per step --------------------------------------------------------------
@@ -172,77 +170,77 @@ def test_sample_timer_inert_outside_search(config):
 # -- sampling ------------------------------------------------------------------------
 
 
-def test_first_sample_only_primes(settings, controller):
+def test_first_sample_only_primes(settings, params):
     state = SearchState()
-    cmd = search_sample(state, settings, controller, 1500.0, 150.0, 5.0, 3.0)
+    cmd = search_sample(state, settings, params, 1500.0, 150.0, 5.0, 3.0)
     assert cmd == 5.0
     assert state.previous_power == 1500.0
-    assert state.last_di_ds == 0.0
+    assert state.last_di_ds is None
 
 
-def test_second_sample_applies_exploratory_decrement(settings, controller):
+def test_second_sample_applies_exploratory_decrement(settings, params):
     state = SearchState()
-    search_sample(state, settings, controller, 1500.0, 150.0, 5.0, 3.0)
-    cmd = search_sample(state, settings, controller, 1500.0, 150.0, 5.0, 3.0)
-    i_b = i_b_at(controller, 150.0, 5.0, 3.0)
+    search_sample(state, settings, params, 1500.0, 150.0, 5.0, 3.0)
+    cmd = search_sample(state, settings, params, 1500.0, 150.0, 5.0, 3.0)
+    i_b = i_b_at(settings, params, 150.0, 5.0, 3.0)
     assert cmd == pytest.approx(5.0 - settings.initial_step_fraction * i_b, rel=1e-12)
     assert state.last_di_ds == pytest.approx(-settings.initial_step_fraction * i_b, rel=1e-12)
 
 
-def test_power_drop_while_decrementing_continues_down(settings, controller):
+def test_power_drop_while_decrementing_continues_down(settings, params):
     state = SearchState(previous_power=1500.0, last_di_ds=-0.3)
-    cmd = search_sample(state, settings, controller, 1400.0, 150.0, 4.0, 4.0)
+    cmd = search_sample(state, settings, params, 1400.0, 150.0, 4.0, 4.0)
     assert cmd < 4.0
     assert state.last_di_ds < 0.0
     assert state.previous_power == 1400.0
 
 
-def test_power_rise_while_decrementing_reverses(settings, controller):
+def test_power_rise_while_decrementing_reverses(settings, params):
     state = SearchState(previous_power=1400.0, last_di_ds=-0.3)
-    cmd = search_sample(state, settings, controller, 1460.0, 150.0, 3.0, 5.0)
+    cmd = search_sample(state, settings, params, 1460.0, 150.0, 3.0, 5.0)
     assert cmd > 3.0
 
 
-def test_clamp_at_minimum_records_zero_step(settings, controller, config):
+def test_clamp_at_minimum_records_zero_step(settings, params, config):
     lo = config.machine.min_excitation_current
     state = SearchState(previous_power=1500.0, last_di_ds=-0.3)
-    cmd = search_sample(state, settings, controller, 1400.0, 150.0, lo, 8.0)
+    cmd = search_sample(state, settings, params, 1400.0, 150.0, lo, 8.0)
     assert cmd == lo
     assert state.last_di_ds == 0.0
 
 
-def test_clamp_at_rated_records_zero_step(settings, controller, config):
+def test_clamp_at_rated_records_zero_step(settings, params, config):
     hi = config.machine.rated_excitation_current
     # rising power with increasing history reverses upward, clamped at rated
     state = SearchState(previous_power=1400.0, last_di_ds=0.3)
-    cmd = search_sample(state, settings, controller, 1380.0, 150.0, hi, 3.0)
+    cmd = search_sample(state, settings, params, 1380.0, 150.0, hi, 3.0)
     assert cmd == hi
     assert state.last_di_ds == 0.0
 
 
-def test_convergence_flag_needs_m_consecutive_small_steps(settings, controller):
+def test_convergence_flag_needs_m_consecutive_small_steps(settings, params):
     state = SearchState(previous_power=1500.0, last_di_ds=-0.001)
     # tiny power changes produce sub-threshold steps
     for i in range(settings.convergence_samples - 1):
-        search_sample(state, settings, controller, 1500.0, 150.0, 3.0, 5.0)
+        search_sample(state, settings, params, 1500.0, 150.0, 3.0, 5.0)
         assert not state.converged
-    search_sample(state, settings, controller, 1500.0, 150.0, 3.0, 5.0)
+    search_sample(state, settings, params, 1500.0, 150.0, 3.0, 5.0)
     assert state.converged
     assert state.convergence_counter >= settings.convergence_samples
 
 
-def test_large_step_resets_convergence_counter(settings, controller):
+def test_large_step_resets_convergence_counter(settings, params):
     # Mid-search direction memory, two small-step ticks already counted.
     state = SearchState(
         previous_power=1500.0, last_di_ds=-0.3, convergence_counter=2
     )
-    cmd = search_sample(state, settings, controller, 1100.0, 150.0, 3.0, 5.0)
+    cmd = search_sample(state, settings, params, 1100.0, 150.0, 3.0, 5.0)
     assert cmd < 3.0 - settings.convergence_step_fraction  # a real step
     assert state.convergence_counter == 0
     assert not state.converged
 
 
-def test_search_stays_armed_after_convergence(settings, controller):
+def test_search_stays_armed_after_convergence(settings, params):
     # A converged tail keeps a tiny nonzero last step (exact zeros only occur
     # at the clamp boundary); sustained power drift then re-arms the search
     # within a few samples as the direction memory regrows.
@@ -256,7 +254,7 @@ def test_search_stays_armed_after_convergence(settings, controller):
     cmd = 3.0
     for _ in range(5):
         power -= 400.0
-        cmd = search_sample(state, settings, controller, power, 150.0, cmd, 5.0)
+        cmd = search_sample(state, settings, params, power, 150.0, cmd, 5.0)
         if not state.converged:
             break
     assert not state.converged

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from fluxseek.harness.oracle import oracle_sweep, steady_state_point
+from fluxseek.harness.oracle import MAX_GRID, oracle_sweep, steady_state_point
 from fluxseek.machine import InductionMachine
 
 from conftest import reference_power_terms
@@ -70,8 +70,11 @@ def test_unreachable_operating_point_rejected(config):
 
 
 def test_grid_size_validation(config):
-    with pytest.raises(ValueError):
-        oracle_sweep(150.0, 6.0, 0, config)
+    # rejected before the grid is built: a huge grid used to end in MemoryError
+    for grid_size in (0, MAX_GRID + 1):
+        with pytest.raises(ValueError, match=rf"^grid_size = {grid_size} must be in \[1, 100000\]$"):
+            oracle_sweep(150.0, 6.0, grid_size, config)
+    assert len(oracle_sweep(150.0, 6.0, MAX_GRID, config).points) == MAX_GRID
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -28,7 +28,6 @@ def reference_run(scenario: Scenario, config, decimation: int):
     and the sample count and time at first convergence."""
     p = config.machine
     settings_ = config.search
-    ctrl = config.controller()
     dt = scenario.dt
     rated = p.rated_excitation_current
     limit = p.max_torque_current
@@ -77,7 +76,7 @@ def reference_run(scenario: Scenario, config, decimation: int):
             comp_now = comp.output(psi, t) if comp is not None else 0.0
             iqs_now = min(max(iqs_pi + comp_now, -limit), limit)
             i_ds_cmd = search_sample(
-                search, settings_, ctrl, p_d, omega_r, i_ds_cmd, iqs_now)
+                search, settings_, p, p_d, omega_r, i_ds_cmd, iqs_now)
             samples += 1
             if search.converged and first_converged[0] is None:
                 first_converged = (samples, t)

@@ -440,6 +440,22 @@ def test_boost_past_the_torque_current_limit_is_clamped_to_it(config):
     assert -5.0 not in commands and max(commands) == 5.0
 
 
+def test_generating_boost_past_the_torque_current_limit_is_clamped_to_it(config):
+    # The same with a generating load: the boost takes the negative command
+    # past -5 A, and those search steps run at -5 A, never at +5 A.
+    cfg = dataclasses.replace(
+        config, machine=dataclasses.replace(config.machine, max_torque_current=5.0))
+    records = simulate(constant_scenario("clamp", 8.0, 1e-3, 150.0, -6.0), cfg, decimation=1).records
+    search = [r.i_qs_cmd for r in records if r.mode == "search"]
+    assert search.count(-5.0) > 100 and 5.0 not in search
+    assert min(records.column("i_qs_cmd")) == -5.0
+
+
+def test_decimation_below_one_rejected(config):
+    with pytest.raises(ValueError, match="^decimation must be >= 1$"):
+        simulate(config.scenario("short-demo"), config, decimation=0)
+
+
 def test_hold_engages_at_steady_state(config, monkeypatch):
     steps = _count_steps(monkeypatch)
     simulate(config.scenario("rated-flux-baseline"), config)
