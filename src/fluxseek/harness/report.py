@@ -6,12 +6,12 @@ efficiency columns."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from ..errors import FluxseekError
 from .config import DriveConfig
-from .runner import PackedRecords, SimulationResult, simulate
+from .runner import PackedRecords, SimulationResult, _rows, simulate
 from .scenario import constant_scenario
 
 DEFAULT_LOAD_FRACTIONS = (0.25, 1.0 / 3.0, 0.5, 0.75)
@@ -51,16 +51,19 @@ def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, fl
         raise FluxseekError(f"steady window must be finite and > 0 s, got {window!r}")
     if not records:
         raise FluxseekError("no telemetry records to average")
-    times = records.column("time")  # non-decreasing; a view, not a copy
-    start = bisect_right(times, times[-1] - window)
-    n = len(times) - start
-    # one loss evaluation a row; a tail's fields 13 and 14 are p_in and p_out.
-    # Added left to right: the builtin sum() compensates rounding since Python
-    # 3.12, so the report's bytes would depend on the interpreter.
+    # the times are computed as read, not stored: take the last row's, then
+    # count the rows at or before the window, as the times never decrease
+    cut = next(islice(records.times(), len(records) - 1, None)) - window
+    start = sum(map(cut.__ge__, records.times()))
+    n = len(records) - start
+    # one loss evaluation a row. Added left to right: the builtin sum()
+    # compensates rounding since Python 3.12, so the report's bytes would
+    # depend on the interpreter.
+    power_terms = records.machine.power_terms
     p_in = p_out = 0.0
-    for tail in records._tails(start):
-        p_in += tail[13]
-        p_out += tail[14]
+    for _, omega_r, _, _, i_ds, i_qs, psi, t_load, _ in _rows(records, start):
+        p_in += power_terms(psi, omega_r, i_ds, i_qs)[5]
+        p_out += t_load * omega_r
     return p_in / n, p_out / n
 
 
@@ -81,6 +84,7 @@ def paired_runs(load_fractions, speed: float, config: DriveConfig):
         on = simulate(constant_scenario(f"flc-on-{fraction:g}", ON_DURATION, DT, speed, torque),
                       config)
         yield fraction, torque, off, on
+        del off, on  # the next pair is then simulated without this one held
 
 
 def _row(

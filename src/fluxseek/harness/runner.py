@@ -13,16 +13,22 @@ the speed error against the band, and the steps of search entry and of each
 sample are known ahead of time. The loop's ``searching`` flag is the drive
 mode's only record; entry and abandon each start a fresh ``SearchState``.
 
-Rows are packed: each row's 9 state floats (time, commands, currents, flux and
-load) go into one ``array("d")`` and its mode into a byte, so a per-step run
-keeps 73 bytes a row. Torque, losses and power are pure functions of that
-state; ``InductionMachine.power_terms`` computes them in one call, for the rows
-read, when they are read. The CSV writer and the report read the packed rows
-directly. The writer unpacks each row into a tuple and compares tuples, so
-the work it skips costs no per-field Python: a row whose state after ``time``
-and mode repeat the previous row's bit for bit reuses its text, the speed
-reference, ``i_ds_cmd``, ``i_ds`` and load are formatted only when one of them
-changes, and a current equal to its nonzero command reuses the command's text.
+Rows keep only what the loop integrates: each row's flux, speed and
+``i_qs_cmd`` go into one ``array("d")``, and its ``i_ds`` and ``i_qs`` too when
+current tracking lags (under ideal tracking ``InductionMachine.step`` returns
+the command floats themselves). The rest is rebuilt as rows are read: the time
+from ``Scenario.row_times``, the speed reference and load from
+``Scenario.commands``, and ``i_ds_cmd`` and the mode from a short log the loop
+appends to at search entry, at abandon and at each sample. A per-step run keeps
+24 bytes a row under ideal tracking and 40 under lagged tracking. Torque,
+losses and power are pure functions of the state; ``InductionMachine.power_terms``
+computes them in one call, for the rows read, when they are read. The CSV
+writer and the report read the rows as state tuples, without building records.
+The writer compares tuples, so the work it skips costs no per-field Python: a
+row whose state after ``time`` repeats the previous row's bit for bit reuses
+its text, the speed reference, ``i_ds_cmd``, ``i_ds`` and load are formatted
+only when one of them changes, and a current equal to its nonzero command
+reuses the command's text.
 
 A step that left psi, omega, i_d, i_q and the PI integrator unchanged bit for
 bit is a fixed point, so the next step is *held*: it reuses the state without
@@ -40,7 +46,8 @@ import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat, starmap
+from operator import sub
 from typing import NamedTuple
 
 from ..compensator import TorqueCompensator
@@ -80,54 +87,86 @@ class TelemetryRecord(NamedTuple):
     mode: str
 
 
-# a packed row: the state fields as doubles, in _row_tail's argument order
-# after time, and the mode as a byte indexing _MODES
-_STATE = (*TelemetryRecord._fields[:8], "load_torque")
-_WIDTH = len(_STATE)
-_MODES = ("transient", "search")
-_ROW = struct.Struct(f"{_WIDTH}d")  # native doubles, as in the array
+def _row_width(params) -> int:
+    """The doubles a row stores: psi, omega_r and i_qs_cmd, then i_ds and i_qs
+    when current tracking lags; under ideal tracking they are the commands."""
+    return 5 if params.current_tracking_time_constant > 0.0 else 3
 
 
 class PackedRecords(Sequence):
-    """A run's telemetry rows, packed; a read-only sequence of
-    ``TelemetryRecord`` whose slices are tuples. ``machine`` computes each
-    row's torque, losses and power from its state."""
+    """A run's telemetry rows; a read-only sequence of ``TelemetryRecord``
+    whose slices are tuples. ``values`` holds each row's integrated state,
+    ``_row_width`` doubles; ``scenario`` gives each row's time and commands,
+    and ``log`` its ``i_ds_cmd`` and mode, as ``(first row, i_ds_cmd, mode)``
+    at each change of either. ``machine`` computes each row's torque, losses
+    and power from its state."""
 
-    __slots__ = ("_values", "_modes", "_machine")
+    __slots__ = ("machine", "_values", "_width", "_log", "_scenario", "_decimation")
 
-    def __init__(self, values: array, modes: bytearray, machine: InductionMachine):
+    def __init__(self, values: array, log: list[tuple], scenario: Scenario, decimation: int,
+                 machine: InductionMachine):
+        self.machine = machine
         self._values = values
-        self._modes = modes
-        self._machine = machine
+        self._width = _row_width(machine.params)
+        self._log = log
+        self._scenario = scenario
+        self._decimation = decimation
 
     def __len__(self) -> int:
-        return len(self._modes)
+        return len(self._values) // self._width
 
     def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
         i = range(len(self))[index]
-        if isinstance(i, range):
-            return tuple(map(self.__getitem__, i))
-        k = i * _WIDTH
-        tail = _row_tail(self._machine, *self._values[k + 1:k + _WIDTH])
-        p_in, p_out = tail[13:15]
-        return TelemetryRecord(self._values[k], *tail, p_out / p_in if p_in > 0.0 else None,
-                               _MODES[self._modes[i]])
+        return self._record(next(islice(self.times(), i, None)), next(_rows(self, i)))
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        return starmap(self._record, zip(self.times(), _rows(self)))
 
-    def column(self, name: str) -> memoryview:
-        """One stored float field (``_STATE``) of every row, e.g.
-        ``column("time")``: a read-only view of the packed rows, not a copy."""
-        if name not in _STATE:
-            raise ValueError(f"{name!r} is not a stored field; stored: {', '.join(_STATE)}")
-        return memoryview(self._values).toreadonly()[_STATE.index(name)::_WIDTH]
+    def times(self):
+        """Each row's time, in row order: an iterator, not a copy."""
+        return self._scenario.row_times(self._decimation)
 
-    def _tails(self, start: int):
-        """``_row_tail`` of each row from ``start`` on, in row order."""
-        values = self._values
-        for k in range(start * _WIDTH, len(values), _WIDTH):
-            yield _row_tail(self._machine, *values[k + 1:k + _WIDTH])
+    def _record(self, time: float, state: tuple) -> TelemetryRecord:
+        omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load, mode = state
+        t_e, stator, rotor, iron, converter, p_in = self.machine.power_terms(
+            psi, omega_r, i_ds, i_qs)
+        p_out = t_load * omega_r
+        return TelemetryRecord(time, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi,
+                               t_e, t_load, stator, rotor, iron, converter, p_in, p_out,
+                               p_out / p_in if p_in > 0.0 else None, mode)
+
+
+def _held(changes: list[tuple], field: int, start: int, stop: int):
+    """The value of ``field`` of ``changes``, a list of ``(first row, ...)`` in
+    row order, at each row from ``start`` to ``stop``: a change holds until
+    the next; of changes on one row the last wins."""
+    rows = [max(change[0], start) for change in changes]
+    rows.append(stop)
+    counts = map(sub, rows[1:], rows)
+    return chain.from_iterable(map(repeat, [change[field] for change in changes], counts))
+
+
+def _rows(records: PackedRecords, start: int = 0):
+    """The state of each row from ``start`` on, ``(omega_ref, omega_r,
+    i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, load_torque, mode)``: stored columns,
+    read in place, zipped with the rebuilt ones."""
+    n_rows = len(records)
+    width = records._width
+    columns = memoryview(records._values)[start * width:]
+    psi, omega_r, i_qs_cmd = (columns[j::width] for j in range(3))
+    log = records._log
+    if width == 5:
+        i_ds, i_qs = columns[3::width], columns[4::width]
+    else:
+        i_ds, i_qs = _held(log, 1, start, n_rows), columns[2::width]
+    decimation = records._decimation
+    # a change on step k first shows in the row of step k or the first after it
+    commands = [(k // decimation, ref, load) for k, ref, load in records._scenario.commands]
+    return zip(_held(commands, 1, start, n_rows), omega_r, _held(log, 1, start, n_rows),
+               i_qs_cmd, i_ds, i_qs, psi, _held(commands, 2, start, n_rows),
+               _held(log, 2, start, n_rows))
 
 
 @dataclass(frozen=True)
@@ -187,12 +226,12 @@ def simulate(
     # allocator copy it on some reallocations, so the peak memory of a long
     # per-step run depended on what earlier allocations left in the heap
     n_steps = scenario.steps
-    n_rows = n_steps // decim
-    values = array("d", (0.0,)) * (n_rows * _WIDTH)
-    modes = bytearray(n_rows)
-    pack_row = _ROW.pack_into
-    row_size = _WIDTH * values.itemsize
-    clock = scenario.row_times(decim)  # each row's time, in row order
+    width = _row_width(params)
+    lagged = width == 5
+    values = array("d", (0.0,)) * (n_steps // decim * width)
+    pack_row = struct.Struct(f"{width}d").pack_into  # native doubles, as in the array
+    row_size = width * values.itemsize
+    log = [(0, i_ds_cmd, "transient")]  # (first row, i_ds_cmd, mode) at each change
     sample_count = 0
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
@@ -224,6 +263,7 @@ def simulate(
                     searching = hold = False
                     event = n_steps
                     i_ds_cmd = i_ds_rated
+                    log.append((k // decim, i_ds_cmd, "transient"))
                     if comp is not None:
                         comp.reset()
                 elif k == event:
@@ -238,6 +278,7 @@ def simulate(
                     search = SearchState()
                     searching = True
                     hold = False
+                    log.append((k // decim, i_ds_cmd, "search"))
                     samples = sample_steps(settings, dt, k, n_steps)
                     event = next(samples, n_steps)
                     sample_due = k == event
@@ -248,9 +289,10 @@ def simulate(
             # k to stop - 1 end at once. Their rows differ only in time.
             stop = min(next_change, event)
             for row in range(k // decim, stop // decim):
-                pack_row(values, row * row_size, next(clock), omega_ref, omega_r,
-                         i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load)
-                modes[row] = searching  # its index in _MODES
+                if lagged:
+                    pack_row(values, row * row_size, psi, omega_r, i_qs_cmd, i_ds, i_qs)
+                else:
+                    pack_row(values, row * row_size, psi, omega_r, i_qs_cmd)
             skip = stop - k - 1  # the loop goes on at step stop
             next(islice(steps_left, skip, skip), None)
             continue
@@ -284,6 +326,7 @@ def simulate(
             i_ds_cmd = search_sample(
                 search, settings, params, p_d, omega_r, i_ds_cmd, iqs_cmd_now
             )
+            log.append((k // decim, i_ds_cmd, "search"))
             sample_count += 1
             if search.converged and samples_to_convergence is None:
                 samples_to_convergence = sample_count
@@ -313,13 +356,13 @@ def simulate(
         psi, omega_r, i_ds, i_qs = new
 
         if (k + 1) % decim == 0:
-            row = k // decim
-            pack_row(values, row * row_size, next(clock), omega_ref, omega_r,
-                     i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load)
-            modes[row] = searching  # its index in _MODES
+            if lagged:
+                pack_row(values, k // decim * row_size, psi, omega_r, i_qs_cmd, i_ds, i_qs)
+            else:
+                pack_row(values, k // decim * row_size, psi, omega_r, i_qs_cmd)
 
     return SimulationResult(
-        records=PackedRecords(values, modes, machine),
+        records=PackedRecords(values, log, scenario, decim, machine),
         sample_count=sample_count,
         converged=search.converged,
         samples_to_convergence=samples_to_convergence,
@@ -333,33 +376,20 @@ def _repeats(before: tuple[float, ...], after: tuple[float, ...]) -> bool:
     return before == after and (0.0 not in after or repr(before) == repr(after))
 
 
-def _row_tail(
-    machine: InductionMachine, omega_ref: float, omega_r: float, i_ds_cmd: float,
-    i_qs_cmd: float, i_ds: float, i_qs: float, psi: float, t_load: float,
-) -> tuple:
-    """A telemetry row's floats after ``time``, in ``TelemetryRecord`` order."""
-    t_e, stator, rotor, iron, converter, p_in = machine.power_terms(psi, omega_r, i_ds, i_qs)
-    return (omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_e, t_load,
-            stator, rotor, iron, converter, p_in, t_load * omega_r)
-
-
 def write_csv(records: PackedRecords, target) -> None:
     """Write telemetry as CSV to a text file object (anything with ``write``).
     Floats use shortest round-trip formatting, so repeated runs are
     byte-identical."""
     write = target.write
     write(CSV_HEADER + "\n")
-    power_terms = records._machine.power_terms
+    power_terms = records.machine.power_terms
     # tuples compare in C; 0.0 == -0.0, but their reprs differ
-    shared = None    # the previous row's state after time
-    mode = None      # and its mode
+    shared = None    # the previous row's state after time, mode included
     commands = None  # omega_ref, i_ds_cmd, i_ds and load_torque of the last text
-    for row, code in zip(_ROW.iter_unpack(records._values), records._modes):
-        state = row[1:]
-        if code != mode or not _repeats(shared, state):
+    for time, state in zip(records.times(), _rows(records)):
+        if not _repeats(shared, state):
             shared = state
-            mode = code
-            omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load = state
+            omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load, mode = state
             if (omega_ref, i_ds_cmd, i_ds, t_load) != commands or 0.0 in commands:
                 commands = (omega_ref, i_ds_cmd, i_ds, t_load)
                 ref_text = repr(omega_ref)
@@ -374,5 +404,5 @@ def write_csv(records: PackedRecords, target) -> None:
             eff = repr(p_out / p_in) if p_in > 0.0 else ""
             text = (f",{ref_text},{omega_r!r},{ids_cmd_text},{iqs_cmd_text},{ids_text},"
                     f"{iqs_text},{psi!r},{t_e!r},{load_text},{stator!r},{rotor!r},{iron!r},"
-                    f"{converter!r},{p_in!r},{p_out!r},{eff},{_MODES[code]}\n")
-        write(f"{row[0]!r}{text}")
+                    f"{converter!r},{p_in!r},{p_out!r},{eff},{mode}\n")
+        write(f"{time!r}{text}")

@@ -2,13 +2,14 @@
 that back both the report tests and the acceptance suite; the reference speed
 PI, machine step and power terms, a generic RK4; the telemetry CSV as bytes or
 as its SHA-256; the CSV that rows must give, built line by line without the
-writer; and a run's energy ledger."""
+writer; crafted rows; and a run's energy ledger."""
 
 from __future__ import annotations
 
 import hashlib
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -19,8 +20,9 @@ from fluxseek.errors import NonFiniteError
 from fluxseek.harness.config import DriveConfig, load_config
 from fluxseek.harness.oracle import OracleSweepResult, oracle_sweep
 from fluxseek.harness.report import DEFAULT_LOAD_FRACTIONS, paired_runs
-from fluxseek.harness.runner import CSV_HEADER, SimulationResult, write_csv
-from fluxseek.machine import MachineParams
+from fluxseek.harness.runner import CSV_HEADER, PackedRecords, SimulationResult, write_csv
+from fluxseek.harness.scenario import Scenario
+from fluxseek.machine import InductionMachine, MachineParams
 
 
 def speed_pi_step(
@@ -154,7 +156,7 @@ def reference_csv(records) -> bytes:
     """The CSV bytes ``write_csv`` must give for ``records``, each line built
     on its own as ``test_reference_loop.py``'s loop builds it: torque, losses
     and power from ``reference_power_terms``, every float through ``repr``."""
-    params = records._machine.params
+    params = records.machine.params
     lines = [CSV_HEADER]
     for r in records:
         psi, omega_r, i_ds, i_qs = r.psi_dr, r.omega_r, r.i_ds, r.i_qs
@@ -165,6 +167,36 @@ def reference_csv(records) -> bytes:
         efficiency = repr(p_out / p_in) if p_in > 0.0 else ""
         lines.append(",".join((*map(repr, fields), efficiency, r.mode)))
     return "".join(line + "\n" for line in lines).encode()
+
+
+def crafted_records(config: DriveConfig, *states, modes=None) -> PackedRecords:
+    """Rows of the given states, each ``(omega_ref, omega_r, i_ds_cmd,
+    i_qs_cmd, i_ds, i_qs, psi_dr, load_torque)``, one a 1 s step, kept as
+    ``simulate`` keeps them: the commands as a scenario's breakpoints,
+    ``i_ds_cmd`` and the mode ("transient" unless given) as the change log,
+    and the rest as packed rows. ``config``'s machine must lag its currents,
+    as only then are they stored apart from their commands."""
+    assert config.machine.current_tracking_time_constant > 0.0
+    modes = modes or ["transient"] * len(states)
+
+    def changes(values: list) -> list[tuple]:
+        """(row, value) where a value's bits differ from the row before's."""
+        return [(row, value) for row, value in enumerate(values)
+                if not row or repr(value) != repr(values[row - 1])]
+
+    scenario = Scenario(
+        "crafted", float(len(states)), 1.0,
+        tuple((float(row), ref) for row, ref in changes([s[0] for s in states])),
+        tuple((float(row), load) for row, load in changes([s[7] for s in states])),
+        flc_enabled=False, compensator_enabled=False,
+    )
+    log = [(row, *change) for row, change in changes([(s[2], m) for s, m in zip(states, modes)])]
+    values = array("d", [v for _, omega_r, _, i_qs_cmd, i_ds, i_qs, psi, _ in states
+                         for v in (psi, omega_r, i_qs_cmd, i_ds, i_qs)])
+    records = PackedRecords(values, log, scenario, 1, InductionMachine(config.machine))
+    assert repr([(*r[1:8], r.load_torque) for r in records]) == repr(list(states))
+    assert [r.mode for r in records] == modes
+    return records
 
 
 class EnergyLedger(NamedTuple):
@@ -188,7 +220,7 @@ def energy_ledger(records) -> EnergyLedger:
     p_in is T_e ω plus the losses, so the residual is the integration error
     alone: small for rows every step, and growing where a row pair spans a
     load step."""
-    machine = records._machine
+    machine = records.machine
     p = machine.params
     rated = p.rated_excitation_current
     _, *losses, p_in = machine.power_terms(p.rated_flux, 0.0, rated, 0.0)

@@ -39,9 +39,9 @@ def _per_step(scenario, config):
     command changed on it."""
     records = simulate(scenario, config, decimation=1).records
     tolerance = config.search.steady_speed_tolerance
-    commands = list(zip(records.column("omega_ref"), records.column("load_torque")))
+    commands = [(r.omega_ref, r.load_torque) for r in records]
     # a row's speed is the one after its step; the first step starts at rest
-    omega = (0.0, *records.column("omega_r"))
+    omega = (0.0, *(r.omega_r for r in records))
     in_band = [abs(ref - w) <= tolerance for (ref, _), w in zip(commands, omega)]
     changed = [False] + [a != b for a, b in zip(commands, commands[1:])]
     return records, [r.mode for r in records], in_band, changed
@@ -164,7 +164,7 @@ def test_sample_timer_inert_outside_search(config):
         config, search=dataclasses.replace(config.search, steady_steps=10**6))
     result = simulate(constant_scenario("calm", 0.5, 1e-4, 150.0, 6.0), transient)
     assert result.sample_count == 0
-    assert set(result.records.column("i_ds_cmd")) == {config.machine.rated_excitation_current}
+    assert {r.i_ds_cmd for r in result.records} == {config.machine.rated_excitation_current}
 
 
 # -- sampling ------------------------------------------------------------------------

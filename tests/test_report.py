@@ -3,10 +3,11 @@ non-convergence flag."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import tracemalloc
-from array import array
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,10 @@ from fluxseek.harness.report import (
     steady_window_mean,
     write_report_csv,
 )
-from fluxseek.harness.runner import PackedRecords, simulate
+from fluxseek.harness.runner import simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
-from fluxseek.machine import InductionMachine
+
+from conftest import crafted_records
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,24 @@ def test_table_runs_each_pair_through_report_simulate(config, monkeypatch):
         assert scenario.load_torque == ((0.0, torque),)
 
 
+def test_paired_runs_hold_no_earlier_pair(config, monkeypatch):
+    # A consumer that drops a pair, as efficiency_table does, frees it before
+    # the next pair is simulated: the generator keeps no reference to it.
+    refs, alive = [], []
+
+    def tracked(scenario, drive_config):
+        if len(refs) == 2:  # the second pair's first run
+            alive.extend(ref() is not None for ref in refs)
+        result = simulate(dataclasses.replace(scenario, duration=0.01), drive_config)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(report, "simulate", tracked)
+    for _, _, off, on in report.paired_runs((0.25, 0.5), 150.0, config):
+        del off, on
+    assert len(refs) == 4 and alive == [False, False]
+
+
 @st.composite
 def window_cases(draw):
     """A short run with a load step, a decimation, and a window: anywhere,
@@ -156,11 +176,10 @@ def test_steady_window_mean_adds_left_to_right(config):
     # 1.0 is lost below 1e16's spacing, as in the pinned report; the builtin
     # sum() of Python 3.12 and later compensates and keeps it.
     loads = (1e16, 1.0, -1e16)
-    values = array("d", [v for t, load in enumerate(loads)
-                         for v in (0.1 * t, 150.0, 1.0, 5.0, 3.0, 5.0, 3.0, 0.7, load)])
-    records = PackedRecords(values, bytearray(len(loads)), InductionMachine(config.machine))
+    records = crafted_records(config, *((150.0, 1.0, 5.0, 3.0, 5.0, 3.0, 0.7, load)
+                                        for load in loads))
     assert _left_sum(loads) == 0.0
-    assert steady_window_mean(records, 1.0)[1] == 0.0
+    assert steady_window_mean(records, 3.0)[1] == 0.0  # at 1, 2 and 3 s, all in the window
 
 
 def test_steady_window_mean_copies_no_column(config):

@@ -7,7 +7,6 @@ import dataclasses
 import math
 import sys
 import tracemalloc
-from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from fluxseek.harness.runner import CSV_HEADER, PackedRecords, TelemetryRecord, 
 from fluxseek.harness.scenario import Scenario, constant_scenario
 from fluxseek.machine import InductionMachine
 
-from conftest import csv_bytes, csv_sha256, reference_csv
+from conftest import crafted_records, csv_bytes, csv_sha256, reference_csv
 
 GOLDEN_HEADER = (
     "time,omega_ref,omega_r,i_ds_cmd,i_qs_cmd,i_ds,i_qs,psi_dr,torque,"
@@ -158,7 +157,7 @@ def test_rows_take_their_times_from_row_times(config, monkeypatch):
     scenario = constant_scenario("still", 1.0, 1e-4, 0.0, 0.0, compensator_enabled=False)
     result = simulate(scenario, config, decimation=7)
     assert steps() < 10 and result.sample_count == 1
-    assert result.records.column("time").tolist() == list(scenario.row_times(7))
+    assert [r.time for r in result.records] == list(scenario.row_times(7))
 
 
 def test_quarter_load_search_last_row_time_is_pinned(config):
@@ -435,7 +434,7 @@ def test_boost_past_the_torque_current_limit_is_clamped_to_it(config):
     cfg = dataclasses.replace(
         config, machine=dataclasses.replace(config.machine, max_torque_current=5.0))
     records = simulate(constant_scenario("clamp", 8.0, 1e-3, 150.0, 6.0), cfg, decimation=1).records
-    commands = records.column("i_qs_cmd")
+    commands = [r.i_qs_cmd for r in records]
     assert sum(r.i_qs_cmd == 5.0 for r in records if r.mode == "search") > 100
     assert -5.0 not in commands and max(commands) == 5.0
 
@@ -448,7 +447,7 @@ def test_generating_boost_past_the_torque_current_limit_is_clamped_to_it(config)
     records = simulate(constant_scenario("clamp", 8.0, 1e-3, 150.0, -6.0), cfg, decimation=1).records
     search = [r.i_qs_cmd for r in records if r.mode == "search"]
     assert search.count(-5.0) > 100 and 5.0 not in search
-    assert min(records.column("i_qs_cmd")) == -5.0
+    assert min(r.i_qs_cmd for r in records) == -5.0
 
 
 def test_decimation_below_one_rejected(config):
@@ -475,19 +474,10 @@ def test_hold_engages_at_standstill(config, monkeypatch):
     assert result.records[-1].omega_r == 0.0
 
 
-def _packed(config, *states, modes=None) -> PackedRecords:
-    """Rows of the given states (each ``_STATE`` after time), 0.1 s apart."""
-    return PackedRecords(
-        array("d", [v for t, state in enumerate(states) for v in (0.1 * t, *state)]),
-        bytearray(len(states)) if modes is None else bytearray(modes),
-        InductionMachine(config.machine),
-    )
-
-
 def test_efficiency_absent_when_input_power_nonpositive(config):
     # turning backwards against positive torque: the shaft returns more power
     # than the losses take
-    records = _packed(config, (0.0, -150.0, 5.0, 10.0, 5.0, 10.0, 0.7, 0.0))
+    records = crafted_records(config, (0.0, -150.0, 5.0, 10.0, 5.0, 10.0, 0.7, 0.0))
     assert records[0].p_in < 0.0 and records[0].efficiency is None
     text = csv_bytes(records)
     fields = text.decode().splitlines()[1].split(",")
@@ -511,12 +501,15 @@ def test_packed_records_read_as_a_sequence_of_records(config):
     assert tuple(records) == rows
     # efficiency is not stored: it reads back as computed from p_in and p_out
     assert all(r.efficiency == r.p_out / r.p_in for r in rows)
-    # a column is the records' stored field, and a slice of it starts at a
-    # row; a computed field is not stored, and is read from the records
-    for name in ("time", "omega_ref", "i_qs_cmd", "psi_dr", "load_torque"):
-        assert records.column(name)[990:].tolist() == [getattr(r, name) for r in rows[990:]]
-    with pytest.raises(ValueError, match="'p_out' is not a stored field"):
-        records.column("p_out")
+    # a slice starting at a row reads each field as iteration does: the stored
+    # ones, those rebuilt from the scenario and the log, and the computed ones
+    for name in ("time", "omega_ref", "i_ds_cmd", "i_qs_cmd", "psi_dr", "load_torque",
+                 "mode", "p_out"):
+        assert [getattr(r, name) for r in records[990:]] == [getattr(r, name) for r in rows[990:]]
+    # rebuilt, the times are the scenario's, and p_out is computed from the state
+    times = config.scenario("short-demo").row_times(config.telemetry_decimation)
+    assert [r.time for r in rows] == list(times)
+    assert all(r.p_out == r.load_torque * r.omega_r for r in rows)
     text = csv_bytes(records)
     assert csv_bytes(simulate(config.scenario("short-demo"), config).records) == text
     assert csv_bytes(simulate(config.scenario("short-demo"), config, decimation=5).records) != text
@@ -570,7 +563,7 @@ def test_text_reuse_compares_bits(config, monkeypatch):
     # row's only with the same signs, and only then is its text reused
     state = (150.0, 150.0, 5.0, 0.0, 5.0, 0.0, 0.7, 0.0)
     signed = (150.0, 150.0, 5.0, -0.0, 5.0, 0.0, 0.7, 0.0)  # i_qs_cmd
-    records = _packed(config, state, signed, signed, state, state)
+    records = crafted_records(config, state, signed, signed, state, state)
     expected = reference_csv(records)
     calls = _count_power_terms(monkeypatch)
     text = csv_bytes(records)
@@ -586,11 +579,11 @@ def test_text_reuse_tells_the_signs_of_shared_fields(config):
     # (i_qs_cmd) when the two are equal: a zero's sign must still show.
     base = (150.0, 150.0, 5.0, 1.0, 5.0, 1.0, 0.7, 6.0)
 
+    names = ("omega_ref", "omega_r", "i_ds_cmd", "i_qs_cmd", "i_ds", "i_qs", "psi_dr",
+             "load_torque")
+
     def at(**fields):
-        state = list(base)
-        for name, value in fields.items():
-            state[runner._STATE.index(name) - 1] = value
-        return tuple(state)
+        return tuple(fields.get(name, value) for name, value in zip(names, base))
 
     states = (
         at(omega_ref=0.0), at(omega_ref=-0.0), at(omega_ref=0.0),
@@ -601,7 +594,8 @@ def test_text_reuse_tells_the_signs_of_shared_fields(config):
         # only the mode changes
         base, base,
     )
-    records = _packed(config, *states, modes=[0] * (len(states) - 1) + [1])
+    records = crafted_records(config, *states,
+                              modes=["transient"] * (len(states) - 1) + ["search"])
     assert csv_bytes(records) == reference_csv(records)
 
 
@@ -628,7 +622,7 @@ def test_simulate_evaluates_losses_only_at_search_samples(config, monkeypatch):
 
 def test_steady_window_mean_evaluates_losses_once_a_window_row(config, monkeypatch):
     records = simulate(config.scenario("short-demo"), config, decimation=1).records
-    times = records.column("time")
+    times = list(records.times())
     window_rows = sum(t > times[-1] - 0.5 for t in times)
     calls = _count_power_terms(monkeypatch)
     steady_window_mean(records, 0.5)
@@ -638,7 +632,7 @@ def test_steady_window_mean_evaluates_losses_once_a_window_row(config, monkeypat
 
 def test_per_step_records_stay_packed(config):
     # A boxed row (a tuple of 18 fields and its floats) kept 536 bytes a row;
-    # packed it keeps its 9 state doubles and a mode byte, 73 bytes.
+    # packed it keeps its 5 state doubles under the shipped lagged tracking.
     scenario = config.scenario("short-demo")
     simulate(dataclasses.replace(scenario, duration=0.01), config, decimation=1)
     tracemalloc.start()
@@ -649,6 +643,25 @@ def test_per_step_records_stay_packed(config):
         tracemalloc.stop()
     assert len(result.records) == 10000
     assert kept / len(result.records) < 100
+
+
+@pytest.mark.parametrize("tau, row_bytes", [(0.0, 24), (0.002, 40)])
+def test_per_step_rows_keep_only_the_integrated_state(config, tau, row_bytes):
+    # A row stores psi, omega_r and i_qs_cmd, plus i_ds and i_qs when the
+    # currents lag their commands; time, commands, i_ds_cmd and mode are
+    # rebuilt when read. The run's traced peak is that and a fixed allowance.
+    cfg = dataclasses.replace(
+        config, machine=dataclasses.replace(config.machine, current_tracking_time_constant=tau))
+    scenario = dataclasses.replace(cfg.scenario("load-step-abandon"), duration=2.0)
+    simulate(dataclasses.replace(scenario, duration=0.01), cfg, decimation=1)
+    tracemalloc.start()
+    try:
+        result = simulate(scenario, cfg, decimation=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 20000
+    assert peak <= row_bytes * len(result.records) + 64_000
 
 
 def test_simulation_result_metadata(config):
