@@ -11,7 +11,7 @@ from itertools import islice
 
 from ..errors import FluxseekError
 from .config import DriveConfig
-from .runner import PackedRecords, SimulationResult, _rows, simulate
+from .runner import PackedRecords, SimulationResult, simulate
 from .scenario import constant_scenario
 
 DEFAULT_LOAD_FRACTIONS = (0.25, 1.0 / 3.0, 0.5, 0.75)
@@ -61,7 +61,7 @@ def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, fl
     # depend on the interpreter.
     power_terms = records.machine.power_terms
     p_in = p_out = 0.0
-    for _, omega_r, _, _, i_ds, i_qs, psi, t_load, _ in _rows(records, start):
+    for _, omega_r, _, _, i_ds, i_qs, psi, t_load, _ in records.rows(start):
         p_in += power_terms(psi, omega_r, i_ds, i_qs)[5]
         p_out += t_load * omega_r
     return p_in / n, p_out / n

@@ -22,8 +22,9 @@ from ``Scenario.row_times``, the speed reference and load from
 appends to at search entry, at abandon and at each sample. A per-step run keeps
 24 bytes a row under ideal tracking and 40 under lagged tracking. Torque,
 losses and power are pure functions of the state; ``InductionMachine.power_terms``
-computes them in one call, for the rows read, when they are read. The CSV
-writer and the report read the rows as state tuples, without building records.
+computes them in one call, for the rows read, when they are read. Rows are read
+in order only, never indexed: the CSV writer and the report read them as state
+tuples from ``PackedRecords.rows``, without building records.
 The writer compares tuples, so the work it skips costs no per-field Python: a
 row whose state after ``time`` repeats the previous row's bit for bit reuses
 its text, the speed reference, ``i_ds_cmd``, ``i_ds`` and load are formatted
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import struct
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat, starmap
 from operator import sub
@@ -93,13 +93,13 @@ def _row_width(params) -> int:
     return 5 if params.current_tracking_time_constant > 0.0 else 3
 
 
-class PackedRecords(Sequence):
-    """A run's telemetry rows; a read-only sequence of ``TelemetryRecord``
-    whose slices are tuples. ``values`` holds each row's integrated state,
-    ``_row_width`` doubles; ``scenario`` gives each row's time and commands,
-    and ``log`` its ``i_ds_cmd`` and mode, as ``(first row, i_ds_cmd, mode)``
-    at each change of either. ``machine`` computes each row's torque, losses
-    and power from its state."""
+class PackedRecords:
+    """A run's telemetry rows, read in order: iterated as ``TelemetryRecord``,
+    or as state tuples by ``rows``. ``values`` holds each row's integrated
+    state, ``_row_width`` doubles; ``scenario`` gives each row's time and
+    commands, and ``log`` its ``i_ds_cmd`` and mode, as ``(first row,
+    i_ds_cmd, mode)`` at each change of either. ``machine`` computes each
+    row's torque, losses and power from its state."""
 
     __slots__ = ("machine", "_values", "_width", "_log", "_scenario", "_decimation")
 
@@ -115,18 +115,32 @@ class PackedRecords(Sequence):
     def __len__(self) -> int:
         return len(self._values) // self._width
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        i = range(len(self))[index]
-        return self._record(next(islice(self.times(), i, None)), next(_rows(self, i)))
-
     def __iter__(self):
-        return starmap(self._record, zip(self.times(), _rows(self)))
+        return starmap(self._record, zip(self.times(), self.rows()))
 
     def times(self):
         """Each row's time, in row order: an iterator, not a copy."""
         return self._scenario.row_times(self._decimation)
+
+    def rows(self, start: int = 0):
+        """The state of each row from ``start`` on, ``(omega_ref, omega_r,
+        i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, load_torque, mode)``: stored
+        columns, read in place, zipped with the rebuilt ones."""
+        n_rows = len(self)
+        width = self._width
+        columns = memoryview(self._values)[start * width:]
+        psi, omega_r, i_qs_cmd = (columns[j::width] for j in range(3))
+        log = self._log
+        if width == 5:
+            i_ds, i_qs = columns[3::width], columns[4::width]
+        else:
+            i_ds, i_qs = _held(log, 1, start, n_rows), columns[2::width]
+        decimation = self._decimation
+        # a change on step k first shows in the row of step k or the first after it
+        commands = [(k // decimation, ref, load) for k, ref, load in self._scenario.commands]
+        return zip(_held(commands, 1, start, n_rows), omega_r, _held(log, 1, start, n_rows),
+                   i_qs_cmd, i_ds, i_qs, psi, _held(commands, 2, start, n_rows),
+                   _held(log, 2, start, n_rows))
 
     def _record(self, time: float, state: tuple) -> TelemetryRecord:
         omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load, mode = state
@@ -146,27 +160,6 @@ def _held(changes: list[tuple], field: int, start: int, stop: int):
     rows.append(stop)
     counts = map(sub, rows[1:], rows)
     return chain.from_iterable(map(repeat, [change[field] for change in changes], counts))
-
-
-def _rows(records: PackedRecords, start: int = 0):
-    """The state of each row from ``start`` on, ``(omega_ref, omega_r,
-    i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, load_torque, mode)``: stored columns,
-    read in place, zipped with the rebuilt ones."""
-    n_rows = len(records)
-    width = records._width
-    columns = memoryview(records._values)[start * width:]
-    psi, omega_r, i_qs_cmd = (columns[j::width] for j in range(3))
-    log = records._log
-    if width == 5:
-        i_ds, i_qs = columns[3::width], columns[4::width]
-    else:
-        i_ds, i_qs = _held(log, 1, start, n_rows), columns[2::width]
-    decimation = records._decimation
-    # a change on step k first shows in the row of step k or the first after it
-    commands = [(k // decimation, ref, load) for k, ref, load in records._scenario.commands]
-    return zip(_held(commands, 1, start, n_rows), omega_r, _held(log, 1, start, n_rows),
-               i_qs_cmd, i_ds, i_qs, psi, _held(commands, 2, start, n_rows),
-               _held(log, 2, start, n_rows))
 
 
 @dataclass(frozen=True)
@@ -386,7 +379,7 @@ def write_csv(records: PackedRecords, target) -> None:
     # tuples compare in C; 0.0 == -0.0, but their reprs differ
     shared = None    # the previous row's state after time, mode included
     commands = None  # omega_ref, i_ds_cmd, i_ds and load_torque of the last text
-    for time, state in zip(records.times(), _rows(records)):
+    for time, state in zip(records.times(), records.rows()):
         if not _repeats(shared, state):
             shared = state
             omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load, mode = state

@@ -2,7 +2,7 @@
 that back both the report tests and the acceptance suite; the reference speed
 PI, machine step and power terms, a generic RK4; the telemetry CSV as bytes or
 as its SHA-256; the CSV that rows must give, built line by line without the
-writer; crafted rows; and a run's energy ledger."""
+writer; a run's rows as a list; crafted rows; and a run's energy ledger."""
 
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from fluxseek.errors import NonFiniteError
 from fluxseek.harness.config import DriveConfig, load_config
 from fluxseek.harness.oracle import OracleSweepResult, oracle_sweep
 from fluxseek.harness.report import DEFAULT_LOAD_FRACTIONS, paired_runs
-from fluxseek.harness.runner import CSV_HEADER, PackedRecords, SimulationResult, write_csv
+from fluxseek.harness.runner import (
+    CSV_HEADER, PackedRecords, SimulationResult, TelemetryRecord, write_csv)
 from fluxseek.harness.scenario import Scenario
 from fluxseek.machine import InductionMachine, MachineParams
 
@@ -167,6 +168,12 @@ def reference_csv(records) -> bytes:
         efficiency = repr(p_out / p_in) if p_in > 0.0 else ""
         lines.append(",".join((*map(repr, fields), efficiency, r.mode)))
     return "".join(line + "\n" for line in lines).encode()
+
+
+def rows_of(records: PackedRecords) -> list[TelemetryRecord]:
+    """A run's rows as a list, for the tests that pick rows by position: the
+    rows are read in order only, and have no indexing of their own."""
+    return list(records)
 
 
 def crafted_records(config: DriveConfig, *states, modes=None) -> PackedRecords:

@@ -28,7 +28,7 @@ from fluxseek.harness.runner import CSV_HEADER, simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
 from fluxseek.machine import InductionMachine
 
-from conftest import csv_bytes
+from conftest import csv_bytes, rows_of
 
 GOLDEN_HEADER = (
     "time,omega_ref,omega_r,i_ds_cmd,i_qs_cmd,i_ds,i_qs,psi_dr,torque,"
@@ -48,9 +48,9 @@ def criterion(number: int, name: str):
 
 
 def first_decrement_window(result, rated: float):
-    records = result.records
-    start = next(i for i, r in enumerate(records) if r.i_ds_cmd < rated)
-    return records[start:]
+    rows = rows_of(result.records)
+    start = next(i for i, r in enumerate(rows) if r.i_ds_cmd < rated)
+    return rows[start:]
 
 
 # -- 1: oracle equivalence ------------------------------------------------------
@@ -79,8 +79,9 @@ def test_search_steps_damp_after_crossing_the_minimum(table_runs):
     # Once the command crosses the oracle minimizer, applied step magnitudes
     # must not grow again before convergence (vacuous if never crossed).
     for run in table_runs:
-        commands = [run.on.records[0].i_ds_cmd]
-        for record in run.on.records:
+        rows = rows_of(run.on.records)
+        commands = [rows[0].i_ds_cmd]
+        for record in rows:
             if record.i_ds_cmd != commands[-1]:
                 commands.append(record.i_ds_cmd)
         crossed = next(
@@ -274,16 +275,16 @@ def test_criterion_6_mode_discipline(config, table_runs):
                     ((0.0, speed), (6.0, 0.8 * speed)), ((0.0, 6.0),),
                 )
             result = simulate(scenario, config, decimation=1)
-            records = result.records
+            rows = rows_of(result.records)
             change = next(
-                i for i, r in enumerate(records)
-                if r.load_torque != records[0].load_torque
-                or r.omega_ref != records[0].omega_ref
+                i for i, r in enumerate(rows)
+                if r.load_torque != rows[0].load_torque
+                or r.omega_ref != rows[0].omega_ref
             )
-            assert records[change - 1].mode == "search"
-            assert records[change - 1].i_ds_cmd < rated
-            assert records[change].mode == "transient", profile_kind
-            assert records[change].i_ds_cmd == rated, (
+            assert rows[change - 1].mode == "search"
+            assert rows[change - 1].i_ds_cmd < rated
+            assert rows[change].mode == "transient", profile_kind
+            assert rows[change].i_ds_cmd == rated, (
                 f"{profile_kind} change: excitation not restored within one step"
             )
 

@@ -15,6 +15,8 @@ from fluxseek.harness.runner import simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
 from fluxseek.optimizer import SearchState, sample_steps, search_sample
 
+from conftest import rows_of
+
 
 @pytest.fixture(scope="module")
 def settings(config):
@@ -37,14 +39,14 @@ def _per_step(scenario, config):
     """A run's rows at decimation 1, and for each step its mode, whether the
     speed error it started from was in the band, and whether a speed or load
     command changed on it."""
-    records = simulate(scenario, config, decimation=1).records
+    rows = rows_of(simulate(scenario, config, decimation=1).records)
     tolerance = config.search.steady_speed_tolerance
-    commands = [(r.omega_ref, r.load_torque) for r in records]
+    commands = [(r.omega_ref, r.load_torque) for r in rows]
     # a row's speed is the one after its step; the first step starts at rest
-    omega = (0.0, *(r.omega_r for r in records))
+    omega = (0.0, *(r.omega_r for r in rows))
     in_band = [abs(ref - w) <= tolerance for (ref, _), w in zip(commands, omega)]
     changed = [False] + [a != b for a, b in zip(commands, commands[1:])]
-    return records, [r.mode for r in records], in_band, changed
+    return rows, [r.mode for r in rows], in_band, changed
 
 
 def _entry_by_counting(in_band: list[bool], steady_steps: int) -> int | None:
@@ -71,21 +73,21 @@ def tight_band(config):
 
 def test_command_change_abandons_search(config):
     scenario = Scenario("abandon", 3.0, 1e-3, ((0.0, 150.0),), ((0.0, 6.0), (2.0, 9.0)))
-    records, modes, in_band, changed = _per_step(scenario, config)
+    rows, modes, in_band, changed = _per_step(scenario, config)
     k = changed.index(True)
     assert k == 2000 and in_band[k]  # the command change alone abandons
     assert modes[k - 1] == "search" and modes[k] == "transient"
     rated = config.machine.rated_excitation_current
-    assert records[k - 1].i_ds_cmd < rated == records[k].i_ds_cmd
+    assert rows[k - 1].i_ds_cmd < rated == rows[k].i_ds_cmd
 
 
 def test_large_speed_error_abandons_search(tight_band):
-    cfg, (records, modes, in_band, changed) = tight_band
+    cfg, (rows, modes, in_band, changed) = tight_band
     # the search runs only on in-band steps, and leaves on the first other one
     assert all(ok for ok, mode in zip(in_band, modes) if mode == "search")
     k = next(k for k in range(1, len(modes)) if modes[k - 1] == "search" != modes[k])
     assert not in_band[k] and not any(changed)
-    assert records[k].i_ds_cmd == cfg.machine.rated_excitation_current
+    assert rows[k].i_ds_cmd == cfg.machine.rated_excitation_current
 
 
 def test_exactly_n_steady_steps_enter_search(config, settings):

@@ -1,7 +1,8 @@
 """Public surface: every public top-level name and every public method of a
 class under ``src/`` has a caller under ``src/``, and every defaulted
-parameter of one is passed by some call under ``src/``. A name or an option
-that only tests use is surface to keep for no one. Fields are out of scope:
+parameter of one is passed by some call under ``src/``, and no module imports
+another's underscore-prefixed names. A name or an option that only tests use
+is surface to keep for no one. Fields are out of scope:
 the benchmark reads record fields that the program itself does not."""
 
 from __future__ import annotations
@@ -118,3 +119,17 @@ def test_every_defaulted_parameter_is_passed_in_src():
         if not any(_passes(call, parameter, position) for call in calls.get(callee, ()))
     }
     assert unpassed == PASSED_FROM_OUTSIDE
+
+
+
+def test_no_module_imports_another_modules_private_names():
+    # An underscore name is its module's own: a caller elsewhere makes it
+    # public surface in all but name.
+    imported = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").partition(".")[0] == "fluxseek"):
+                imported += [f"{path.relative_to(SRC)}:{node.module}.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+    assert imported == []

@@ -19,8 +19,8 @@ PACKAGE = Path(cli.__file__).parents[1]  # the fluxseek/ directory imported
 
 # Functions no CLI path calls, each with the reason it stays.
 ALLOWED = {
-    # perfbench and the tests read records; the program reads state tuples
-    "fluxseek/harness/runner.py:PackedRecords.__getitem__",
+    # perfbench iterates records, and the tests read them through conftest's
+    # rows_of; the program reads state tuples from PackedRecords.rows
     "fluxseek/harness/runner.py:PackedRecords.__iter__",
     "fluxseek/harness/runner.py:PackedRecords._record",
     # import-time factories: they build the YAML loader and the schema tables

@@ -25,7 +25,7 @@ from fluxseek.harness.runner import CSV_HEADER, PackedRecords, TelemetryRecord, 
 from fluxseek.harness.scenario import Scenario, constant_scenario
 from fluxseek.machine import InductionMachine
 
-from conftest import crafted_records, csv_bytes, csv_sha256, reference_csv
+from conftest import crafted_records, csv_bytes, csv_sha256, reference_csv, rows_of
 
 GOLDEN_HEADER = (
     "time,omega_ref,omega_r,i_ds_cmd,i_qs_cmd,i_ds,i_qs,psi_dr,torque,"
@@ -101,7 +101,7 @@ def test_steady_state_matches_algebraic_solution(config):
         "steady", 3.0, 1e-4, 150.0, 6.0, flc_enabled=False, compensator_enabled=False
     )
     result = simulate(scenario, config)
-    last = result.records[-1]
+    last = rows_of(result.records)[-1]
 
     p = config.machine
     t_e = 6.0 + p.friction * 150.0
@@ -136,7 +136,7 @@ def test_decimation_controls_record_count(config):
     assert len(default.records) == 100  # every 10th of 1000 steps
     assert len(per_step.records) == 1000
     # the decimated stream is a subsequence of the per-step stream
-    assert default.records[0] == per_step.records[9]
+    assert rows_of(default.records)[0] == rows_of(per_step.records)[9]
 
 
 @pytest.mark.parametrize("decimation", [1, 7])
@@ -471,14 +471,15 @@ def test_hold_engages_at_standstill(config, monkeypatch):
     )
     result = simulate(scenario, config)
     assert steps() < 100  # of 10000
-    assert result.records[-1].omega_r == 0.0
+    assert rows_of(result.records)[-1].omega_r == 0.0
 
 
 def test_efficiency_absent_when_input_power_nonpositive(config):
     # turning backwards against positive torque: the shaft returns more power
     # than the losses take
     records = crafted_records(config, (0.0, -150.0, 5.0, 10.0, 5.0, 10.0, 0.7, 0.0))
-    assert records[0].p_in < 0.0 and records[0].efficiency is None
+    [row] = rows_of(records)
+    assert row.p_in < 0.0 and row.efficiency is None
     text = csv_bytes(records)
     fields = text.decode().splitlines()[1].split(",")
     assert fields[-2] == ""  # efficiency column empty
@@ -486,26 +487,15 @@ def test_efficiency_absent_when_input_power_nonpositive(config):
     assert text == reference_csv(records)
 
 
-def test_packed_records_read_as_a_sequence_of_records(config):
+def test_packed_records_iterate_as_records(config):
     result = simulate(config.scenario("short-demo"), config)
     records = result.records
     rows = tuple(records)
     assert len(records) == len(rows) == 1000
     assert all(type(r) is TelemetryRecord for r in rows)
-    assert records[-1] == rows[-1] and records[-1000] == rows[0]
-    for index in (1000, -1001):
-        with pytest.raises(IndexError):
-            records[index]
-    assert records[10:20] == rows[10:20] and records[-3:] == rows[-3:]
-    assert records[::7] == rows[::7] and records[5:2] == ()
     assert tuple(records) == rows
     # efficiency is not stored: it reads back as computed from p_in and p_out
     assert all(r.efficiency == r.p_out / r.p_in for r in rows)
-    # a slice starting at a row reads each field as iteration does: the stored
-    # ones, those rebuilt from the scenario and the log, and the computed ones
-    for name in ("time", "omega_ref", "i_ds_cmd", "i_qs_cmd", "psi_dr", "load_torque",
-                 "mode", "p_out"):
-        assert [getattr(r, name) for r in records[990:]] == [getattr(r, name) for r in rows[990:]]
     # rebuilt, the times are the scenario's, and p_out is computed from the state
     times = config.scenario("short-demo").row_times(config.telemetry_decimation)
     assert [r.time for r in rows] == list(times)
@@ -515,6 +505,27 @@ def test_packed_records_read_as_a_sequence_of_records(config):
     assert csv_bytes(simulate(config.scenario("short-demo"), config, decimation=5).records) != text
 
 
+@pytest.mark.parametrize("tau", [0.002, 0.0])
+def test_rows_from_a_start_are_the_tail_of_all_rows(config, tau):
+    # rows(start) clips the commands and the log at start: every start, before,
+    # on and after the search entry, its samples, the load step and the
+    # abandon, reads the tail of the whole; under ideal tracking i_ds comes
+    # from the log too
+    cfg = dataclasses.replace(
+        config, machine=dataclasses.replace(config.machine, current_tracking_time_constant=tau))
+    scenario = Scenario("tail", 2.0, 1e-3, ((0.0, 150.0),), ((0.0, 6.0), (1.5, 9.0)))
+    result = simulate(scenario, cfg, decimation=7)
+    records = result.records
+    rows = list(records.rows())
+    assert result.sample_count >= 2
+    assert len({r[2] for r in rows}) == len({r[7] for r in rows}) == 2
+    modes = [r[8] for r in rows]
+    assert sum(a != b for a, b in zip(modes, modes[1:])) == 3  # entry, abandon, re-entry
+    for start in range(len(records) + 1):
+        assert list(records.rows(start)) == rows[start:]
+    assert sum(1 for _ in records.times()) == len(records) == len(rows)
+
+
 def test_regenerating_rows_have_no_efficiency(config):
     # A driving load makes p_in negative: efficiency reads back as None and
     # its CSV field is empty.
@@ -522,12 +533,13 @@ def test_regenerating_rows_have_no_efficiency(config):
         "regen", 1.0, 1e-4, 150.0, -12.0, flc_enabled=False, compensator_enabled=False
     )
     records = simulate(scenario, config).records
-    regen = [i for i, r in enumerate(records) if r.p_in <= 0.0]
+    rows = rows_of(records)
+    regen = [i for i, r in enumerate(rows) if r.p_in <= 0.0]
     assert len(regen) > 800
     text = csv_bytes(records)
     lines = text.decode().splitlines()[1:]
     for i in regen:
-        assert records[i].efficiency is None
+        assert rows[i].efficiency is None
         assert lines[i].split(",")[16] == ""
     assert text == reference_csv(records)
 
@@ -604,10 +616,10 @@ def test_hot_readers_build_no_records(config, monkeypatch):
     text = csv_bytes(records)
     mean = steady_window_mean(records, 0.5)
 
-    def no_record(self, index):
+    def no_record(self, time, state):
         raise AssertionError("a TelemetryRecord was built")
 
-    monkeypatch.setattr(PackedRecords, "__getitem__", no_record)
+    monkeypatch.setattr(PackedRecords, "_record", no_record)
     assert csv_bytes(records) == text
     assert steady_window_mean(records, 0.5) == mean
 
