@@ -28,16 +28,11 @@ from ..compensator import COMPENSATION_MODES, FLUX_SOURCES
 from ..errors import ConfigError
 from ..fuzzy import (
     FuzzyRule, FuzzyRuleBase, MembershipFunction, ScalingGains, input_gain, output_gain)
-from ..machine import MachineParams
+from ..machine import MachineParams, check_step_size
 from ..optimizer import SearchSettings
 from .scenario import Scenario
 
 ENV_CONFIG_VAR = "FLUXSEEK_CONFIG"
-
-# RK4 on dx/dt = -x / tau multiplies x by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
-# z = -dt / tau; |R| <= 1 until R(z) = 1 at the real root of 1 + z/2 + z^2/6 +
-# z^3/24, z = -2.785..., beyond which every step grows x.
-RK4_STABILITY_LIMIT = 2.785293563405282
 
 
 def _with_yaml12_floats(loader):
@@ -291,18 +286,6 @@ _ROOT = {
 
 
 # -- rules across sections ------------------------------------------------------
-
-
-def check_step_size(dt: float, machine: MachineParams) -> None:
-    """Raise ValueError unless ``dt`` is below the RK4 stability limit of the
-    fastest decay the step integrates: the current lag if any, else the rotor flux."""
-    tau = machine.rotor_time_constant
-    if machine.current_tracking_time_constant > 0.0:
-        tau = min(tau, machine.current_tracking_time_constant)
-    max_dt = RK4_STABILITY_LIMIT * tau
-    if dt >= max_dt:
-        raise ValueError(f"dt={dt!r} s must be below {max_dt!r} s, the RK4 stability"
-                         f" limit for the {tau!r} s time constant")
 
 
 def check_search_speeds(

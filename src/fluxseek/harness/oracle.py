@@ -1,9 +1,10 @@
 """Brute-force steady-state sweep: ground truth for the search.
 
 Field orientation makes the steady state algebraic: Psi = L_m * i_ds, the
-torque current follows from the demanded torque, slip from the two, and the
-loss model evaluates directly. No dynamics are integrated, so the sweep is an
-independent cross-check of where the closed-loop search settles.
+torque current follows from the demanded torque, slip from the two, and
+``MachineParams.power_terms`` evaluates the losses directly. No dynamics are
+integrated and no stepper is built, so the sweep is an independent
+cross-check of where the closed-loop search settles.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..machine import InductionMachine
+from ..machine import MachineParams
 from .config import DriveConfig
 
 # 500 times the default grid of 200; a point takes about 160 bytes, so the
@@ -34,7 +35,7 @@ class OracleSweepResult:
 
 
 def steady_state_point(
-    machine: InductionMachine, speed: float, load_torque: float, i_ds: float
+    params: MachineParams, speed: float, load_torque: float, i_ds: float
 ) -> OraclePoint:
     """Exact field-oriented steady state at one excitation value.
 
@@ -42,13 +43,12 @@ def steady_state_point(
     power is that torque's shaft power plus the machine's four losses. Points
     whose torque current exceeds the drive limit are marked infeasible.
     """
-    p = machine.params
-    psi = p.magnetizing_inductance * i_ds
-    t_e = load_torque + p.friction * speed
-    i_qs = t_e / (p.torque_constant_flux * psi)
-    if abs(i_qs) > p.max_torque_current:
+    psi = params.magnetizing_inductance * i_ds
+    t_e = load_torque + params.friction * speed
+    i_qs = t_e / (params.torque_constant_flux * psi)
+    if abs(i_qs) > params.max_torque_current:
         return OraclePoint(i_ds=i_ds, input_power=float("inf"), feasible=False)
-    _, stator, rotor, iron, converter, _ = machine.power_terms(psi, speed, i_ds, i_qs)
+    _, stator, rotor, iron, converter, _ = params.power_terms(psi, speed, i_ds, i_qs)
     return OraclePoint(
         i_ds=i_ds, input_power=t_e * speed + (stator + rotor + iron + converter), feasible=True,
     )
@@ -70,9 +70,8 @@ def oracle_sweep(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     params = config.machine
-    machine = InductionMachine(params)
     rated = params.rated_excitation_current
-    if not steady_state_point(machine, speed, load_torque, rated).feasible:
+    if not steady_state_point(params, speed, load_torque, rated).feasible:
         raise ValueError(
             f"operating point (speed {speed:g}, torque {load_torque:g}) is not"
             " reachable at rated excitation"
@@ -85,7 +84,7 @@ def oracle_sweep(
         grid = [lo + span * i / (grid_size - 1) for i in range(grid_size - 1)]
         grid.append(rated)
 
-    points = tuple(steady_state_point(machine, speed, load_torque, x) for x in grid)
+    points = tuple(steady_state_point(params, speed, load_torque, x) for x in grid)
     best = min(
         (p for p in points if p.feasible), key=lambda p: p.input_power
     )

@@ -59,7 +59,7 @@ def steady_window_mean(records: PackedRecords, window: float) -> tuple[float, fl
     # one loss evaluation a row. Added left to right: the builtin sum()
     # compensates rounding since Python 3.12, so the report's bytes would
     # depend on the interpreter.
-    power_terms = records.machine.power_terms
+    power_terms = records.params.power_terms
     p_in = p_out = 0.0
     for _, omega_r, _, _, i_ds, i_qs, psi, t_load, _ in records.rows(start):
         p_in += power_terms(psi, omega_r, i_ds, i_qs)[5]

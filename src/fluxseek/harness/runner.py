@@ -4,9 +4,10 @@ Step order: commands (from the scenario's ``commands``, the steps on which a
 speed or load command takes effect) -> mode supervisor -> speed PI, written
 inline with conditional anti-windup -> search sample and compensator latch,
 when due -> feedforward compensation -> inline torque-current limiting ->
-coupled machine step -> the telemetry row, every decimation interval. A
-computed step calls no function but ``InductionMachine.step`` and, in the
-search, ``TorqueCompensator.output``.
+coupled machine step -> the telemetry row, every decimation interval. Most
+computed steps call no function but ``InductionMachine.step`` and, in the
+search, ``TorqueCompensator.output``: ``_repeats`` runs only where the speed
+repeats, and ``power_terms``, ``search_sample`` and ``latch`` only at samples.
 
 The supervisor runs on events (see ``optimizer``): an ordinary step only tests
 the speed error against the band, and the steps of search entry and of each
@@ -21,7 +22,7 @@ from ``Scenario.row_times``, the speed reference and load from
 ``Scenario.commands``, and ``i_ds_cmd`` and the mode from a short log the loop
 appends to at search entry, at abandon and at each sample. A per-step run keeps
 24 bytes a row under ideal tracking and 40 under lagged tracking. Torque,
-losses and power are pure functions of the state; ``InductionMachine.power_terms``
+losses and power are pure functions of the state; ``MachineParams.power_terms``
 computes them in one call, for the rows read, when they are read. Rows are read
 in order only, never indexed: the CSV writer and the report read them as state
 tuples from ``PackedRecords.rows``, without building records.
@@ -52,9 +53,9 @@ from typing import NamedTuple
 
 from ..compensator import TorqueCompensator
 from ..errors import NonFiniteError, SimulationDivergedError
-from ..machine import InductionMachine
+from ..machine import InductionMachine, MachineParams
 from ..optimizer import SearchState, sample_steps, search_sample
-from .config import DriveConfig, check_search_speeds, check_step_size
+from .config import DriveConfig, check_search_speeds
 from .scenario import Scenario
 
 CSV_HEADER = (
@@ -98,16 +99,16 @@ class PackedRecords:
     or as state tuples by ``rows``. ``values`` holds each row's integrated
     state, ``_row_width`` doubles; ``scenario`` gives each row's time and
     commands, and ``log`` its ``i_ds_cmd`` and mode, as ``(first row,
-    i_ds_cmd, mode)`` at each change of either. ``machine`` computes each
+    i_ds_cmd, mode)`` at each change of either. ``params`` computes each
     row's torque, losses and power from its state."""
 
-    __slots__ = ("machine", "_values", "_width", "_log", "_scenario", "_decimation")
+    __slots__ = ("params", "_values", "_width", "_log", "_scenario", "_decimation")
 
     def __init__(self, values: array, log: list[tuple], scenario: Scenario, decimation: int,
-                 machine: InductionMachine):
-        self.machine = machine
+                 params: MachineParams):
+        self.params = params
         self._values = values
-        self._width = _row_width(machine.params)
+        self._width = _row_width(params)
         self._log = log
         self._scenario = scenario
         self._decimation = decimation
@@ -144,7 +145,7 @@ class PackedRecords:
 
     def _record(self, time: float, state: tuple) -> TelemetryRecord:
         omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load, mode = state
-        t_e, stator, rotor, iron, converter, p_in = self.machine.power_terms(
+        t_e, stator, rotor, iron, converter, p_in = self.params.power_terms(
             psi, omega_r, i_ds, i_qs)
         p_out = t_load * omega_r
         return TelemetryRecord(time, omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi,
@@ -178,13 +179,12 @@ def simulate(
 ) -> SimulationResult:
     """Run the full closed loop and collect telemetry."""
     params = config.machine
-    machine = InductionMachine(params)
     settings = config.search
     dt = scenario.dt
     decim = config.telemetry_decimation if decimation is None else decimation
     if decim < 1:
         raise ValueError("decimation must be >= 1")
-    check_step_size(dt, params)
+    step = InductionMachine(params, dt).step
     check_search_speeds(scenario, settings.gains, params.friction)
 
     flc = scenario.flc_enabled
@@ -209,7 +209,6 @@ def simulate(
     i_ds = i_ds_rated
     i_qs = 0.0
     i_ds_cmd = i_ds_rated
-    step = machine.step
 
     schedule = iter(scenario.commands)
     _, omega_ref, t_load = next(schedule)
@@ -313,7 +312,7 @@ def simulate(
             elif integrator < i_qs_min:
                 integrator = i_qs_min
         if sample_due:
-            p_d = machine.power_terms(psi, omega_r, i_ds, i_qs)[5]
+            p_d = params.power_terms(psi, omega_r, i_ds, i_qs)[5]
             comp_now = comp.output(psi, t) if comp is not None else 0.0
             iqs_cmd_now = min(max(iqs_pi + comp_now, -i_qs_max), i_qs_max)
             i_ds_cmd = search_sample(
@@ -338,7 +337,7 @@ def simulate(
             i_qs_cmd = i_qs_max
 
         try:
-            new = step(psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load, dt)
+            new = step(psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load)
         except NonFiniteError as exc:
             raise SimulationDivergedError(
                 k, str(exc), psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load
@@ -355,7 +354,7 @@ def simulate(
                 pack_row(values, k // decim * row_size, psi, omega_r, i_qs_cmd)
 
     return SimulationResult(
-        records=PackedRecords(values, log, scenario, decim, machine),
+        records=PackedRecords(values, log, scenario, decim, params),
         sample_count=sample_count,
         converged=search.converged,
         samples_to_convergence=samples_to_convergence,
@@ -375,7 +374,7 @@ def write_csv(records: PackedRecords, target) -> None:
     byte-identical."""
     write = target.write
     write(CSV_HEADER + "\n")
-    power_terms = records.machine.power_terms
+    power_terms = records.params.power_terms
     # tuples compare in C; 0.0 == -0.0, but their reprs differ
     shared = None    # the previous row's state after time, mode included
     commands = None  # omega_ref, i_ds_cmd, i_ds and load_torque of the last text

@@ -1,9 +1,7 @@
 """Synchronous-frame induction machine model with explicit losses.
 
 The model has four signals: rotor flux, rotor speed and the tracked dq
-currents. They are plain floats that the caller keeps; ``step`` advances them
-by one straight-line RK4 step and returns the new four. Rotor flux follows
-the first-order field-orientation dynamics
+currents. Rotor flux follows the first-order field-orientation dynamics
 
     dPsi/dt = (L_m * i_ds - Psi) / tau_r
 
@@ -13,9 +11,13 @@ current-regulated inverter. Losses are stator/rotor copper, eddy + hysteresis
 iron scaling with flux squared, and an affine-in-current-squared converter
 term; input power is shaft power plus total loss.
 
-``MachineParams`` computes its derived constants (rotor time constant, torque
-constants, rated flux) from the primitive ones, so they always agree; the
-bounds on each constant are checked once, where the configuration is loaded.
+``MachineParams`` holds the constants, derives the rest from the primitive
+ones, so they agree also after ``dataclasses.replace``, and does the algebra:
+``power_terms`` gives torque, the four losses and input power at a state.
+``InductionMachine`` is the RK4 stepper for one parameter set and one step size,
+which ``check_step_size`` holds below the stability limit: ``step`` advances
+the four signals, plain floats the caller keeps, by one straight-line RK4 step.
+The bounds on each constant are checked where the configuration is loaded.
 """
 
 from __future__ import annotations
@@ -26,11 +28,16 @@ from dataclasses import dataclass, field
 from .errors import FluxFloorError, NonFiniteError
 
 # the d-axis lag key that matches no input: NaN equals nothing
-_NO_KEY = (math.nan, math.nan, math.nan)
+_NO_KEY = (math.nan, math.nan)
 
 # Flux below this fraction of rated is treated as a protection violation:
 # slip and the torque-compensation division diverge as Psi -> 0.
 FLUX_FLOOR_FRACTION = 0.05
+
+# RK4 on dx/dt = -x / tau multiplies x by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+# z = -dt / tau; |R| <= 1 until R(z) = 1 at the real root of 1 + z/2 + z^2/6 +
+# z^3/24, z = -2.785..., beyond which every step grows x.
+RK4_STABILITY_LIMIT = 2.785293563405282
 
 
 @dataclass(frozen=True)
@@ -39,8 +46,9 @@ class MachineParams:
 
     Takes the 17 primitive constants; the derived ones
     (``rotor_time_constant``, ``torque_constant_flux``,
-    ``torque_constant_current``, ``rated_flux``) are computed from them once,
-    on construction. The per-constant bounds are checked where the constants
+    ``torque_constant_current``, ``rated_flux``, ``flux_floor`` and the
+    constants of :meth:`power_terms`) are computed from them once, on
+    construction. The per-constant bounds are checked where the constants
     enter, on configuration load (``harness.config``); construction checks
     only 0 < ``min_excitation_current`` < ``rated_excitation_current`` and
     that the flux at ``min_excitation_current`` is not below the flux floor.
@@ -70,6 +78,10 @@ class MachineParams:
     # N m / A^2, multiplies i_ds * i_qs: its steady-state companion K_t * L_m
     torque_constant_current: float = field(init=False)
     rated_flux: float = field(init=False)               # Wb, L_m * rated_excitation_current
+    flux_floor: float = field(init=False)  # Wb, FLUX_FLOOR_FRACTION * rated_flux
+    # power_terms' constants: p, L_m, tau_r and K_t, then the losses',
+    # grouped as the textbook formulas multiply left to right
+    _power_constants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_excitation_current < self.rated_excitation_current:
@@ -83,54 +95,21 @@ class MachineParams:
         derive(self, "torque_constant_flux", k_t)
         derive(self, "torque_constant_current", k_t * self.magnetizing_inductance)
         derive(self, "rated_flux", self.magnetizing_inductance * self.rated_excitation_current)
+        derive(self, "flux_floor", FLUX_FLOOR_FRACTION * self.rated_flux)
+        lm_over_lr = self.magnetizing_inductance / self.rotor_inductance
+        derive(self, "_power_constants", (
+            self.pole_pairs, self.magnetizing_inductance, self.rotor_time_constant, k_t,
+            1.5 * self.stator_resistance,
+            1.5 * self.rotor_resistance * (lm_over_lr * lm_over_lr),
+            self.iron_loss_eddy_coeff, self.iron_loss_hysteresis_coeff,
+            self.converter_fixed_loss, self.converter_resistive_coeff,
+        ))
         min_flux = self.magnetizing_inductance * self.min_excitation_current
         if min_flux < self.flux_floor:
             raise ValueError(
                 f"min_excitation_current {self.min_excitation_current!r} A gives rotor flux"
                 f" {min_flux:.6g} Wb, below the flux floor {self.flux_floor:.6g} Wb"
             )
-
-    @property
-    def flux_floor(self) -> float:
-        return FLUX_FLOOR_FRACTION * self.rated_flux
-
-
-class InductionMachine:
-    """Operations over the machine's four float signals for one parameter
-    set.
-
-    The caller keeps the state: :meth:`step` takes and returns floats, and
-    its result depends on its arguments alone. The one thing an instance
-    keeps between calls is :meth:`step`'s cache of the last d-axis lag it
-    computed, which changes no result bit.
-    """
-
-    def __init__(self, params: MachineParams):
-        self.params = params
-        self.flux_floor = params.flux_floor
-        tau_i = params.current_tracking_time_constant
-        # the step's constants, taken once: tau_r, L_m, K_t, 1/J, B, 1/tau_i
-        self._step_constants = (
-            params.rotor_time_constant, params.magnetizing_inductance,
-            params.torque_constant_flux, 1.0 / params.inertia, params.friction,
-            1.0 / tau_i if tau_i > 0.0 else 0.0,
-        )
-        # the last d-axis lag step computed: its key (i_d, i_ds_cmd, dt), then
-        # h, dt / 6, the flux targets L_m * x_d at the four stages and the new i_d
-        self._d_lag = _NO_KEY + (0.0,) * 7
-        # power_terms' constants: p, L_m, tau_r and K_t, then the losses',
-        # grouped as the textbook formulas multiply left to right
-        lm_over_lr = params.magnetizing_inductance / params.rotor_inductance
-        self._power_constants = (
-            params.pole_pairs, params.magnetizing_inductance, params.rotor_time_constant,
-            params.torque_constant_flux,
-            1.5 * params.stator_resistance,
-            1.5 * params.rotor_resistance * (lm_over_lr * lm_over_lr),
-            params.iron_loss_eddy_coeff, params.iron_loss_hysteresis_coeff,
-            params.converter_fixed_loss, params.converter_resistive_coeff,
-        )
-
-    # -- torque, losses and power ---------------------------------------------
 
     def power_terms(
         self, psi_dr: float, omega_r: float, i_ds: float, i_qs: float
@@ -163,11 +142,50 @@ class InductionMachine:
         return (t_e, stator, rotor, iron, converter,
                 t_e * omega_r + (stator + rotor + iron + converter))
 
-    # -- coupled step --------------------------------------------------------
+
+def check_step_size(dt: float, params: MachineParams) -> None:
+    """Raise ValueError unless ``dt`` is positive and below the RK4 stability
+    limit of the fastest decay the step integrates: the current lag if any,
+    else the rotor flux."""
+    tau = params.rotor_time_constant
+    if params.current_tracking_time_constant > 0.0:
+        tau = min(tau, params.current_tracking_time_constant)
+    max_dt = RK4_STABILITY_LIMIT * tau
+    if not dt > 0.0:  # NaN fails too
+        raise ValueError(f"dt={dt!r} s must be > 0")
+    if not dt < max_dt:
+        raise ValueError(f"dt={dt!r} s must be below {max_dt!r} s, the RK4 stability"
+                         f" limit for the {tau!r} s time constant")
+
+
+class InductionMachine:
+    """The RK4 stepper of one parameter set at one step size ``dt``, checked
+    by :func:`check_step_size` on construction.
+
+    The caller keeps the state: :meth:`step` takes and returns floats, and
+    its result depends on its arguments alone. The one thing an instance
+    keeps between calls is :meth:`step`'s cache of the last d-axis lag it
+    computed, which changes no result bit.
+    """
+
+    def __init__(self, params: MachineParams, dt: float):
+        check_step_size(dt, params)
+        tau_i = params.current_tracking_time_constant
+        # the step's constants, taken once: dt, dt / 2, dt / 6, tau_r, L_m,
+        # K_t, 1/J, B, 1/tau_i and the flux floor
+        self._step_constants = (
+            dt, 0.5 * dt, dt / 6.0,
+            params.rotor_time_constant, params.magnetizing_inductance,
+            params.torque_constant_flux, 1.0 / params.inertia, params.friction,
+            1.0 / tau_i if tau_i > 0.0 else 0.0, params.flux_floor,
+        )
+        # the last d-axis lag step computed: its key (i_d, i_ds_cmd), then the
+        # flux targets L_m * x_d at the four stages and the new i_d
+        self._d_lag = _NO_KEY + (0.0,) * 5
 
     def step(
         self, psi: float, w: float, i_d: float, i_q: float,
-        i_ds_cmd: float, i_qs_cmd: float, t_load: float, dt: float,
+        i_ds_cmd: float, i_qs_cmd: float, t_load: float,
     ) -> tuple[float, float, float, float]:
         """One RK4 step of the coupled flux / mechanical / current-lag ODEs.
 
@@ -179,22 +197,20 @@ class InductionMachine:
         finite; the new flux is clamped to the flux floor.
 
         Each current's lag is independent of flux and speed, so its stages
-        come first. The d-axis lag depends on ``(i_d, i_ds_cmd, dt)`` alone,
+        come first. The d-axis lag depends on ``(i_d, i_ds_cmd)`` alone,
         and the search holds the excitation command between samples, so the
         step keeps the last one it computed and reuses it while that key
         repeats. The result is the same bits either way.
         """
-        tau_r, l_m, k_t, inv_j, b, inv_tau_i = self._step_constants
+        dt, h, sixth, tau_r, l_m, k_t, inv_j, b, inv_tau_i, flux_floor = self._step_constants
         if inv_tau_i == 0.0:
             i_d = i_ds_cmd
             i_q = i_qs_cmd
 
         # the d-axis lag, as the flux targets L_m * x_d at the four stages. A
         # key holding a zero is never stored: -0.0 == 0.0, but the bits differ
-        key_d, key_cmd, key_dt, h, sixth, target1, target2, target3, target4, id_new = self._d_lag
-        if not (i_d == key_d and i_ds_cmd == key_cmd and dt == key_dt):
-            h = 0.5 * dt
-            sixth = dt / 6.0
+        key_d, key_cmd, target1, target2, target3, target4, id_new = self._d_lag
+        if not (i_d == key_d and i_ds_cmd == key_cmd):
             d1 = (i_ds_cmd - i_d) * inv_tau_i
             x_d2 = i_d + h * d1
             d2 = (i_ds_cmd - x_d2) * inv_tau_i
@@ -210,9 +226,8 @@ class InductionMachine:
             target2 = l_m * x_d2
             target3 = l_m * x_d3
             target4 = l_m * x_d4
-            self._d_lag = (
-                (i_d, i_ds_cmd, dt) if i_d and i_ds_cmd and dt else _NO_KEY
-            ) + (h, sixth, target1, target2, target3, target4, id_new)
+            self._d_lag = ((i_d, i_ds_cmd) if i_d and i_ds_cmd else _NO_KEY) + (
+                target1, target2, target3, target4, id_new)
 
         # the q-axis lag, computed on every call
         q1 = (i_qs_cmd - i_q) * inv_tau_i
@@ -253,6 +268,6 @@ class InductionMachine:
                 f"machine state is not finite: rotor_flux={psi_new!r},"
                 f" rotor_speed={w_new!r}, i_ds={id_new!r}, i_qs={iq_new!r}"
             )
-        if psi_new < self.flux_floor:
-            psi_new = self.flux_floor
+        if psi_new < flux_floor:
+            psi_new = flux_floor
         return psi_new, w_new, id_new, iq_new

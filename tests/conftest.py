@@ -23,7 +23,7 @@ from fluxseek.harness.report import DEFAULT_LOAD_FRACTIONS, paired_runs
 from fluxseek.harness.runner import (
     CSV_HEADER, PackedRecords, SimulationResult, TelemetryRecord, write_csv)
 from fluxseek.harness.scenario import Scenario
-from fluxseek.machine import InductionMachine, MachineParams
+from fluxseek.machine import MachineParams
 
 
 def speed_pi_step(
@@ -122,7 +122,7 @@ def reference_power_terms(
 ) -> tuple[float, float, float, float, float, float]:
     """The textbook torque, stator copper, rotor copper, iron and converter
     loss, and input power, written from the parameters and evaluated left to
-    right. ``InductionMachine.power_terms`` must give the same doubles; unlike
+    right. ``MachineParams.power_terms`` must give the same doubles; unlike
     it, this raises nothing below the flux floor or on a negative loss."""
     omega_e = p.pole_pairs * omega_r + p.magnetizing_inductance * i_qs / (
         p.rotor_time_constant * psi)
@@ -157,7 +157,7 @@ def reference_csv(records) -> bytes:
     """The CSV bytes ``write_csv`` must give for ``records``, each line built
     on its own as ``test_reference_loop.py``'s loop builds it: torque, losses
     and power from ``reference_power_terms``, every float through ``repr``."""
-    params = records.machine.params
+    params = records.params
     lines = [CSV_HEADER]
     for r in records:
         psi, omega_r, i_ds, i_qs = r.psi_dr, r.omega_r, r.i_ds, r.i_qs
@@ -200,7 +200,7 @@ def crafted_records(config: DriveConfig, *states, modes=None) -> PackedRecords:
     log = [(row, *change) for row, change in changes([(s[2], m) for s, m in zip(states, modes)])]
     values = array("d", [v for _, omega_r, _, i_qs_cmd, i_ds, i_qs, psi, _ in states
                          for v in (psi, omega_r, i_qs_cmd, i_ds, i_qs)])
-    records = PackedRecords(values, log, scenario, 1, InductionMachine(config.machine))
+    records = PackedRecords(values, log, scenario, 1, config.machine)
     assert repr([(*r[1:8], r.load_torque) for r in records]) == repr(list(states))
     assert [r.mode for r in records] == modes
     return records
@@ -227,10 +227,9 @@ def energy_ledger(records) -> EnergyLedger:
     p_in is T_e ω plus the losses, so the residual is the integration error
     alone: small for rows every step, and growing where a row pair spans a
     load step."""
-    machine = records.machine
-    p = machine.params
+    p = records.params
     rated = p.rated_excitation_current
-    _, *losses, p_in = machine.power_terms(p.rated_flux, 0.0, rated, 0.0)
+    _, *losses, p_in = p.power_terms(p.rated_flux, 0.0, rated, 0.0)
     # the integrands: p_in, the four losses, load power and friction power
     before = (0.0, (p_in, *losses, 0.0, 0.0))
     totals = [0.0] * 7

@@ -124,8 +124,8 @@ def test_criterion_2_trend_match(table_runs):
 def test_criterion_3_flux_ode_fidelity(config):
     with criterion(3, "flux ODE fidelity"):
         params = dataclasses.replace(config.machine, current_tracking_time_constant=0.0)
-        machine = InductionMachine(params)
         dt = 1e-4
+        machine = InductionMachine(params, dt)
         tau = params.rotor_time_constant
         for i_target in (params.rated_excitation_current / 2.0, params.rated_excitation_current):
             psi0 = params.rated_flux if i_target < params.rated_excitation_current else params.flux_floor * 4.0
@@ -134,7 +134,7 @@ def test_criterion_3_flux_ode_fidelity(config):
             psi, omega, i_ds, i_qs = psi0, 0.0, i_target, 0.0
             t = 0.0
             for k in range(round(5.0 * tau / dt)):
-                psi, omega, i_ds, i_qs = machine.step(psi, omega, i_ds, i_qs, i_target, 0.0, 0.0, dt)
+                psi, omega, i_ds, i_qs = machine.step(psi, omega, i_ds, i_qs, i_target, 0.0, 0.0)
                 t += dt
                 expected = goal + (psi0 - goal) * math.exp(-t / tau)
                 assert abs(psi - expected) <= 1e-4 * abs(expected)

@@ -23,7 +23,6 @@ from fluxseek.fuzzy import (
     input_gain,
     output_gain,
 )
-from fluxseek.machine import InductionMachine
 
 THIRD = 1.0 / 3.0
 
@@ -278,11 +277,10 @@ def test_estimate_torque_cases(config):
 
 def test_estimate_matches_developed_torque_at_steady_state(config):
     params = config.machine
-    machine = InductionMachine(params)
     i_ds, i_qs = 3.0, 7.0
     psi = params.magnetizing_inductance * i_ds
     assert estimate_torque(params, i_ds, i_qs) == pytest.approx(
-        machine.power_terms(psi, params.rated_speed, i_ds, i_qs)[0], rel=1e-12
+        params.power_terms(psi, params.rated_speed, i_ds, i_qs)[0], rel=1e-12
     )
 
 

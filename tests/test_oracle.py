@@ -90,7 +90,7 @@ def test_steady_state_point_covers_friction(config):
     # the point recomputed from i_ds: flux L_m * i_ds, the torque current that
     # covers load plus friction, and the shaft power of that torque
     p = config.machine
-    point = steady_state_point(InductionMachine(p), 150.0, 6.0, 5.0)
+    point = steady_state_point(p, 150.0, 6.0, 5.0)
     t_e = 6.0 + p.friction * 150.0
     psi = p.magnetizing_inductance * 5.0
     i_qs = t_e / (p.torque_constant_flux * psi)
@@ -107,3 +107,17 @@ def test_oracle_curve_is_convex_around_minimum(config):
     k = powers.index(min(powers))
     assert all(a > b for a, b in zip(powers[:k], powers[1 : k + 1]))
     assert all(a < b for a, b in zip(powers[k:-1], powers[k + 1 :]))
+
+
+def test_sweep_integrates_nothing(config, monkeypatch):
+    # the steady state is algebraic: the sweep builds no stepper
+    expected = oracle_sweep(150.0, 6.0, 200, config)
+
+    def refuse(self, *args):
+        raise AssertionError("oracle_sweep built an InductionMachine")
+
+    monkeypatch.setattr(InductionMachine, "__init__", refuse)
+    result = oracle_sweep(150.0, 6.0, 200, config)
+    assert result.points == expected.points
+    assert (result.best_i_ds, result.min_input_power) == (
+        expected.best_i_ds, expected.min_input_power)

@@ -23,7 +23,7 @@ from fluxseek.harness.config import default_config_text, parse_config
 from fluxseek.harness.report import steady_window_mean
 from fluxseek.harness.runner import CSV_HEADER, PackedRecords, TelemetryRecord, simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
-from fluxseek.machine import InductionMachine
+from fluxseek.machine import InductionMachine, MachineParams
 
 from conftest import crafted_records, csv_bytes, csv_sha256, reference_csv, rows_of
 
@@ -248,6 +248,10 @@ def test_simulate_rejects_unstable_step_size(config):
     scenario = constant_scenario("x", 2.4, 0.006, 150.0, 6.0)
     with pytest.raises(ValueError, match=r"dt=0\.006 s must be below 0\.00557"):
         simulate(scenario, config, decimation=1)
+    # it is checked before the search speeds: -80 rad/s is outside the gains
+    reverse = dataclasses.replace(scenario, speed_reference=((0.0, -80.0),))
+    with pytest.raises(ValueError, match=r"^dt=0\.006 s must be below"):
+        simulate(reverse, config, decimation=1)
 
 
 def test_simulate_rejects_search_outside_scaling(config, monkeypatch):
@@ -560,13 +564,13 @@ def test_written_rows_match_reference_lines(config):
 def _count_power_terms(monkeypatch) -> list:
     """A list that grows by one at each ``power_terms`` call from here on."""
     calls = []
-    power_terms = InductionMachine.power_terms
+    power_terms = MachineParams.power_terms
 
     def counted(self, *args):
         calls.append(None)
         return power_terms(self, *args)
 
-    monkeypatch.setattr(InductionMachine, "power_terms", counted)
+    monkeypatch.setattr(MachineParams, "power_terms", counted)
     return calls
 
 
