@@ -43,13 +43,14 @@ def predicted_flux_trajectory(
 
 
 class TorqueCompensator:
-    """Loop-owned compensation bookkeeping for one simulated drive.
+    """Compensation bookkeeping for one search: the runner builds one at the
+    search's entry and drops it at the abandon.
 
     ``latch`` is called at every search sample, after the new excitation
-    command is known; ``output`` is called every integration step while the
-    search is active. In predicted mode the anchors advance through the
-    closed-form trajectory instead of the measured flux, demonstrating the
-    sensorless variant.
+    command is known; ``output`` is called every integration step of the
+    search. In predicted mode the anchors advance through the closed-form
+    trajectory instead of the measured flux, demonstrating the sensorless
+    variant. ``DriveConfig`` checks ``flux_source`` and ``mode``.
 
     The anchors are plain floats: the flux ``psi_at_step`` and the total
     torque-current command ``iqs_at_step`` at the latest latch. ``output``
@@ -61,38 +62,17 @@ class TorqueCompensator:
         "base", "psi_at_step", "iqs_at_step", "latch_time", "target_i_ds",
     )
 
-    def __init__(
-        self,
-        params: MachineParams,
-        flux_source: str = "measured",
-        mode: str = "continuous",
-    ):
-        if flux_source not in FLUX_SOURCES:
-            raise ValueError(f"flux_source must be one of {FLUX_SOURCES}")
-        if mode not in COMPENSATION_MODES:
-            raise ValueError(f"mode must be one of {COMPENSATION_MODES}")
+    def __init__(self, params: MachineParams, flux_source: str = "measured",
+                 mode: str = "continuous"):
         self.params = params
         self._predicted = flux_source == "predicted"
         self._discrete = mode == "discrete"
         # True when ``output`` depends on ``t`` between latches
         self.time_varying = self._predicted and not self._discrete
-        self._latched = False
-        self.base = 0.0
-        self.psi_at_step = self.iqs_at_step = 0.0
-        self.latch_time = 0.0
-        self.target_i_ds = 0.0
-
-    def reset(self) -> None:
-        self._latched = False
+        self._latched = False  # the anchors are set, and read, from the first latch on
         self.base = 0.0
 
-    def latch(
-        self,
-        psi_measured: float,
-        pi_output: float,
-        new_i_ds_cmd: float,
-        t: float,
-    ) -> None:
+    def latch(self, psi_measured: float, pi_output: float, new_i_ds_cmd: float, t: float) -> None:
         """Re-anchor at a search sample: fold the settled boost into the base,
         then latch the present flux and total torque command."""
         psi_now = psi_measured

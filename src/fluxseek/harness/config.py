@@ -37,10 +37,33 @@ ENV_CONFIG_VAR = "FLUXSEEK_CONFIG"
 
 def _with_yaml12_floats(loader):
     """``loader`` reading YAML 1.2's floats as floats too: PyYAML follows YAML
-    1.1, whose floats need a dot, so ``1e-4`` was a string."""
+    1.1, whose floats need a dot, so ``1e-4`` was a string. It also rejects a
+    key repeated in one mapping, of which PyYAML kept the last value."""
+
+    merge = "tag:yaml.org,2002:merge"
 
     class Loader(loader):
-        pass
+        def __init__(self, stream):
+            super().__init__(stream)
+            self._checked = set()  # the mapping nodes whose own keys were checked
+
+        def flatten_mapping(self, node):
+            # A mapping's own keys are checked before its merge keys (<<) bring
+            # in keys it may override. A merge flattens the mapping it reads in
+            # place, maybe before that mapping is constructed: check each once.
+            if node not in self._checked:
+                self._checked.add(node)
+                seen = set()
+                for key_node, _ in node.value:
+                    if key_node.tag == merge or not isinstance(key_node, yaml.ScalarNode):
+                        continue
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key!r}", key_node.start_mark)
+                    seen.add(key)
+            super().flatten_mapping(node)
 
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
@@ -66,6 +89,12 @@ class DriveConfig:
     compensation_mode: str
     telemetry_decimation: int
     scenarios: tuple[Scenario, ...]
+
+    def __post_init__(self):  # for a config built in code: dataclasses.replace runs it
+        for field, choices in (("flux_source", FLUX_SOURCES),
+                               ("compensation_mode", COMPENSATION_MODES)):
+            if getattr(self, field) not in choices:
+                raise ValueError(f"{field} must be one of {choices}, got {getattr(self, field)!r}")
 
     def scenario(self, name: str) -> Scenario:
         for sc in self.scenarios:

@@ -60,9 +60,10 @@ def oracle_sweep(
     """Evaluate grid_size excitation values on [min, rated] and return the
     minimizer plus the whole curve.
 
-    A single-point grid evaluates rated excitation (the point the operating
-    envelope guarantees feasible). Infeasible grid points stay in the curve
-    but are excluded from the minimum.
+    Each point is evaluated once. The last is rated excitation (the point the
+    operating envelope guarantees feasible), which the reachability check
+    evaluates; a single-point grid is that point alone. Infeasible grid
+    points stay in the curve but are excluded from the minimum.
     """
     if not 1 <= grid_size <= MAX_GRID:
         raise ValueError(f"grid_size = {grid_size} must be in [1, {MAX_GRID}]")
@@ -71,25 +72,15 @@ def oracle_sweep(
             raise ValueError(f"{name} must be finite, got {value!r}")
     params = config.machine
     rated = params.rated_excitation_current
-    if not steady_state_point(params, speed, load_torque, rated).feasible:
+    rated_point = steady_state_point(params, speed, load_torque, rated)
+    if not rated_point.feasible:
         raise ValueError(
             f"operating point (speed {speed:g}, torque {load_torque:g}) is not"
             " reachable at rated excitation"
         )
     lo = params.min_excitation_current
-    if grid_size == 1:
-        grid = [rated]
-    else:
-        span = rated - lo
-        grid = [lo + span * i / (grid_size - 1) for i in range(grid_size - 1)]
-        grid.append(rated)
-
-    points = tuple(steady_state_point(params, speed, load_torque, x) for x in grid)
-    best = min(
-        (p for p in points if p.feasible), key=lambda p: p.input_power
-    )
-    return OracleSweepResult(
-        best_i_ds=best.i_ds,
-        min_input_power=best.input_power,
-        points=points,
-    )
+    span = rated - lo
+    points = (*(steady_state_point(params, speed, load_torque, lo + span * i / (grid_size - 1))
+                for i in range(grid_size - 1)), rated_point)
+    best = min((p for p in points if p.feasible), key=lambda p: p.input_power)
+    return OracleSweepResult(best_i_ds=best.i_ds, min_input_power=best.input_power, points=points)

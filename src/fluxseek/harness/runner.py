@@ -12,7 +12,8 @@ repeats, and ``power_terms``, ``search_sample`` and ``latch`` only at samples.
 The supervisor runs on events (see ``optimizer``): an ordinary step only tests
 the speed error against the band, and the steps of search entry and of each
 sample are known ahead of time. The loop's ``searching`` flag is the drive
-mode's only record; entry and abandon each start a fresh ``SearchState``.
+mode's only record; a search's ``SearchState`` and ``TorqueCompensator`` (when
+enabled) are built at its entry and dropped at its abandon.
 
 Rows keep only what the loop integrates: each row's flux, speed and
 ``i_qs_cmd`` go into one ``array("d")``, and its ``i_ds`` and ``i_qs`` too when
@@ -194,15 +195,10 @@ def simulate(
     i_qs_max = params.max_torque_current
     i_qs_min = -i_qs_max
     integrator = 0.0
-    search = SearchState()
     tolerance = settings.steady_speed_tolerance
     neg_tolerance = -tolerance
-    comp = (
-        TorqueCompensator(params, config.flux_source, config.compensation_mode)
-        if scenario.compensator_enabled
-        else None
-    )
-    may_hold = comp is None or not comp.time_varying
+    # a search's own state, built at its entry and dropped at its abandon
+    search = comp = None
     # pre-magnetized standstill: rated flux established, shaft at rest
     psi = params.rated_flux
     omega_r = 0.0
@@ -251,13 +247,11 @@ def simulate(
             in_band = neg_tolerance <= error <= tolerance  # abs(error) <= tolerance
             if searching:
                 if command_changed or not in_band:
-                    search = SearchState()
+                    search = comp = None
                     searching = hold = False
                     event = n_steps
                     i_ds_cmd = i_ds_rated
                     log.append((k // decim, i_ds_cmd, "transient"))
-                    if comp is not None:
-                        comp.reset()
                 elif k == event:
                     sample_due = True
                     hold = False
@@ -268,6 +262,9 @@ def simulate(
                     event = k + settings.steady_steps - 1
                 if k == event:
                     search = SearchState()
+                    if scenario.compensator_enabled:
+                        comp = TorqueCompensator(
+                            params, config.flux_source, config.compensation_mode)
                     searching = True
                     hold = False
                     log.append((k // decim, i_ds_cmd, "search"))
@@ -311,13 +308,16 @@ def simulate(
                 integrator = i_qs_max
             elif integrator < i_qs_min:
                 integrator = i_qs_min
+        # i_ds_cmd needs no clamp: it is rated or what search_sample clamped.
+        # The same float as min(max(v, i_qs_min), i_qs_max), without the calls.
+        i_qs_cmd = iqs_pi + (comp.output(psi, t) if comp is not None else 0.0)
+        if i_qs_cmd < i_qs_min:
+            i_qs_cmd = i_qs_min
+        elif i_qs_cmd > i_qs_max:
+            i_qs_cmd = i_qs_max
         if sample_due:
             p_d = params.power_terms(psi, omega_r, i_ds, i_qs)[5]
-            comp_now = comp.output(psi, t) if comp is not None else 0.0
-            iqs_cmd_now = min(max(iqs_pi + comp_now, -i_qs_max), i_qs_max)
-            i_ds_cmd = search_sample(
-                search, settings, params, p_d, omega_r, i_ds_cmd, iqs_cmd_now
-            )
+            i_ds_cmd = search_sample(search, settings, params, p_d, omega_r, i_ds_cmd, i_qs_cmd)
             log.append((k // decim, i_ds_cmd, "search"))
             sample_count += 1
             if search.converged and samples_to_convergence is None:
@@ -325,16 +325,9 @@ def simulate(
                 convergence_time = t
             if comp is not None:
                 comp.latch(psi, iqs_pi, i_ds_cmd, t)
+                # the step runs on the boost from the new anchors
+                i_qs_cmd = min(max(iqs_pi + comp.output(psi, t), i_qs_min), i_qs_max)
             event = next(samples, n_steps)
-
-        comp_out = comp.output(psi, t) if comp is not None and searching else 0.0
-        # i_ds_cmd needs no clamp: it is rated or what search_sample clamped.
-        # The same float as min(max(v, -i_qs_max), i_qs_max), without the calls.
-        i_qs_cmd = iqs_pi + comp_out
-        if i_qs_cmd < i_qs_min:
-            i_qs_cmd = i_qs_min
-        elif i_qs_cmd > i_qs_max:
-            i_qs_cmd = i_qs_max
 
         try:
             new = step(psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load)
@@ -342,8 +335,9 @@ def simulate(
             raise SimulationDivergedError(
                 k, str(exc), psi, omega_r, i_ds, i_qs, i_ds_cmd, i_qs_cmd, t_load
             ) from exc
-        # most computed steps change the speed: test it before the whole state
-        fixed = new[1] == omega_r and may_hold and _repeats(
+        # most computed steps change the speed: test it before the whole state;
+        # a compensator whose boost moves with t keeps its search from holding
+        fixed = new[1] == omega_r and (comp is None or not comp.time_varying) and _repeats(
             (psi, omega_r, i_ds, i_qs, integrator_before), (*new, integrator))
         psi, omega_r, i_ds, i_qs = new
 
@@ -356,7 +350,7 @@ def simulate(
     return SimulationResult(
         records=PackedRecords(values, log, scenario, decim, params),
         sample_count=sample_count,
-        converged=search.converged,
+        converged=searching and search.converged,
         samples_to_convergence=samples_to_convergence,
         convergence_time=convergence_time,
     )

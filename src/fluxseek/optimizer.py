@@ -1,18 +1,18 @@
-"""Search supervisor: steady-state detection, slow power sampling, fuzzy step
-application with clamping, and abandonment on command changes.
+"""Search samples: slow power sampling, fuzzy step application with
+clamping, and the convergence flag.
 
 The drive has two positions. During transients the excitation command is held
 at rated for best dynamic response. Once the speed error has stayed inside a
 small band long enough, the supervisor samples dc-link power on a slow period
 and walks the excitation command toward minimum input power; any speed or
-load command change abandons the search immediately and clears its history.
+load command change abandons the search immediately and drops its state.
 
-The runner owns the drive mode and runs the supervisor on events, not on
-every step. Between them the only rule is the band test
-``abs(error) <= steady_speed_tolerance``; the search is entered on the
+The runner owns the drive mode: it detects the steady state and abandons the
+search, on events, not on every step. Between them the only rule is the band
+test ``abs(error) <= steady_speed_tolerance``; the search is entered on the
 ``steady_steps``-th consecutive in-band step, and ``sample_steps`` gives the
-steps of its power samples. Entering and abandoning the search each start
-a fresh ``SearchState``. ``SearchSettings`` is everything one search reads
+steps of its power samples. The runner builds a ``SearchState`` at each entry
+and drops it at the abandon. ``SearchSettings`` is everything one search reads
 apart from the machine, which the caller passes to each sample.
 """
 
@@ -43,8 +43,8 @@ class SearchSettings:
 
 @dataclass
 class SearchState:
-    """Mutable state of one search, from its entry on; owned and advanced by
-    one simulation loop."""
+    """Mutable state of one search, from its entry to its abandon; owned and
+    advanced by one simulation loop."""
 
     previous_power: float | None = None  # None until the priming sample
     last_di_ds: float | None = None       # the applied step; None until the first

@@ -3,6 +3,7 @@ diagnostics, unknown-key rejection, and environment resolution."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -107,6 +108,60 @@ def test_yaml12_floats_are_numbers(default_text, monkeypatch, loader):
         "search_period: 0.5", "search_period: 5e-1")
     assert text.count("dt: 1e-4") == 4 and "search_period: 5e-1" in text
     assert parse_config(text) == parse_config(default_text)
+
+
+DUPLICATES = {
+    # PyYAML alone keeps the last value: 7.0 ohm in place of the shipped 0.7,
+    # and a decimation of 3 from a second telemetry section
+    "machine-key": ("machine:\n", "machine:\n  stator_resistance: 7.0\n", "stator_resistance"),
+    "section": ("telemetry:\n", "telemetry:\n  decimation: 3\ntelemetry:\n", "telemetry"),
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("case", DUPLICATES.values(), ids=DUPLICATES)
+def test_duplicate_keys_are_rejected(default_text, monkeypatch, loader, case):
+    old, new, key = case
+    text = default_text.replace(old, new, 1)
+    first, second = re.finditer(rf"(?m)^ *{key}:", text)
+    line = text.count("\n", 0, second.start()) + 1
+    monkeypatch.setattr(config_module, "_YAML_LOADER", config_module._with_yaml12_floats(loader))
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, source="drive.yaml")
+    message = str(info.value)
+    assert message.startswith("drive.yaml: not valid YAML: while constructing a mapping")
+    assert f"found duplicate key {key!r}\n  in \"<unicode string>\", line {line}," in message
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_merge_keys_may_still_be_overridden(loader):
+    # a mapping overrides what a merge (<<) brings in, also through a chain of
+    # merges whose middle mapping is flattened before it is constructed
+    taught = config_module._with_yaml12_floats(loader)
+    document = (
+        "defs:\n"
+        "  base: &base {x: 1, y: 1}\n"
+        "  middle: &middle {<<: *base, x: 2}\n"
+        "use: {<<: *middle, y: 3}\n"
+    )
+    assert yaml.load(document, Loader=taught) == {
+        "defs": {"base": {"x": 1, "y": 1}, "middle": {"x": 2, "y": 1}},
+        "use": {"x": 2, "y": 3},
+    }
+    with pytest.raises(yaml.constructor.ConstructorError, match="duplicate key 'x'"):
+        yaml.load("a: &a {x: 1}\nb: {<<: *a, x: 2, x: 3}\n", Loader=taught)
+
+
+def test_replace_checks_the_compensator_choices(config):
+    # a config built in code is checked where it is built, not only where a
+    # compensator is: rated-flux-baseline never builds one
+    for field, value, choices in (
+        ("flux_source", "guessed", "('measured', 'predicted')"),
+        ("compensation_mode", "sometimes", "('continuous', 'discrete')"),
+    ):
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(config, **{field: value})
+        assert str(info.value) == f"{field} must be one of {choices}, got {value!r}"
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")

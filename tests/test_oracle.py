@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from fluxseek.harness import oracle
 from fluxseek.harness.oracle import MAX_GRID, oracle_sweep, steady_state_point
 from fluxseek.machine import InductionMachine
 
@@ -121,3 +122,18 @@ def test_sweep_integrates_nothing(config, monkeypatch):
     assert result.points == expected.points
     assert (result.best_i_ds, result.min_input_power) == (
         expected.best_i_ds, expected.min_input_power)
+
+
+@pytest.mark.parametrize("grid_size", [1, 2, 200])
+def test_sweep_evaluates_each_point_once(config, monkeypatch, grid_size):
+    # the reachability check's rated point is the grid's last point
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return steady_state_point(*args)
+
+    monkeypatch.setattr(oracle, "steady_state_point", counted)
+    result = oracle_sweep(150.0, 6.0, grid_size, config)
+    assert len(calls) == len(result.points) == grid_size
+    assert result.points[-1].i_ds == config.machine.rated_excitation_current

@@ -31,8 +31,7 @@ def reference_run(scenario: Scenario, config, decimation: int):
     dt = scenario.dt
     rated = p.rated_excitation_current
     limit = p.max_torque_current
-    comp = (TorqueCompensator(p, config.flux_source, config.compensation_mode)
-            if scenario.compensator_enabled else None)
+    comp = None    # one compensator per search, when enabled
     psi, omega_r, i_ds, i_qs = p.rated_flux, 0.0, rated, 0.0
     integrator = 0.0
     i_ds_cmd = rated
@@ -62,10 +61,11 @@ def reference_run(scenario: Scenario, config, decimation: int):
                 counter += 1
                 if counter >= settings_.steady_steps:
                     mode, search, counter, timer = "search", SearchState(), 0, 0.0
+                    if scenario.compensator_enabled:
+                        comp = TorqueCompensator(p, config.flux_source, config.compensation_mode)
             if mode == "transient":
                 i_ds_cmd = rated
-                if comp is not None:
-                    comp.reset()
+                comp = None
             else:
                 timer += dt
                 if timer >= settings_.search_period:

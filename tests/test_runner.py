@@ -394,16 +394,21 @@ def test_machine_step_reuses_its_d_axis_lag_in_a_search_run(config, monkeypatch)
 
 def test_supervisor_acts_only_where_the_mode_changes(config, monkeypatch):
     # the mode enters the search, the load step abandons it, the search is
-    # entered again, and the compensator resets once, on the abandon
-    resets = []
-    reset = TorqueCompensator.reset
-    monkeypatch.setattr(TorqueCompensator, "reset", lambda self: (resets.append(self), reset(self)))
+    # entered again, and each entry builds its own compensator
+    built = []
+    init = TorqueCompensator.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(TorqueCompensator, "__init__", counted)
     scenario = Scenario("abandon", 3.0, 1e-3, ((0.0, 150.0),), ((0.0, 6.0), (2.0, 9.0)))
     result = simulate(scenario, config, decimation=1)
     modes = [r.mode for r in result.records]
     changes = [(a, b) for a, b in zip(modes, modes[1:]) if a != b]
     assert changes == [("transient", "search"), ("search", "transient"), ("transient", "search")]
-    assert len(resets) == 1
+    assert len(built) == 2
 
 
 def test_computed_steps_call_only_the_machine_and_the_compensator(config):
@@ -476,6 +481,22 @@ def test_hold_engages_at_standstill(config, monkeypatch):
     result = simulate(scenario, config)
     assert steps() < 100  # of 10000
     assert rows_of(result.records)[-1].omega_r == 0.0
+
+
+def test_hold_engages_where_no_compensator_runs(config, monkeypatch):
+    # A compensator whose boost moves with time (predicted flux, continuous
+    # form) keeps only its own search from holding: with the search off none
+    # is built, so the run holds, with the bytes of a run that never holds.
+    cfg = dataclasses.replace(config, flux_source="predicted", compensation_mode="continuous")
+    scenario = dataclasses.replace(config.scenario("rated-flux-baseline"), compensator_enabled=True)
+    assert not scenario.flc_enabled
+    steps = _count_steps(monkeypatch)
+    held = csv_bytes(simulate(scenario, cfg).records)
+    computed = steps()
+    assert computed < 20000  # of 40000
+    monkeypatch.setattr(runner, "_repeats", lambda before, after: False)
+    assert csv_bytes(simulate(scenario, cfg).records) == held
+    assert steps() - computed == scenario.steps
 
 
 def test_efficiency_absent_when_input_power_nonpositive(config):
