@@ -1,8 +1,9 @@
 """Shared fixtures: the default configuration and the paired part-load runs
 that back both the report tests and the acceptance suite; the reference speed
-PI, machine step and power terms, a generic RK4; the telemetry CSV as bytes or
-as its SHA-256; the CSV that rows must give, built line by line without the
-writer; a run's rows as a list; crafted rows; and a run's energy ledger."""
+PI, machine step, power terms and compensator boost, a generic RK4; the
+telemetry CSV as bytes or as its SHA-256; the CSV that rows must give, built
+line by line without the writer; a run's rows as a list; crafted rows; and a
+run's energy ledger."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import pytest
 
-from fluxseek.errors import NonFiniteError
+from fluxseek.errors import FluxFloorError, NonFiniteError
 from fluxseek.harness.config import DriveConfig, load_config
 from fluxseek.harness.oracle import OracleSweepResult, oracle_sweep
 from fluxseek.harness.report import DEFAULT_LOAD_FRACTIONS, paired_runs
@@ -135,6 +136,49 @@ def reference_power_terms(
     converter = p.converter_fixed_loss + p.converter_resistive_coeff * i_sq
     t_e = p.torque_constant_flux * i_qs * psi
     return t_e, stator, rotor, iron, converter, t_e * omega_r + (stator + rotor + iron + converter)
+
+
+def reference_flux_decay(p: MachineParams, psi0: float, i_ds: float, t: float) -> float:
+    """The rotor flux t seconds after it stood at psi0 under excitation
+    ``i_ds``: the closed-form solution of tau_r dpsi/dt = L_m i_ds - psi."""
+    target = p.magnetizing_inductance * i_ds
+    return target + (psi0 - target) * math.exp(-t / p.rotor_time_constant)
+
+
+def reference_boost(p: MachineParams, flux_source: str, mode: str, latches, psi: float,
+                    t: float) -> float:
+    """The boost ``TorqueCompensator.output(psi, t)`` must give after
+    ``latches``, each ``(measured flux, PI output, new excitation command,
+    time)``, written from ``compensator.py``'s docstring. Each latch anchors
+    (Psi0, iqs0) at the flux, measured or on ``reference_flux_decay`` from the
+    last anchor, and the PI output plus the base, after folding the last
+    anchor's settled boost into the base by the step form
+    (Psi_prev - Psi_now) / Psi_now * iqs_prev. The boost is the base plus
+    -dPsi * iqs0 / (Psi0 + dPsi), or the base alone before the first latch and
+    in discrete mode. Raises ``FluxFloorError`` with the compensator's message
+    for a latch below the flux floor and for a denominator not in (0, inf)."""
+    predicted = flux_source == "predicted"
+    base = 0.0
+    anchor = None  # (Psi0, iqs0, latch time, excitation command)
+    for psi_measured, pi_output, i_ds_new, t_latch in latches:
+        psi_now = psi_measured
+        if anchor is not None and predicted:
+            psi_now = reference_flux_decay(p, anchor[0], anchor[3], t_latch - anchor[2])
+        if psi_now < p.flux_floor:
+            raise FluxFloorError(f"cannot latch compensator below flux floor ({psi_now:.6g} Wb)")
+        if anchor is not None:
+            base = base + (anchor[0] - psi_now) / psi_now * anchor[1]
+        anchor = (psi_now, pi_output + base, t_latch, i_ds_new)
+    if anchor is None or mode == "discrete":
+        return base
+    psi0, iqs0, t0, i_ds_new = anchor
+    if predicted:
+        psi = reference_flux_decay(p, psi0, i_ds_new, t - t0)
+    delta_psi = psi - psi0
+    denom = psi0 + delta_psi
+    if not (denom > 0.0 and math.isfinite(denom)):
+        raise FluxFloorError(f"compensation denominator {denom:.6g} at/below zero")
+    return base + (-delta_psi) * iqs0 / denom
 
 
 def csv_bytes(records) -> bytes:

@@ -4,6 +4,7 @@ per-sample step form, the predicted trajectory, and anchor bookkeeping."""
 from __future__ import annotations
 
 import math
+import re
 import struct
 
 import pytest
@@ -16,6 +17,8 @@ from fluxseek.compensator import (
     predicted_flux_trajectory,
 )
 from fluxseek.errors import FluxFloorError
+
+from conftest import reference_boost
 
 
 def anchored(config, psi=1.0, iqs=10.0) -> TorqueCompensator:
@@ -95,44 +98,24 @@ def latch_sequences(draw):
 @example(flux_source="measured", mode="continuous", latches=[(0.7, 3.0, 4.0, 0.0)],
          psi=math.nan, later=0.1)
 def test_output_is_the_boost_formula_bit_for_bit(config, flux_source, mode, latches, psi, later):
-    # output against the boost written out: base + -(psi - psi0) * iqs0 /
-    # (psi0 + (psi - psi0)) on anchors latched as the fold rule reads, with
-    # psi the closed-form trajectory in predicted mode, and base alone in
-    # discrete mode; 0.0 before the first latch
+    # after each latch, output `later` seconds on against conftest's
+    # reference_boost: the same float, or the same FluxFloorError, from the
+    # latch below the floor or from the denominator guard; 0.0 before the first
     params = config.machine
     comp = TorqueCompensator(params, flux_source, mode)
     assert _bits(comp.output(psi, 0.0)) == _bits(0.0)
-    predicted = flux_source == "predicted"
-    base, anchors = 0.0, None
-    for psi_measured, pi_output, i_ds_new, t_latch in latches:
-        psi_latch = psi_measured
-        if anchors is not None and predicted:
-            psi0, _, t0, i_ds0 = anchors
-            psi_latch = predicted_flux_trajectory(params, psi0, i_ds0, t_latch - t0)
-        if psi_latch < params.flux_floor:
-            # the closed form can round a hair below an anchor at the floor:
-            # from 0.035 Wb toward 2.5 A, 0 s on, it gives 0.034999999999999976
-            with pytest.raises(FluxFloorError, match="^cannot latch compensator below"):
-                comp.latch(psi_measured, pi_output, i_ds_new, t_latch)
-            return
-        comp.latch(psi_measured, pi_output, i_ds_new, t_latch)
-        if anchors is not None:
-            base += discrete_compensation(anchors[0], psi_latch, anchors[1])
-        anchors = (psi_latch, pi_output + base, t_latch, i_ds_new)
-    psi0, iqs0, t0, i_ds0 = anchors
-    t = t0 + later
-    if predicted:
-        psi = predicted_flux_trajectory(params, psi0, i_ds0, t - t0)
-    delta_psi = psi - psi0
-    denom = psi0 + delta_psi
-    if mode == "discrete":
-        assert _bits(comp.output(psi, t)) == _bits(base)
-    elif denom <= 0.0 or not math.isfinite(denom):
-        with pytest.raises(FluxFloorError) as error:
-            comp.output(psi, t)
-        assert str(error.value) == f"compensation denominator {denom:.6g} at/below zero"
-    else:
-        expected = base + (-delta_psi) * iqs0 / denom
+    for n, latch in enumerate(latches, 1):
+        t = latch[3] + later
+        try:
+            expected = reference_boost(params, flux_source, mode, latches[:n], psi, t)
+        except FluxFloorError as error:
+            with pytest.raises(FluxFloorError, match=f"^{re.escape(str(error))}$"):
+                comp.latch(*latch)
+                comp.output(psi, t)
+            if str(error).startswith("cannot latch"):
+                return
+            continue
+        comp.latch(*latch)
         assert _bits(comp.output(psi, t)) == _bits(expected)
 
 

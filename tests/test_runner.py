@@ -55,6 +55,43 @@ def test_golden_telemetry_bytes(config):
     )
 
 
+# quarter-load-search cut to 3 s: search entry, the priming sample and four
+# latches, at lagged decimated tracking and at ideal per-step tracking
+COMPENSATOR_PATH_SHA256 = {
+    ("measured", "continuous", "lagged"):
+        "bb9a7141084d59b55ed32b808b98bcc9c66134b606cc1fd46220c8d726a60304",
+    ("measured", "continuous", "ideal"):
+        "7ccb7f27581d42070afe2792cd2697f34afced2e6c7b8b4001e63fd3879846d8",
+    ("measured", "discrete", "lagged"):
+        "eeaaad7066a8730103a3464501439d7eda7920f13a2d317b3a2666d9b9e250b4",
+    ("measured", "discrete", "ideal"):
+        "1b6e4f8210b65cf917f20196dc41a355671adfcd6d9be7884c02c3e0209137c0",
+    ("predicted", "continuous", "lagged"):
+        "58c851fca61d8a429ea9d1e868122bf4e7ceaa5c087ab7ff0efe3fc731d965d6",
+    ("predicted", "continuous", "ideal"):
+        "ce7e017e2ed680ab5e95f530218e2ad975b5e006c45685a886a35226fa6e46ff",
+    ("predicted", "discrete", "lagged"):
+        "d18ac450d40e779ab2ed87c6f38d55b4187819bdd29228d522f933025f02efc0",
+    ("predicted", "discrete", "ideal"):
+        "b036f876a41add892a3a83f36a79e97405c4b4d99e276b0f7d7e6aad6bcaf9c6",
+}
+
+
+@pytest.mark.parametrize("flux_source, mode, tracking", sorted(COMPENSATOR_PATH_SHA256))
+def test_compensator_path_bytes(config, flux_source, mode, tracking):
+    # the golden runs take only the measured, continuous compensator
+    cfg = dataclasses.replace(config, flux_source=flux_source, compensation_mode=mode)
+    decimation = None
+    if tracking == "ideal":
+        cfg = dataclasses.replace(
+            cfg, machine=dataclasses.replace(cfg.machine, current_tracking_time_constant=0.0))
+        decimation = 1
+    scenario = dataclasses.replace(config.scenario("quarter-load-search"), duration=3.0)
+    result = simulate(scenario, cfg, decimation=decimation)
+    assert result.sample_count == 5
+    assert csv_sha256(result.records) == COMPENSATOR_PATH_SHA256[flux_source, mode, tracking]
+
+
 def test_zero_duration_scenario_yields_empty_stream(config):
     scenario = constant_scenario("empty", 0.0, 1e-4, 150.0, 6.0)
     assert scenario.steps == 0
