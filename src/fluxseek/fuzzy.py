@@ -7,9 +7,12 @@ dependent gains (an affine power base P_b and an affine current base I_b)
 normalize both sides so a single rule base serves every torque and speed
 condition: equal per-unit inputs produce equal per-unit outputs. The two
 antecedents are triangular partitions; each consequent is a singleton, a
-label and the center that height defuzzification reads. The rule base and the
-gains travel in ``optimizer.SearchSettings``, which holds everything one
-search reads apart from the machine.
+label and its center. Each rule is a ``(power, last, output)`` label triple,
+resolved once, on load, to the positions of its two antecedent sets and the
+center of its output, so fuzzification, inference and defuzzification read
+positions only. The rule base and the gains travel in
+``optimizer.SearchSettings``, which holds everything one search reads apart
+from the machine.
 """
 
 from __future__ import annotations
@@ -55,16 +58,6 @@ class MembershipFunction:
         return (self.right - x) / (self.right - self.center)
 
 
-@dataclass(frozen=True)
-class FuzzyRule:
-    """IF power-change is `power` AND last action is `last`
-    THEN excitation increment is `output`."""
-
-    power: str
-    last: str
-    output: str
-
-
 def _check_coverage(name: str, sets: tuple[MembershipFunction, ...]) -> None:
     """Raise ValueError unless every point of [-1, 1] fires at least one of
     ``sets``. A set fires on the open interval between its feet, a shoulder
@@ -86,7 +79,11 @@ def _check_coverage(name: str, sets: tuple[MembershipFunction, ...]) -> None:
 class FuzzyRuleBase:
     """Linguistic variables and the 14-entry rule table.
 
-    Validated for totality (every power x last-action pair appears exactly
+    Each rule is a ``(power, last, output)`` label triple: IF power change is
+    ``power`` AND last action is ``last`` THEN the excitation increment is
+    ``output``. On load the labels resolve to ``rule_table``, which inference
+    and defuzzification read. Validated for unique labels, for rules naming
+    known labels, for totality (every power x last-action pair appears exactly
     once), for both antecedent partitions, power change and last action,
     covering all of [-1, 1], and for a nonempty small overlap of the two
     last-action sets around zero, so the height defuzzifier can never see an
@@ -96,9 +93,10 @@ class FuzzyRuleBase:
     power_change_sets: tuple[MembershipFunction, ...]
     last_action_sets: tuple[MembershipFunction, ...]
     output_centers: tuple[tuple[str, float], ...]  # (label, center) singletons
-    rules: tuple[FuzzyRule, ...]
-    # the center of each rule's output, in rule-table order
-    rule_output_centers: tuple[float, ...] = field(init=False)
+    rules: tuple[tuple[str, str, str], ...]  # (power, last, output) labels
+    # each rule's power-set position, last-action-set position and output
+    # center, in rule-table order
+    rule_table: tuple[tuple[int, int, float], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         power_labels = [s.label for s in self.power_change_sets]
@@ -115,14 +113,14 @@ class FuzzyRuleBase:
             raise ValueError("last_action needs exactly two sets")
 
         seen: set[tuple[str, str]] = set()
-        for rule in self.rules:
-            if rule.power not in power_labels:
-                raise ValueError(f"rule references unknown power label {rule.power!r}")
-            if rule.last not in last_labels:
-                raise ValueError(f"rule references unknown last-action label {rule.last!r}")
-            if rule.output not in output_labels:
-                raise ValueError(f"rule references unknown output label {rule.output!r}")
-            key = (rule.power, rule.last)
+        for power, last, output in self.rules:
+            if power not in power_labels:
+                raise ValueError(f"rule references unknown power label {power!r}")
+            if last not in last_labels:
+                raise ValueError(f"rule references unknown last-action label {last!r}")
+            if output not in output_labels:
+                raise ValueError(f"rule references unknown output label {output!r}")
+            key = (power, last)
             if key in seen:
                 raise ValueError(f"duplicate rule for antecedent {key}")
             seen.add(key)
@@ -145,9 +143,10 @@ class FuzzyRuleBase:
         _check_coverage("last_action", self.last_action_sets)
 
         centers = dict(self.output_centers)
-        object.__setattr__(
-            self, "rule_output_centers", tuple(centers[r.output] for r in self.rules)
-        )
+        object.__setattr__(self, "rule_table", tuple(
+            (power_labels.index(power), last_labels.index(last), centers[output])
+            for power, last, output in self.rules
+        ))
 
 
 @dataclass(frozen=True)
@@ -203,30 +202,28 @@ def estimate_torque(params: MachineParams, i_ds_cmd: float, i_qs_cmd: float) -> 
     return params.torque_constant_current * i_ds_cmd * i_qs_cmd
 
 
-def fuzzify(x: float, sets: tuple[MembershipFunction, ...]) -> dict[str, float]:
-    """Membership degree of each set at x clamped into [-1, 1]."""
+def fuzzify(x: float, sets: tuple[MembershipFunction, ...]) -> list[float]:
+    """Membership degree of each set at x clamped into [-1, 1], in set order."""
     if x > 1.0:
         x = 1.0
     elif x < -1.0:
         x = -1.0
-    return {s.label: s.degree(x) for s in sets}
+    return [s.degree(x) for s in sets]
 
 
 def infer(rulebase: FuzzyRuleBase, dp_pu: float, last_di_pu: float) -> tuple[float, ...]:
     """min-AND firing strength of every rule, in rule-table order."""
-    power_deg = fuzzify(dp_pu, rulebase.power_change_sets)
-    last_deg = fuzzify(last_di_pu, rulebase.last_action_sets)
-    return tuple(
-        min(power_deg[r.power], last_deg[r.last]) for r in rulebase.rules
-    )
+    power = fuzzify(dp_pu, rulebase.power_change_sets)
+    last = fuzzify(last_di_pu, rulebase.last_action_sets)
+    return tuple(min(power[i], last[j]) for i, j, _ in rulebase.rule_table)
 
 
 def height_defuzzify(strengths: tuple[float, ...], rulebase: FuzzyRuleBase) -> float:
-    """Firing-strength-weighted mean of the consequent set centers."""
-    centers = rulebase.rule_output_centers
+    """Firing-strength-weighted mean of the consequent set centers, summed in
+    rule-table order."""
     num = 0.0
     den = 0.0
-    for w, c in zip(strengths, centers):
+    for w, (_, _, c) in zip(strengths, rulebase.rule_table):
         num += w * c
         den += w
     if den == 0.0:

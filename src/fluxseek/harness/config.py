@@ -26,8 +26,7 @@ import yaml
 
 from ..compensator import COMPENSATION_MODES, FLUX_SOURCES
 from ..errors import ConfigError
-from ..fuzzy import (
-    FuzzyRule, FuzzyRuleBase, MembershipFunction, ScalingGains, input_gain, output_gain)
+from ..fuzzy import FuzzyRuleBase, MembershipFunction, ScalingGains, input_gain, output_gain
 from ..machine import MachineParams, check_step_size
 from ..optimizer import SearchSettings
 from .scenario import Scenario
@@ -278,7 +277,7 @@ _FUZZY = {
     "power_change": (_entries(_SET, MembershipFunction), None),
     "last_action": (_entries(_SET, MembershipFunction), None),
     "output": (_entries(_SINGLETON, lambda label, center: (label, center)), None),
-    "rules": (_entries(_RULE, FuzzyRule), None),
+    "rules": (_entries(_RULE, lambda power, last, output: (power, last, output)), None),
 }
 _OPTIMIZER = {
     "search_period": (_number, _POSITIVE),

@@ -11,9 +11,9 @@ repeats, and ``power_terms``, ``search_sample`` and ``latch`` only at samples.
 
 The supervisor runs on events (see ``optimizer``): an ordinary step only tests
 the speed error against the band, and the steps of search entry and of each
-sample are known ahead of time. The loop's ``searching`` flag is the drive
-mode's only record; a search's ``SearchState`` and ``TorqueCompensator`` (when
-enabled) are built at its entry and dropped at its abandon.
+sample are known ahead of time. A search's ``SearchState`` is the drive mode's
+only record: it and the search's ``TorqueCompensator`` (when enabled) are built
+at its entry and dropped at its abandon.
 
 Rows keep only what the loop integrates: each row's flux, speed and
 ``i_qs_cmd`` go into one ``array("d")``, and its ``i_ds`` and ``i_qs`` too when
@@ -197,7 +197,8 @@ def simulate(
     integrator = 0.0
     tolerance = settings.steady_speed_tolerance
     neg_tolerance = -tolerance
-    # a search's own state, built at its entry and dropped at its abandon
+    # a search's own state, built at its entry and dropped at its abandon: the
+    # drive mode is "search" exactly when search is not None
     search = comp = None
     # pre-magnetized standstill: rated flux established, shaft at rest
     psi = params.rated_flux
@@ -224,10 +225,9 @@ def simulate(
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
     fixed = False  # the last computed step left its state unchanged
-    # the drive mode, and the supervisor's event step: in the search, the next
-    # sample's; in transient, while the speed error stays in the band, the
-    # search entry's; else n_steps, past the end, which leaves it unarmed
-    searching = False
+    # the supervisor's event step: in the search, the next sample's; in
+    # transient, while the speed error stays in the band, the search entry's;
+    # else n_steps, past the end, which leaves it unarmed
     event = n_steps
 
     steps_left = iter(range(n_steps))
@@ -245,10 +245,10 @@ def simulate(
         sample_due = False
         if flc:
             in_band = neg_tolerance <= error <= tolerance  # abs(error) <= tolerance
-            if searching:
+            if search is not None:
                 if command_changed or not in_band:
                     search = comp = None
-                    searching = hold = False
+                    hold = False
                     event = n_steps
                     i_ds_cmd = i_ds_rated
                     log.append((k // decim, i_ds_cmd, "transient"))
@@ -265,7 +265,6 @@ def simulate(
                     if scenario.compensator_enabled:
                         comp = TorqueCompensator(
                             params, config.flux_source, config.compensation_mode)
-                    searching = True
                     hold = False
                     log.append((k // decim, i_ds_cmd, "search"))
                     samples = sample_steps(settings, dt, k, n_steps)
@@ -350,7 +349,7 @@ def simulate(
     return SimulationResult(
         records=PackedRecords(values, log, scenario, decim, params),
         sample_count=sample_count,
-        converged=searching and search.converged,
+        converged=search is not None and search.converged,
         samples_to_convergence=samples_to_convergence,
         convergence_time=convergence_time,
     )

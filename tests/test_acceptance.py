@@ -15,7 +15,6 @@ from contextlib import contextmanager
 import pytest
 
 from fluxseek.fuzzy import (
-    FuzzyRule,
     efficiency_step,
     estimate_torque,
     height_defuzzify,
@@ -243,15 +242,15 @@ def test_criterion_5_fuzzy_policy_suite(config):
 
         # height defuzzification hand cases, exact to machine precision
         strengths = [0.0] * 14
-        strengths[rulebase.rules.index(FuzzyRule("NM", "N", "NM"))] = 0.4
+        strengths[rulebase.rules.index(("NM", "N", "NM"))] = 0.4
         assert height_defuzzify(tuple(strengths), rulebase) == -2.0 / 3.0
         strengths = [0.0] * 14
-        strengths[rulebase.rules.index(FuzzyRule("NS", "N", "NS"))] = 0.5
-        strengths[rulebase.rules.index(FuzzyRule("ZE", "N", "ZE"))] = 0.5
+        strengths[rulebase.rules.index(("NS", "N", "NS"))] = 0.5
+        strengths[rulebase.rules.index(("ZE", "N", "ZE"))] = 0.5
         assert height_defuzzify(tuple(strengths), rulebase) == -1.0 / 6.0
         # quoted example rule: falling power, decrementing history, NM output
         fired = dict(zip(rulebase.rules, infer(rulebase, -2.0 / 3.0, -1.0)))
-        assert fired[FuzzyRule("NM", "N", "NM")] == 1.0
+        assert fired[("NM", "N", "NM")] == 1.0
 
 
 # -- 6: mode discipline ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fluxseek.errors import ConfigError, InferenceError
 from fluxseek.fuzzy import (
-    FuzzyRule,
     FuzzyRuleBase,
     MembershipFunction,
     ScalingGains,
@@ -80,7 +79,7 @@ def test_fuzzify_clamps_before_a_set_reaching_past_one(rulebase):
     sets = rulebase.power_change_sets[:-1] + (
         MembershipFunction("PB", 2.0 * THIRD, 1.0, 1.5),)
     assert fuzzify(1.2, sets) == fuzzify(1.0, sets)
-    assert fuzzify(1.0, sets)["PB"] == 1.0
+    assert fuzzify(1.0, sets)[-1] == 1.0
 
 
 def test_degrees_stay_in_unit_interval(rulebase):
@@ -95,7 +94,7 @@ def test_degrees_stay_in_unit_interval(rulebase):
 
 def test_default_rulebase_is_total(rulebase):
     assert len(rulebase.rules) == 14
-    antecedents = {(r.power, r.last) for r in rulebase.rules}
+    antecedents = {(power, last) for power, last, _ in rulebase.rules}
     assert len(antecedents) == 14
 
 
@@ -120,7 +119,7 @@ def test_duplicate_rule_rejected(rulebase):
 
 
 def test_unknown_label_rejected(rulebase):
-    bad = rulebase.rules[:-1] + (FuzzyRule("PB", "N", "XX"),)
+    bad = rulebase.rules[:-1] + (("PB", "N", "XX"),)
     with pytest.raises(ValueError, match="unknown output label"):
         FuzzyRuleBase(
             power_change_sets=rulebase.power_change_sets,
@@ -292,9 +291,9 @@ def test_example_rule_fires_fully(rulebase):
     # rule fires at 1 and every P-row rule at 0.
     strengths = infer(rulebase, -2.0 * THIRD, -1.0)
     by_rule = dict(zip(rulebase.rules, strengths))
-    assert by_rule[FuzzyRule("NM", "N", "NM")] == 1.0
+    assert by_rule[("NM", "N", "NM")] == 1.0
     for rule, strength in by_rule.items():
-        if rule.last == "P":
+        if rule[1] == "P":
             assert strength == 0.0
 
 
@@ -303,18 +302,18 @@ def test_touched_rules_fire_at_half(rulebase):
     mid_power = 0.5 * (-1.0 + -2.0 * THIRD)
     strengths = infer(rulebase, mid_power, -0.225)
     by_rule = dict(zip(rulebase.rules, strengths))
-    assert by_rule[FuzzyRule("NB", "N", "NB")] == pytest.approx(0.5, rel=1e-12)
-    assert by_rule[FuzzyRule("NM", "N", "NM")] == pytest.approx(0.5, rel=1e-12)
+    assert by_rule[("NB", "N", "NB")] == pytest.approx(0.5, rel=1e-12)
+    assert by_rule[("NM", "N", "NM")] == pytest.approx(0.5, rel=1e-12)
     assert sum(1 for s in strengths if s > 0.0) == 2
 
 
 def test_zero_history_is_determinate(rulebase):
     strengths = infer(rulebase, -2.0 * THIRD, 0.0)
     n_strength = sum(
-        s for r, s in zip(rulebase.rules, strengths) if r.last == "N"
+        s for r, s in zip(rulebase.rules, strengths) if r[1] == "N"
     )
     p_strength = sum(
-        s for r, s in zip(rulebase.rules, strengths) if r.last == "P"
+        s for r, s in zip(rulebase.rules, strengths) if r[1] == "P"
     )
     assert n_strength > 0.0 and p_strength > 0.0
     height_defuzzify(strengths, rulebase)  # must not raise
@@ -322,7 +321,7 @@ def test_zero_history_is_determinate(rulebase):
 
 def test_height_defuzzify_single_rule(rulebase):
     strengths = [0.0] * 14
-    idx = rulebase.rules.index(FuzzyRule("NM", "N", "NM"))
+    idx = rulebase.rules.index(("NM", "N", "NM"))
     strengths[idx] = 0.37
     assert height_defuzzify(tuple(strengths), rulebase) == -2.0 * THIRD
 
@@ -330,8 +329,8 @@ def test_height_defuzzify_single_rule(rulebase):
 def test_height_defuzzify_two_rule_hand_case(rulebase):
     # Strengths 0.5/0.5 on centers -1/3 and 0 give exactly -1/6.
     strengths = [0.0] * 14
-    strengths[rulebase.rules.index(FuzzyRule("NS", "N", "NS"))] = 0.5
-    strengths[rulebase.rules.index(FuzzyRule("ZE", "N", "ZE"))] = 0.5
+    strengths[rulebase.rules.index(("NS", "N", "NS"))] = 0.5
+    strengths[rulebase.rules.index(("ZE", "N", "ZE"))] = 0.5
     assert height_defuzzify(tuple(strengths), rulebase) == -1.0 / 6.0
 
 
@@ -353,6 +352,42 @@ def test_all_zero_strengths_raise(rulebase):
 def test_defuzzified_output_stays_in_unit_interval(rulebase, dp, last):
     out = height_defuzzify(infer(rulebase, dp, last), rulebase)
     assert -1.0 <= out <= 1.0
+
+
+def _renamed(s: MembershipFunction) -> MembershipFunction:
+    return dataclasses.replace(s, label=f"renamed-{s.label}")
+
+
+@pytest.mark.parametrize("variant", ["sets reordered", "labels renamed"])
+def test_rule_base_resolves_by_label_not_by_position(controller, variant):
+    # The packaged rules run in set order, so a rule_table built from the
+    # rules' positions rather than their labels would pass every other test.
+    # The rule order stays, so the defuzzifier sums in the same order.
+    gains, rulebase, params = controller
+    if variant == "sets reordered":
+        other = FuzzyRuleBase(
+            power_change_sets=rulebase.power_change_sets[::-1],
+            last_action_sets=rulebase.last_action_sets[::-1],
+            output_centers=rulebase.output_centers[::-1],
+            rules=rulebase.rules,
+        )
+    else:
+        other = FuzzyRuleBase(
+            power_change_sets=tuple(map(_renamed, rulebase.power_change_sets)),
+            last_action_sets=tuple(map(_renamed, rulebase.last_action_sets)),
+            output_centers=tuple((f"renamed-{label}", center)
+                                 for label, center in rulebase.output_centers),
+            rules=tuple(tuple(f"renamed-{label}" for label in rule) for rule in rulebase.rules),
+        )
+    p_b = input_gain(gains, 150.0)
+    i_b = output_gain(gains, 150.0, estimate_torque(params, 5.0, 3.15))
+    for dp_pu in [i / 24.0 for i in range(-30, 31)] + [-0.42, 0.07, 0.555]:
+        for last_pu in [i / 40.0 for i in range(-48, 49)] + [-0.07, 0.013]:
+            strengths = infer(other, dp_pu, last_pu)
+            assert [s.hex() for s in strengths] == [
+                s.hex() for s in infer(rulebase, dp_pu, last_pu)]
+            assert efficiency_step(other, p_b, i_b, dp_pu * p_b, last_pu * i_b).hex() == (
+                efficiency_step(rulebase, p_b, i_b, dp_pu * p_b, last_pu * i_b).hex())
 
 
 # -- search policy through efficiency_step -------------------------------------------
