@@ -35,11 +35,12 @@ def discrete_compensation(psi_prev: float, psi_now: float, iqs_prev: float) -> f
 def predicted_flux_trajectory(
     params: MachineParams, psi0: float, i_ds_new: float, t: float
 ) -> float:
-    """Closed-form flux decay toward L_m * i_ds_new from psi0, t seconds in."""
+    """Closed-form flux decay toward L_m * i_ds_new from psi0, t seconds in,
+    written from psi0 so that it returns psi0 exactly at t = 0."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     target = params.magnetizing_inductance * i_ds_new
-    return target + (psi0 - target) * math.exp(-t / params.rotor_time_constant)
+    return psi0 + (target - psi0) * -math.expm1(-t / params.rotor_time_constant)
 
 
 class TorqueCompensator:

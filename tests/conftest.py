@@ -140,9 +140,10 @@ def reference_power_terms(
 
 def reference_flux_decay(p: MachineParams, psi0: float, i_ds: float, t: float) -> float:
     """The rotor flux t seconds after it stood at psi0 under excitation
-    ``i_ds``: the closed-form solution of tau_r dpsi/dt = L_m i_ds - psi."""
+    ``i_ds``: the closed-form solution of tau_r dpsi/dt = L_m i_ds - psi,
+    psi0 plus the fraction 1 - exp(-t / tau_r) of the way to L_m i_ds."""
     target = p.magnetizing_inductance * i_ds
-    return target + (psi0 - target) * math.exp(-t / p.rotor_time_constant)
+    return psi0 + (target - psi0) * -math.expm1(-t / p.rotor_time_constant)
 
 
 def reference_boost(p: MachineParams, flux_source: str, mode: str, latches, psi: float,

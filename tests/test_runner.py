@@ -67,13 +67,13 @@ COMPENSATOR_PATH_SHA256 = {
     ("measured", "discrete", "ideal"):
         "1b6e4f8210b65cf917f20196dc41a355671adfcd6d9be7884c02c3e0209137c0",
     ("predicted", "continuous", "lagged"):
-        "58c851fca61d8a429ea9d1e868122bf4e7ceaa5c087ab7ff0efe3fc731d965d6",
+        "18bd7135ebcbeeffe70ee5053d195026f18304379087f68cc14a551f53408f6c",
     ("predicted", "continuous", "ideal"):
-        "ce7e017e2ed680ab5e95f530218e2ad975b5e006c45685a886a35226fa6e46ff",
+        "6b44ba4860be1f31fd418f48b825b91a5ba86a4d5c3c37d07ff431ba7ae805c6",
     ("predicted", "discrete", "lagged"):
         "d18ac450d40e779ab2ed87c6f38d55b4187819bdd29228d522f933025f02efc0",
     ("predicted", "discrete", "ideal"):
-        "b036f876a41add892a3a83f36a79e97405c4b4d99e276b0f7d7e6aad6bcaf9c6",
+        "584ba621c0b5b125735d8558ef61b3472eeccf6e9809b58a50552a3bb2dd4846",
 }
 
 
