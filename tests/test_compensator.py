@@ -158,8 +158,8 @@ def test_trajectory_starts_at_initial_flux(config):
 
 
 def test_trajectory_starts_at_an_anchor_on_the_floor(config):
-    # the form target + (psi0 - target) * exp(-t / tau_r) gave
-    # 0.034999999999999976 here, and a latch then failed below the floor
+    # an anchor on the floor must stay on it at t = 0, or a predicted latch at
+    # that instant fails below the floor although the flux never left it
     params = config.machine
     assert predicted_flux_trajectory(params, params.flux_floor, 2.5, 0.0) == params.flux_floor
     comp = TorqueCompensator(params, flux_source="predicted")
