@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from ..errors import FluxseekError
-from .config import DriveConfig
+from .config import DriveConfig, check_search_speeds
 from .runner import PackedRecords, SimulationResult, simulate
 from .scenario import constant_scenario
 
@@ -71,18 +71,18 @@ def paired_runs(load_fractions, speed: float, config: DriveConfig):
     """Yield ``(fraction, torque, off, on)`` for each load fraction in turn:
     the torque is ``fraction`` of rated, ``off`` the ``OFF_DURATION`` run at
     rated flux with the search and compensator off, and ``on`` the
-    ``ON_DURATION`` run with both on, each at ``speed`` in steps of ``DT``."""
+    ``ON_DURATION`` run with both on, each at ``speed`` in steps of ``DT``.
+    Each search run's speeds are checked before the first run is simulated."""
+    pairs = []
     for fraction in load_fractions:
         torque = fraction * config.machine.rated_torque
-        off = simulate(
-            constant_scenario(
-                f"flc-off-{fraction:g}", OFF_DURATION, DT, speed, torque,
-                flc_enabled=False, compensator_enabled=False,
-            ),
-            config,
-        )
-        on = simulate(constant_scenario(f"flc-on-{fraction:g}", ON_DURATION, DT, speed, torque),
-                      config)
+        off = constant_scenario(f"flc-off-{fraction:g}", OFF_DURATION, DT, speed, torque,
+                                flc_enabled=False, compensator_enabled=False)
+        on = constant_scenario(f"flc-on-{fraction:g}", ON_DURATION, DT, speed, torque)
+        check_search_speeds(on, config.search.gains, config.machine.friction)
+        pairs.append((fraction, torque, off, on))
+    for fraction, torque, off, on in pairs:
+        off, on = simulate(off, config), simulate(on, config)
         yield fraction, torque, off, on
         del off, on  # the next pair is then simulated without this one held
 

@@ -19,19 +19,19 @@ Rows keep only what the loop integrates: each row's flux, speed and
 ``i_qs_cmd`` go into one ``array("d")``, and its ``i_ds`` and ``i_qs`` too when
 current tracking lags (under ideal tracking ``InductionMachine.step`` returns
 the command floats themselves). The rest is rebuilt as rows are read: the time
-from ``Scenario.row_times``, the speed reference and load from
-``Scenario.commands``, and ``i_ds_cmd`` and the mode from a short log the loop
-appends to at search entry, at abandon and at each sample. A per-step run keeps
-24 bytes a row under ideal tracking and 40 under lagged tracking. Torque,
-losses and power are pure functions of the state; ``MachineParams.power_terms``
-computes them in one call, for the rows read, when they are read. Rows are read
-in order only, never indexed: the CSV writer and the report read them as state
-tuples from ``PackedRecords.rows``, without building records.
-The writer compares tuples, so the work it skips costs no per-field Python: a
-row whose state after ``time`` repeats the previous row's bit for bit reuses
-its text, the speed reference, ``i_ds_cmd``, ``i_ds`` and load are formatted
-only when one of them changes, and a current equal to its nonzero command
-reuses the command's text.
+from ``Scenario.row_times``, and the speed reference, ``i_ds_cmd``, load and
+mode from one short log keyed by step, which the loop appends to at each
+command-schedule step, at search entry, at abandon and at each sample. A
+per-step run keeps 24 bytes a row under ideal tracking and 40 under lagged
+tracking. Torque, losses and power are pure functions of the state;
+``MachineParams.power_terms`` computes them in one call, for the rows read,
+when they are read. Rows are read in order only, never indexed: the CSV writer
+and the report read them as state tuples from ``PackedRecords.rows``, without
+building records. The writer compares tuples, so the work it skips costs no
+per-field Python: a row whose state after ``time`` repeats the previous row's
+bit for bit reuses its text, the speed reference, ``i_ds_cmd``, ``i_ds`` and
+load are formatted only when one of them changes, and a current equal to its
+nonzero command reuses the command's text.
 
 A step that left psi, omega, i_d, i_q and the PI integrator unchanged bit for
 bit is a fixed point, so the next step is *held*: it reuses the state without
@@ -98,10 +98,10 @@ def _row_width(params) -> int:
 class PackedRecords:
     """A run's telemetry rows, read in order: iterated as ``TelemetryRecord``,
     or as state tuples by ``rows``. ``values`` holds each row's integrated
-    state, ``_row_width`` doubles; ``scenario`` gives each row's time and
-    commands, and ``log`` its ``i_ds_cmd`` and mode, as ``(first row,
-    i_ds_cmd, mode)`` at each change of either. ``params`` computes each
-    row's torque, losses and power from its state."""
+    state, ``_row_width`` doubles; ``scenario`` gives each row's time, and
+    ``log`` its commands and mode, as ``(step, omega_ref, i_ds_cmd, t_load,
+    mode)`` at each step where one may change. ``params`` computes each row's
+    torque, losses and power from its state."""
 
     __slots__ = ("params", "_values", "_width", "_log", "_scenario", "_decimation")
 
@@ -132,17 +132,14 @@ class PackedRecords:
         width = self._width
         columns = memoryview(self._values)[start * width:]
         psi, omega_r, i_qs_cmd = (columns[j::width] for j in range(3))
-        log = self._log
+        log, decimation = self._log, self._decimation
+        omega_ref, i_ds_cmd, t_load, mode = (
+            _held(log, field, decimation, start, n_rows) for field in range(1, 5))
         if width == 5:
             i_ds, i_qs = columns[3::width], columns[4::width]
         else:
-            i_ds, i_qs = _held(log, 1, start, n_rows), columns[2::width]
-        decimation = self._decimation
-        # a change on step k first shows in the row of step k or the first after it
-        commands = [(k // decimation, ref, load) for k, ref, load in self._scenario.commands]
-        return zip(_held(commands, 1, start, n_rows), omega_r, _held(log, 1, start, n_rows),
-                   i_qs_cmd, i_ds, i_qs, psi, _held(commands, 2, start, n_rows),
-                   _held(log, 2, start, n_rows))
+            i_ds, i_qs = _held(log, 2, decimation, start, n_rows), columns[2::width]
+        return zip(omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load, mode)
 
     def _record(self, time: float, state: tuple) -> TelemetryRecord:
         omega_ref, omega_r, i_ds_cmd, i_qs_cmd, i_ds, i_qs, psi, t_load, mode = state
@@ -154,11 +151,11 @@ class PackedRecords:
                                p_out / p_in if p_in > 0.0 else None, mode)
 
 
-def _held(changes: list[tuple], field: int, start: int, stop: int):
-    """The value of ``field`` of ``changes``, a list of ``(first row, ...)`` in
-    row order, at each row from ``start`` to ``stop``: a change holds until
-    the next; of changes on one row the last wins."""
-    rows = [max(change[0], start) for change in changes]
+def _held(changes: list[tuple], field: int, decimation: int, start: int, stop: int):
+    """The value of ``field`` of ``changes``, ``(step, ...)`` in step order, at
+    each row from ``start`` to ``stop``: a change on step k holds from row
+    ``k // decimation`` to the next; of changes on one row the last wins."""
+    rows = [max(change[0] // decimation, start) for change in changes]
     rows.append(stop)
     counts = map(sub, rows[1:], rows)
     return chain.from_iterable(map(repeat, [change[field] for change in changes], counts))
@@ -210,6 +207,7 @@ def simulate(
     schedule = iter(scenario.commands)
     _, omega_ref, t_load = next(schedule)
     next_change, ref, load = next(schedule)
+    log = [(0, omega_ref, i_ds_cmd, t_load, "transient")]  # (step, ...) where one may change
 
     # every row's slot, allocated once: growing the array row by row makes the
     # allocator copy it on some reallocations, so the peak memory of a long
@@ -220,7 +218,6 @@ def simulate(
     values = array("d", (0.0,)) * (n_steps // decim * width)
     pack_row = struct.Struct(f"{width}d").pack_into  # native doubles, as in the array
     row_size = width * values.itemsize
-    log = [(0, i_ds_cmd, "transient")]  # (first row, i_ds_cmd, mode) at each change
     sample_count = 0
     samples_to_convergence: int | None = None
     convergence_time: float | None = None
@@ -240,6 +237,9 @@ def simulate(
             hold = fixed and ref is omega_ref and load is t_load
             omega_ref, t_load = ref, load
             next_change, ref, load = next(schedule)
+            # at every entry: 0.0 == -0.0, but rows show the scenario's own float
+            log.append((k, omega_ref, i_ds_cmd, t_load,
+                        "transient" if search is None else "search"))
 
         error = omega_ref - omega_r
         sample_due = False
@@ -251,7 +251,7 @@ def simulate(
                     hold = False
                     event = n_steps
                     i_ds_cmd = i_ds_rated
-                    log.append((k // decim, i_ds_cmd, "transient"))
+                    log.append((k, omega_ref, i_ds_cmd, t_load, "transient"))
                 elif k == event:
                     sample_due = True
                     hold = False
@@ -266,7 +266,7 @@ def simulate(
                         comp = TorqueCompensator(
                             params, config.flux_source, config.compensation_mode)
                     hold = False
-                    log.append((k // decim, i_ds_cmd, "search"))
+                    log.append((k, omega_ref, i_ds_cmd, t_load, "search"))
                     samples = sample_steps(settings, dt, k, n_steps)
                     event = next(samples, n_steps)
                     sample_due = k == event
@@ -317,7 +317,7 @@ def simulate(
         if sample_due:
             p_d = params.power_terms(psi, omega_r, i_ds, i_qs)[5]
             i_ds_cmd = search_sample(search, settings, params, p_d, omega_r, i_ds_cmd, i_qs_cmd)
-            log.append((k // decim, i_ds_cmd, "search"))
+            log.append((k, omega_ref, i_ds_cmd, t_load, "search"))
             sample_count += 1
             if search.converged and samples_to_convergence is None:
                 samples_to_convergence = sample_count

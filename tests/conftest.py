@@ -23,7 +23,7 @@ from fluxseek.harness.oracle import OracleSweepResult, oracle_sweep
 from fluxseek.harness.report import DEFAULT_LOAD_FRACTIONS, paired_runs
 from fluxseek.harness.runner import (
     CSV_HEADER, PackedRecords, SimulationResult, TelemetryRecord, write_csv)
-from fluxseek.harness.scenario import Scenario
+from fluxseek.harness.scenario import constant_scenario
 from fluxseek.machine import MachineParams
 
 
@@ -224,25 +224,15 @@ def rows_of(records: PackedRecords) -> list[TelemetryRecord]:
 def crafted_records(config: DriveConfig, *states, modes=None) -> PackedRecords:
     """Rows of the given states, each ``(omega_ref, omega_r, i_ds_cmd,
     i_qs_cmd, i_ds, i_qs, psi_dr, load_torque)``, one a 1 s step, kept as
-    ``simulate`` keeps them: the commands as a scenario's breakpoints,
-    ``i_ds_cmd`` and the mode ("transient" unless given) as the change log,
-    and the rest as packed rows. ``config``'s machine must lag its currents,
-    as only then are they stored apart from their commands."""
+    ``simulate`` keeps them: the commands and the mode ("transient" unless
+    given) as the change log, one entry a row, and the rest as packed rows;
+    the scenario gives only the times. ``config``'s machine must lag its
+    currents, as only then are they stored apart from their commands."""
     assert config.machine.current_tracking_time_constant > 0.0
     modes = modes or ["transient"] * len(states)
-
-    def changes(values: list) -> list[tuple]:
-        """(row, value) where a value's bits differ from the row before's."""
-        return [(row, value) for row, value in enumerate(values)
-                if not row or repr(value) != repr(values[row - 1])]
-
-    scenario = Scenario(
-        "crafted", float(len(states)), 1.0,
-        tuple((float(row), ref) for row, ref in changes([s[0] for s in states])),
-        tuple((float(row), load) for row, load in changes([s[7] for s in states])),
-        flc_enabled=False, compensator_enabled=False,
-    )
-    log = [(row, *change) for row, change in changes([(s[2], m) for s, m in zip(states, modes)])]
+    scenario = constant_scenario("crafted", float(len(states)), 1.0, 0.0, 0.0,
+                                 flc_enabled=False, compensator_enabled=False)
+    log = [(row, s[0], s[2], s[7], mode) for row, (s, mode) in enumerate(zip(states, modes))]
     values = array("d", [v for _, omega_r, _, i_qs_cmd, i_ds, i_qs, psi, _ in states
                          for v in (psi, omega_r, i_qs_cmd, i_ds, i_qs)])
     records = PackedRecords(values, log, scenario, 1, config.machine)

@@ -26,7 +26,15 @@ def test_run_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1001  # header + 1 s at 1 ms decimation
-    assert "short-demo" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        f"short-demo: 1000 records -> {out} | search samples: 1, converged: no\n")
+
+
+def test_run_prints_the_search_counters(tmp_path, capsys):
+    out = tmp_path / "telemetry.csv"
+    assert main(["run", "quarter-load-search", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"quarter-load-search: 14000 records -> {out} | search samples: 27, converged: yes\n")
 
 
 def test_run_per_step_emits_every_step(tmp_path):
@@ -35,11 +43,12 @@ def test_run_per_step_emits_every_step(tmp_path):
     assert len(out.read_text().splitlines()) == 10001
 
 
-def test_run_no_flc_override(tmp_path):
+def test_run_no_flc_override(tmp_path, capsys):
     out = tmp_path / "noflc.csv"
     assert main(["run", "short-demo", "--out", str(out), "--no-flc"]) == 0
     body = out.read_text().splitlines()[1:]
     assert all(line.endswith(",transient") for line in body)
+    assert capsys.readouterr().out == f"short-demo: 1000 records -> {out}\n"  # no search counters
 
 
 def test_run_unknown_scenario_fails(tmp_path, capsys):
@@ -164,6 +173,12 @@ def test_sweep_reads_minus_signed_float_literals(capsys):
 )
 def test_table_speed_reads_minus_signed_float_literals(value, speed):
     assert _build_parser().parse_args(["table", "--speed", value]).speed == speed
+
+
+def test_table_non_finite_speed_fails(capsys):
+    assert main(["table", "--speed", "nan"]) == 1
+    assert capsys.readouterr().err == (
+        "fluxseek: error: speed_reference profile contains a non-finite entry\n")
 
 
 def test_usage_errors_exit_nonzero(capsys):

@@ -167,6 +167,14 @@ def _settled(load_torque, **kwargs):
     _settled(((0.0, 0.0), (2.0, -0.0)), flc_enabled=False),
     0.002, "measured", "continuous", 200, 0.5, 1,
 ))
+# the same flip while the search runs: the mode stays "search" across t = 2 s,
+# and the rows from there on show -0.0
+@example(case=(
+    _settled(((0.0, 0.0), (2.0, -0.0))), 0.002, "measured", "continuous", 200, 0.5, 1))
+# that flip on the step of a search sample (step 2423): the sample's change
+# follows the command's on one step, and wins
+@example(case=(
+    _settled(((0.0, 0.0), (2.4225, -0.0))), 0.002, "measured", "continuous", 200, 0.5, 1))
 # the search starts after the speed has settled bit for bit
 @example(case=(_settled(((0.0, 6.0),)), 0.002, "measured", "continuous", 2000, 0.5, 1))
 # a load step between two step times, once the search runs

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxseek.errors import FluxseekError
+from fluxseek.errors import ConfigError, FluxseekError
 from fluxseek.harness import report
 from fluxseek.harness.report import (
+    DEFAULT_LOAD_FRACTIONS,
     REPORT_CSV_HEADER,
     efficiency_table,
     render_text,
@@ -112,6 +113,20 @@ def test_table_runs_each_pair_through_report_simulate(config, monkeypatch):
         assert scenario.flc_enabled is search and scenario.compensator_enabled is search
         assert scenario.speed_reference == ((0.0, 150.0),)
         assert scenario.load_torque == ((0.0, torque),)
+
+
+def test_table_rejects_a_search_speed_before_any_run(config, monkeypatch):
+    # P_b is negative at -100 rad/s: the table fails before its first run
+    calls = []
+
+    def counting(scenario, drive_config, **kwargs):
+        calls.append(scenario.name)
+        return simulate(scenario, drive_config, **kwargs)
+
+    monkeypatch.setattr(report, "simulate", counting)
+    with pytest.raises(ConfigError, match=r"^speed_reference: .*input gain P_b = -25 "):
+        efficiency_table(DEFAULT_LOAD_FRACTIONS, -100.0, config)
+    assert calls == []
 
 
 def test_paired_runs_hold_no_earlier_pair(config, monkeypatch):

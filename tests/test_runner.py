@@ -107,6 +107,11 @@ def test_scenario_validation():
         Scenario("bad", 1.0, 1e-4, ((1.0, 150.0),), ((0.0, 6.0),))
     with pytest.raises(ValueError):
         Scenario("bad", 1.0, 1e-4, ((0.0, 150.0), (0.5, 100.0), (0.5, 90.0)), ((0.0, 6.0),))
+    # the config loader rejects these first: only code-built scenarios get here
+    with pytest.raises(ValueError, match="speed_reference profile contains a non-finite"):
+        constant_scenario("bad", 1.0, 1e-4, math.inf, 6.0)
+    with pytest.raises(ValueError, match="load_torque profile contains a non-finite"):
+        constant_scenario("bad", 1.0, 1e-4, 150.0, math.nan)
     # the step count must be finite and at most MAX_STEPS
     for duration in (math.inf, math.nan, 1e15):
         with pytest.raises(ValueError, match="steps must be below"):
@@ -569,10 +574,10 @@ def test_packed_records_iterate_as_records(config):
 
 @pytest.mark.parametrize("tau", [0.002, 0.0])
 def test_rows_from_a_start_are_the_tail_of_all_rows(config, tau):
-    # rows(start) clips the commands and the log at start: every start, before,
-    # on and after the search entry, its samples, the load step and the
-    # abandon, reads the tail of the whole; under ideal tracking i_ds comes
-    # from the log too
+    # rows(start) clips the change log at start: every start, before, on and
+    # after the search entry, its samples, the load step and the abandon,
+    # reads the tail of the whole; under ideal tracking i_ds comes from the
+    # log too
     cfg = dataclasses.replace(
         config, machine=dataclasses.replace(config.machine, current_tracking_time_constant=tau))
     scenario = Scenario("tail", 2.0, 1e-3, ((0.0, 150.0),), ((0.0, 6.0), (1.5, 9.0)))
