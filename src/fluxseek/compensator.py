@@ -9,9 +9,11 @@ latched at the step instant, the boost
 
 keeps (Psi0 + delta_psi) * (iqs0 + delta_iqs) == Psi0 * iqs0 exactly. The
 boost is additive feedforward on top of the speed loop, which keeps running
-and trims any residual. Across search samples the settled boost is folded
-into a running base (the per-sample fold is exactly the discrete step form),
-so the total command stays continuous at every re-latch.
+and trims any residual. At each search sample the settled boost is folded
+into a running base: re-latching from (Psi_prev, iqs_prev) at Psi_now adds
+(Psi_prev - Psi_now) / Psi_now * iqs_prev, the boost at Psi_now, so the total
+command stays continuous at every re-latch. Discrete mode outputs the base
+alone, which moves by exactly that step at each sample.
 """
 
 from __future__ import annotations
@@ -23,13 +25,6 @@ from .machine import MachineParams
 
 FLUX_SOURCES = ("measured", "predicted")
 COMPENSATION_MODES = ("continuous", "discrete")
-
-
-def discrete_compensation(psi_prev: float, psi_now: float, iqs_prev: float) -> float:
-    """Per-sample boost step (psi_prev - psi_now) / psi_now * iqs_prev."""
-    if psi_now <= 0.0 or not math.isfinite(psi_now):
-        raise FluxFloorError(f"flux {psi_now:.6g} at/below zero")
-    return (psi_prev - psi_now) / psi_now * iqs_prev
 
 
 def predicted_flux_trajectory(
@@ -75,18 +70,18 @@ class TorqueCompensator:
 
     def latch(self, psi_measured: float, pi_output: float, new_i_ds_cmd: float, t: float) -> None:
         """Re-anchor at a search sample: fold the settled boost into the base,
-        then latch the present flux and total torque command."""
+        then latch the present flux and total torque command. A flux below
+        the floor or not finite raises ``FluxFloorError``."""
         psi_now = psi_measured
         if self._predicted and self._latched:
             psi_now = predicted_flux_trajectory(
                 self.params, self.psi_at_step, self.target_i_ds, t - self.latch_time
             )
-        if psi_now < self.params.flux_floor:
-            raise FluxFloorError(
-                f"cannot latch compensator below flux floor ({psi_now:.6g} Wb)"
-            )
+        if not self.params.flux_floor <= psi_now < math.inf:  # NaN fails both
+            raise FluxFloorError("cannot latch compensator below flux floor or at"
+                                 f" non-finite flux ({psi_now:.6g} Wb)")
         if self._latched:
-            self.base += discrete_compensation(self.psi_at_step, psi_now, self.iqs_at_step)
+            self.base += (self.psi_at_step - psi_now) / psi_now * self.iqs_at_step
         self.psi_at_step = psi_now
         self.iqs_at_step = pi_output + self.base
         self.latch_time = t

@@ -197,9 +197,9 @@ def output_gain(gains: ScalingGains, omega_r: float, torque_estimate: float) -> 
 
 
 def estimate_torque(params: MachineParams, i_ds_cmd: float, i_qs_cmd: float) -> float:
-    """Command-based torque estimate K_t' * i_ds* * i_qs* (exact at
-    field-oriented steady state)."""
-    return params.torque_constant_current * i_ds_cmd * i_qs_cmd
+    """Command-based torque estimate K_t * L_m * i_ds* * i_qs* (exact at
+    field-oriented steady state, where the flux is L_m * i_ds*)."""
+    return params.torque_constant_flux * params.magnetizing_inductance * i_ds_cmd * i_qs_cmd
 
 
 def fuzzify(x: float, sets: tuple[MembershipFunction, ...]) -> list[float]:

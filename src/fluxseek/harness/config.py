@@ -223,10 +223,6 @@ _FRACTION = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
 _FRACTION_OR_ONE = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
-def _one_of(choices: tuple[str, ...]) -> tuple:
-    return f"one of {choices}", choices.__contains__
-
-
 # -- the schema ------------------------------------------------------------------
 
 
@@ -288,8 +284,8 @@ _OPTIMIZER = {
     "initial_step_fraction": (_number, _FRACTION_OR_ONE),
 }
 _COMPENSATOR = {
-    "flux_source": (_string, _one_of(FLUX_SOURCES)),
-    "mode": (_string, _one_of(COMPENSATION_MODES)),
+    "flux_source": (_string, (f"one of {FLUX_SOURCES}", FLUX_SOURCES.__contains__)),
+    "mode": (_string, (f"one of {COMPENSATION_MODES}", COMPENSATION_MODES.__contains__)),
 }
 _TELEMETRY = {"decimation": (_integer, _COUNT)}
 _SCENARIO = {

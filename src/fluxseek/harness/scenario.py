@@ -48,14 +48,14 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario name must be non-empty")
-        if self.duration < 0.0:
-            raise ValueError("duration must be >= 0")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
+        if not 0.0 <= self.duration < math.inf:  # NaN fails both
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         _validate_profile(self.speed_reference, "speed_reference")
         _validate_profile(self.load_torque, "load_torque")
         steps = self.duration / self.dt
-        if not steps <= MAX_STEPS:  # NaN fails too
+        if steps > MAX_STEPS:
             raise ValueError(f"dt = {self.dt!r} s: {steps!r} steps must be below or at {MAX_STEPS}")
         if abs(steps - round(steps)) > STEP_TOLERANCE * steps:
             raise ValueError(f"duration = {self.duration!r} s must be a whole number of"

@@ -45,13 +45,13 @@ class MachineParams:
     """Electrical, mechanical and loss constants of one machine + converter.
 
     Takes the 17 primitive constants; the derived ones
-    (``rotor_time_constant``, ``torque_constant_flux``,
-    ``torque_constant_current``, ``rated_flux``, ``flux_floor`` and the
-    constants of :meth:`power_terms`) are computed from them once, on
-    construction. The per-constant bounds are checked where the constants
-    enter, on configuration load (``harness.config``); construction checks
-    only 0 < ``min_excitation_current`` < ``rated_excitation_current`` and
-    that the flux at ``min_excitation_current`` is not below the flux floor.
+    (``rotor_time_constant``, ``torque_constant_flux``, ``rated_flux``,
+    ``flux_floor`` and the constants of :meth:`power_terms`) are computed
+    from them once, on construction. The per-constant bounds are checked
+    where the constants enter, on configuration load (``harness.config``);
+    construction checks only 0 < ``min_excitation_current`` <
+    ``rated_excitation_current`` and that the flux at
+    ``min_excitation_current`` is not below the flux floor.
     """
 
     stator_resistance: float        # ohm
@@ -75,8 +75,6 @@ class MachineParams:
     # N m / (Wb A), multiplies Psi * i_qs: the field-orientation torque
     # constant (3/2) * p * L_m / L_r
     torque_constant_flux: float = field(init=False)
-    # N m / A^2, multiplies i_ds * i_qs: its steady-state companion K_t * L_m
-    torque_constant_current: float = field(init=False)
     rated_flux: float = field(init=False)               # Wb, L_m * rated_excitation_current
     flux_floor: float = field(init=False)  # Wb, FLUX_FLOOR_FRACTION * rated_flux
     # power_terms' constants: p, L_m, tau_r and K_t, then the losses',
@@ -93,7 +91,6 @@ class MachineParams:
         derive = object.__setattr__  # the dataclass is frozen
         derive(self, "rotor_time_constant", self.rotor_inductance / self.rotor_resistance)
         derive(self, "torque_constant_flux", k_t)
-        derive(self, "torque_constant_current", k_t * self.magnetizing_inductance)
         derive(self, "rated_flux", self.magnetizing_inductance * self.rated_excitation_current)
         derive(self, "flux_floor", FLUX_FLOOR_FRACTION * self.rated_flux)
         lm_over_lr = self.magnetizing_inductance / self.rotor_inductance

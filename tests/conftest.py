@@ -157,7 +157,8 @@ def reference_boost(p: MachineParams, flux_source: str, mode: str, latches, psi:
     (Psi_prev - Psi_now) / Psi_now * iqs_prev. The boost is the base plus
     -dPsi * iqs0 / (Psi0 + dPsi), or the base alone before the first latch and
     in discrete mode. Raises ``FluxFloorError`` with the compensator's message
-    for a latch below the flux floor and for a denominator not in (0, inf)."""
+    for a latch flux below the floor or not finite, and for a denominator not
+    in (0, inf)."""
     predicted = flux_source == "predicted"
     base = 0.0
     anchor = None  # (Psi0, iqs0, latch time, excitation command)
@@ -165,8 +166,9 @@ def reference_boost(p: MachineParams, flux_source: str, mode: str, latches, psi:
         psi_now = psi_measured
         if anchor is not None and predicted:
             psi_now = reference_flux_decay(p, anchor[0], anchor[3], t_latch - anchor[2])
-        if psi_now < p.flux_floor:
-            raise FluxFloorError(f"cannot latch compensator below flux floor ({psi_now:.6g} Wb)")
+        if not (psi_now >= p.flux_floor and math.isfinite(psi_now)):
+            raise FluxFloorError("cannot latch compensator below flux floor or at non-finite"
+                                 f" flux ({psi_now:.6g} Wb)")
         if anchor is not None:
             base = base + (anchor[0] - psi_now) / psi_now * anchor[1]
         anchor = (psi_now, pi_output + base, t_latch, i_ds_new)
@@ -255,23 +257,24 @@ class EnergyLedger(NamedTuple):
     residual: float       # energy_in less all of the above
 
 
-def energy_ledger(records) -> EnergyLedger:
+def energy_ledger(records: PackedRecords) -> EnergyLedger:
     """The energy ledger of a run's rows, integrated by trapezoids from the
     pre-magnetised standstill state (rated flux and excitation, shaft at rest)
     at time 0. ``machine.step`` integrates J dω/dt = T_e - T_load - Bω, and
     p_in is T_e ω plus the losses, so the residual is the integration error
     alone: small for rows every step, and growing where a row pair spans a
-    load step."""
+    load step. It reads only the rows' times and states, and computes the
+    power terms from them by ``params.power_terms``."""
     p = records.params
     rated = p.rated_excitation_current
     _, *losses, p_in = p.power_terms(p.rated_flux, 0.0, rated, 0.0)
     # the integrands: p_in, the four losses, load power and friction power
     before = (0.0, (p_in, *losses, 0.0, 0.0))
     totals = [0.0] * 7
-    for r in records:
-        omega = r.omega_r
-        now = (r.time, (r.p_in, r.loss_stator_copper, r.loss_rotor_copper, r.loss_iron,
-                        r.loss_converter, r.load_torque * omega, p.friction * omega * omega))
+    for time, (_, omega, _, _, i_ds, i_qs, psi, t_load, _) in zip(records.times(),
+                                                                  records.rows()):
+        _, *losses, p_in = p.power_terms(psi, omega, i_ds, i_qs)
+        now = (time, (p_in, *losses, t_load * omega, p.friction * omega * omega))
         half = 0.5 * (now[0] - before[0])
         totals = [total + half * (a + b) for total, a, b in zip(totals, before[1], now[1])]
         before = now

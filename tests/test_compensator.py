@@ -1,8 +1,9 @@
 """Feedforward compensation: the flux-current product identity, the
-per-sample step form, the predicted trajectory, and anchor bookkeeping."""
+re-latch fold, the predicted trajectory, and anchor bookkeeping."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import struct
@@ -11,11 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluxseek.compensator import (
-    TorqueCompensator,
-    discrete_compensation,
-    predicted_flux_trajectory,
-)
+from fluxseek.compensator import TorqueCompensator, predicted_flux_trajectory
 from fluxseek.errors import FluxFloorError
 
 from conftest import reference_boost
@@ -26,6 +23,15 @@ def anchored(config, psi=1.0, iqs=10.0) -> TorqueCompensator:
     comp = TorqueCompensator(config.machine)
     comp.latch(psi, iqs, 4.0, 0.0)
     return comp
+
+
+def refolded(params, psi_prev, psi_now, iqs_prev) -> float:
+    """The base of a discrete compensator latched at (psi_prev, iqs_prev), base
+    0, and then at psi_now: one re-latch fold."""
+    comp = TorqueCompensator(params, mode="discrete")
+    comp.latch(psi_prev, iqs_prev, 4.0, 0.0)
+    comp.latch(psi_now, 0.0, 3.5, 0.5)
+    return comp.base
 
 
 # -- continuous form -----------------------------------------------------------
@@ -119,15 +125,15 @@ def test_output_is_the_boost_formula_bit_for_bit(config, flux_source, mode, latc
         assert _bits(comp.output(psi, t)) == _bits(expected)
 
 
-# -- discrete form ------------------------------------------------------------------
+# -- discrete form: the re-latch fold --------------------------------------------------
 
 
-def test_discrete_no_change_no_step():
-    assert discrete_compensation(0.8, 0.8, 10.0) == 0.0
+def test_discrete_no_change_no_step(config):
+    assert refolded(config.machine, 0.8, 0.8, 10.0) == 0.0
 
 
-def test_discrete_hand_case():
-    assert discrete_compensation(1.0, 0.8, 10.0) == pytest.approx(2.5, rel=1e-12)
+def test_discrete_hand_case(config):
+    assert refolded(config.machine, 1.0, 0.8, 10.0) == pytest.approx(2.5, rel=1e-12)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -136,18 +142,25 @@ def test_discrete_hand_case():
     ratio=st.floats(0.1, 2.0),
     iqs_prev=st.floats(-20.0, 20.0),
 )
-def test_discrete_torque_invariance(psi_prev, ratio, iqs_prev):
-    # K_t cancels: psi_now * (iqs + step) == psi_prev * iqs exactly.
+def test_discrete_torque_invariance(config, psi_prev, ratio, iqs_prev):
+    # K_t cancels: psi_now * (iqs + step) == psi_prev * iqs exactly. A tenth
+    # of the magnetizing inductance puts the flux floor (0.0035 Wb) below
+    # every psi_now drawn.
+    params = dataclasses.replace(
+        config.machine, magnetizing_inductance=config.machine.magnetizing_inductance / 10)
     psi_now = ratio * psi_prev
-    step = discrete_compensation(psi_prev, psi_now, iqs_prev)
+    step = refolded(params, psi_prev, psi_now, iqs_prev)
     assert psi_now * (iqs_prev + step) == pytest.approx(
         psi_prev * iqs_prev, rel=1e-9, abs=1e-9
     )
 
 
-def test_discrete_floor_guard():
+def test_discrete_floor_guard(config):
+    comp = TorqueCompensator(config.machine, mode="discrete")
+    comp.latch(1.0, 10.0, 4.0, 0.0)
     with pytest.raises(FluxFloorError):
-        discrete_compensation(1.0, 0.0, 10.0)
+        comp.latch(0.0, 0.0, 3.5, 0.5)
+    assert comp.base == 0.0 and comp.psi_at_step == 1.0
 
 
 # -- predicted trajectory ----------------------------------------------------------------
@@ -227,12 +240,13 @@ def test_relatch_keeps_total_command_continuous(config):
 
 
 def test_relatch_fold_equals_discrete_step(config):
+    # the continuous mode folds into its base what the discrete mode outputs
     comp = TorqueCompensator(config.machine)
     pi_out = 3.0
     comp.latch(0.7, pi_out, 4.0, 0.0)
-    fold = discrete_compensation(0.7, 0.62, pi_out + 0.0)
     comp.latch(0.62, pi_out, 3.5, 0.5)
-    assert comp.base == pytest.approx(fold, rel=1e-12)
+    assert comp.base == (0.7 - 0.62) / 0.62 * (pi_out + 0.0)
+    assert comp.base == refolded(config.machine, 0.7, 0.62, pi_out)
 
 
 def test_discrete_mode_holds_boost_between_samples(config):
@@ -241,7 +255,7 @@ def test_discrete_mode_holds_boost_between_samples(config):
     assert comp.output(0.6, 0.2) == 0.0  # no intra-sample tracking
     comp.latch(0.6, 3.0, 3.5, 0.5)
     held = comp.output(0.55, 0.7)
-    assert held == pytest.approx(discrete_compensation(0.7, 0.6, 3.0), rel=1e-12)
+    assert held == comp.base == (0.7 - 0.6) / 0.6 * 3.0
 
 
 def test_predicted_mode_follows_closed_form(config):
@@ -268,6 +282,26 @@ def test_latch_below_floor_rejected(config):
     comp = TorqueCompensator(config.machine)
     with pytest.raises(FluxFloorError):
         comp.latch(0.0, 3.0, 4.0, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("psi", [math.nan, math.inf, -math.inf])
+def test_latch_rejects_non_finite_flux(config, mode, psi):
+    # a non-finite first latch would make every anchor, and so every later
+    # base and boost, non-finite
+    for flux_source in ("measured", "predicted"):
+        comp = TorqueCompensator(config.machine, flux_source, mode)
+        with pytest.raises(FluxFloorError, match="non-finite"):
+            comp.latch(psi, 3.0, 4.0, 0.0)
+        assert comp.output(0.7, 0.1) == 0.0  # still not latched
+    # at a later latch, where the measured flux is read, the anchors hold
+    comp = TorqueCompensator(config.machine, mode=mode)
+    comp.latch(0.7, 3.0, 4.0, 0.0)
+    comp.latch(0.65, 3.0, 3.5, 0.5)
+    held = (comp.base, comp.psi_at_step, comp.iqs_at_step)
+    with pytest.raises(FluxFloorError, match="non-finite"):
+        comp.latch(psi, 3.0, 3.0, 1.0)
+    assert (comp.base, comp.psi_at_step, comp.iqs_at_step) == held
 
 
 @pytest.mark.parametrize("flux_source", ["measured", "predicted"])

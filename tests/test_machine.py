@@ -56,7 +56,6 @@ def test_build_derives_consistent_constants():
     p = build_params()
     assert p.rotor_time_constant == p.rotor_inductance / p.rotor_resistance
     assert p.rated_flux == p.magnetizing_inductance * p.rated_excitation_current
-    assert p.torque_constant_current == p.torque_constant_flux * p.magnetizing_inductance
     assert p.torque_constant_flux == pytest.approx(
         1.5 * p.pole_pairs * p.magnetizing_inductance / p.rotor_inductance
     )
@@ -79,8 +78,8 @@ def test_wrong_rated_flux_rejected():
 
 def test_wrong_torque_constant_pair_rejected():
     p = build_params()
-    with pytest.raises(ValueError, match="torque_constant_current"):
-        dataclasses.replace(p, torque_constant_current=p.torque_constant_current * 2)
+    with pytest.raises(ValueError, match="torque_constant_flux"):
+        dataclasses.replace(p, torque_constant_flux=p.torque_constant_flux * 2)
 
 
 # Constants left stale by dataclasses.replace would pass every test on the

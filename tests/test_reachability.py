@@ -28,7 +28,6 @@ ALLOWED = {
     "fluxseek/harness/config.py:_with_yaml12_floats",
     "fluxseek/harness/config.py:_section",
     "fluxseek/harness/config.py:_entries",
-    "fluxseek/harness/config.py:_one_of",
 }
 _COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
 

@@ -112,10 +112,16 @@ def test_scenario_validation():
         constant_scenario("bad", 1.0, 1e-4, math.inf, 6.0)
     with pytest.raises(ValueError, match="load_torque profile contains a non-finite"):
         constant_scenario("bad", 1.0, 1e-4, 150.0, math.nan)
-    # the step count must be finite and at most MAX_STEPS
-    for duration in (math.inf, math.nan, 1e15):
-        with pytest.raises(ValueError, match="steps must be below"):
+    # a non-finite step or duration is named as such, not as a step count
+    for duration in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^duration must be finite and >= 0, got"):
             Scenario("bad", duration, 1e-4, ((0.0, 150.0), (0.5, 100.0)), ((0.0, 6.0),))
+    for dt in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^dt must be finite and > 0, got"):
+            Scenario("bad", 1.0, dt, ((0.0, 150.0), (0.5, 100.0)), ((0.0, 6.0),))
+    # the step count must be at most MAX_STEPS
+    with pytest.raises(ValueError, match="steps must be below"):
+        Scenario("bad", 1e15, 1e-4, ((0.0, 150.0), (0.5, 100.0)), ((0.0, 6.0),))
 
 
 def test_step_count_cap_is_inclusive():
