@@ -11,9 +11,10 @@ repeats, and ``power_terms``, ``search_sample`` and ``latch`` only at samples.
 
 The supervisor runs on events (see ``optimizer``): an ordinary step only tests
 the speed error against the band, and the steps of search entry and of each
-sample are known ahead of time. A search's ``SearchState`` is the drive mode's
-only record: it and the search's ``TorqueCompensator`` (when enabled) are built
-at its entry and dropped at its abandon.
+sample are known ahead of time, the latter from ``Scenario.sample_steps``. A
+search's ``SearchState`` is the drive mode's only record: it and the search's
+``TorqueCompensator`` (when enabled) are built at its entry and dropped at its
+abandon.
 
 Rows keep only what the loop integrates: each row's flux, speed and
 ``i_qs_cmd`` go into one ``array("d")``, and its ``i_ds`` and ``i_qs`` too when
@@ -21,17 +22,19 @@ current tracking lags (under ideal tracking ``InductionMachine.step`` returns
 the command floats themselves). The rest is rebuilt as rows are read: the time
 from ``Scenario.row_times``, and the speed reference, ``i_ds_cmd``, load and
 mode from one short log keyed by step, which the loop appends to at each
-command-schedule step, at search entry, at abandon and at each sample. A
-per-step run keeps 24 bytes a row under ideal tracking and 40 under lagged
-tracking. Torque, losses and power are pure functions of the state;
-``MachineParams.power_terms`` computes them in one call, for the rows read,
-when they are read. Rows are read in order only, never indexed: the CSV writer
-and the report read them as state tuples from ``PackedRecords.rows``, without
-building records. The writer compares tuples, so the work it skips costs no
-per-field Python: a row whose state after ``time`` repeats the previous row's
-bit for bit reuses its text, the speed reference, ``i_ds_cmd``, ``i_ds`` and
-load are formatted only when one of them changes, and a current equal to its
-nonzero command reuses the command's text.
+command-schedule step, at search entry, at abandon and at each sample. The log
+is also the search's one record: a sample's entry holds the ``converged`` flag,
+from which the result's counters are read. A per-step run keeps 24 bytes a
+row under ideal tracking and 40 under lagged tracking. Torque, losses and
+power are pure functions of the state; ``MachineParams.power_terms`` computes
+them in one call, for the rows read, when they are read. Rows are read in
+order only, never indexed: the CSV writer and the report read them as state
+tuples from ``PackedRecords.rows``, without building records. The writer
+compares tuples, so the work it skips costs no per-field Python: a row whose
+state after ``time`` repeats the previous row's bit for bit reuses its text,
+the speed reference, ``i_ds_cmd``, ``i_ds`` and load are formatted only when
+one of them changes, and a current equal to its nonzero command reuses the
+command's text.
 
 A step that left psi, omega, i_d, i_q and the PI integrator unchanged bit for
 bit is a fixed point, so the next step is *held*: it reuses the state without
@@ -55,7 +58,7 @@ from typing import NamedTuple
 from ..compensator import TorqueCompensator
 from ..errors import NonFiniteError, SimulationDivergedError
 from ..machine import InductionMachine, MachineParams
-from ..optimizer import SearchState, sample_steps, search_sample
+from ..optimizer import SearchState, search_sample
 from .config import DriveConfig, check_search_speeds
 from .scenario import Scenario
 
@@ -100,7 +103,8 @@ class PackedRecords:
     or as state tuples by ``rows``. ``values`` holds each row's integrated
     state, ``_row_width`` doubles; ``scenario`` gives each row's time, and
     ``log`` its commands and mode, as ``(step, omega_ref, i_ds_cmd, t_load,
-    mode)`` at each step where one may change. ``params`` computes each row's
+    mode, converged)`` at each step where one may change (``converged`` is the
+    search's flag at a sample, else ``None``). ``params`` computes each row's
     torque, losses and power from its state."""
 
     __slots__ = ("params", "_values", "_width", "_log", "_scenario", "_decimation")
@@ -207,7 +211,7 @@ def simulate(
     schedule = iter(scenario.commands)
     _, omega_ref, t_load = next(schedule)
     next_change, ref, load = next(schedule)
-    log = [(0, omega_ref, i_ds_cmd, t_load, "transient")]  # (step, ...) where one may change
+    log = [(0, omega_ref, i_ds_cmd, t_load, "transient", None)]  # see PackedRecords
 
     # every row's slot, allocated once: growing the array row by row makes the
     # allocator copy it on some reallocations, so the peak memory of a long
@@ -218,9 +222,6 @@ def simulate(
     values = array("d", (0.0,)) * (n_steps // decim * width)
     pack_row = struct.Struct(f"{width}d").pack_into  # native doubles, as in the array
     row_size = width * values.itemsize
-    sample_count = 0
-    samples_to_convergence: int | None = None
-    convergence_time: float | None = None
     fixed = False  # the last computed step left its state unchanged
     # the supervisor's event step: in the search, the next sample's; in
     # transient, while the speed error stays in the band, the search entry's;
@@ -239,7 +240,7 @@ def simulate(
             next_change, ref, load = next(schedule)
             # at every entry: 0.0 == -0.0, but rows show the scenario's own float
             log.append((k, omega_ref, i_ds_cmd, t_load,
-                        "transient" if search is None else "search"))
+                        "transient" if search is None else "search", None))
 
         error = omega_ref - omega_r
         sample_due = False
@@ -251,7 +252,7 @@ def simulate(
                     hold = False
                     event = n_steps
                     i_ds_cmd = i_ds_rated
-                    log.append((k, omega_ref, i_ds_cmd, t_load, "transient"))
+                    log.append((k, omega_ref, i_ds_cmd, t_load, "transient", None))
                 elif k == event:
                     sample_due = True
                     hold = False
@@ -266,8 +267,8 @@ def simulate(
                         comp = TorqueCompensator(
                             params, config.flux_source, config.compensation_mode)
                     hold = False
-                    log.append((k, omega_ref, i_ds_cmd, t_load, "search"))
-                    samples = sample_steps(settings, dt, k, n_steps)
+                    log.append((k, omega_ref, i_ds_cmd, t_load, "search", None))
+                    samples = scenario.sample_steps(settings.search_period, k)
                     event = next(samples, n_steps)
                     sample_due = k == event
 
@@ -317,11 +318,7 @@ def simulate(
         if sample_due:
             p_d = params.power_terms(psi, omega_r, i_ds, i_qs)[5]
             i_ds_cmd = search_sample(search, settings, params, p_d, omega_r, i_ds_cmd, i_qs_cmd)
-            log.append((k, omega_ref, i_ds_cmd, t_load, "search"))
-            sample_count += 1
-            if search.converged and samples_to_convergence is None:
-                samples_to_convergence = sample_count
-                convergence_time = t
+            log.append((k, omega_ref, i_ds_cmd, t_load, "search", search.converged))
             if comp is not None:
                 comp.latch(psi, iqs_pi, i_ds_cmd, t)
                 # the step runs on the boost from the new anchors
@@ -346,12 +343,14 @@ def simulate(
             else:
                 pack_row(values, k // decim * row_size, psi, omega_r, i_qs_cmd)
 
+    sampled = [change for change in log if change[5] is not None]
+    first = next((n for n, change in enumerate(sampled, 1) if change[5]), None)
     return SimulationResult(
         records=PackedRecords(values, log, scenario, decim, params),
-        sample_count=sample_count,
+        sample_count=len(sampled),
         converged=search is not None and search.converged,
-        samples_to_convergence=samples_to_convergence,
-        convergence_time=convergence_time,
+        samples_to_convergence=first,
+        convergence_time=None if first is None else sampled[first - 1][0] * dt,
     )
 
 

@@ -3,7 +3,8 @@ simulation horizon. Fully deterministic, no randomness anywhere.
 
 The only module that maps a profile onto integration steps: a ``Scenario``
 computes ``steps`` and ``commands`` (the step each command takes effect on)
-once, when built or replaced, and ``row_times`` gives each row's time."""
+once, when built or replaced, ``row_times`` gives each row's time, and
+``sample_steps`` the steps of a search's power samples."""
 
 from __future__ import annotations
 
@@ -66,6 +67,19 @@ class Scenario:
     def row_times(self, decimation: int):
         """Each ``decimation``-th step's end time: ``dt`` summed step by step."""
         return islice(accumulate(repeat(self.dt, self.steps)), decimation - 1, None, decimation)
+
+    def sample_steps(self, period: float, entry: int):
+        """The power sample steps of a search entered on step ``entry``: from
+        it on, each step adds ``dt`` to a timer, and a sample falls where it
+        reaches ``period``, which is then taken off. 5000 steps of 1e-4 s sum
+        to 0.49999999999996125: a 0.5 s period samples on the 5001st step."""
+        dt = self.dt
+        timer = 0.0
+        for k in range(entry, self.steps):
+            timer += dt
+            if timer >= period:
+                timer -= period
+                yield k
 
 
 def _breakpoint_step(t_b: float, dt: float, n_steps: int) -> int:

@@ -10,10 +10,11 @@ load command change abandons the search immediately and drops its state.
 The runner owns the drive mode: it detects the steady state and abandons the
 search, on events, not on every step. Between them the only rule is the band
 test ``abs(error) <= steady_speed_tolerance``; the search is entered on the
-``steady_steps``-th consecutive in-band step, and ``sample_steps`` gives the
-steps of its power samples. The runner builds a ``SearchState`` at each entry
-and drops it at the abandon. ``SearchSettings`` is everything one search reads
-apart from the machine, which the caller passes to each sample.
+``steady_steps``-th consecutive in-band step, and ``Scenario.sample_steps``
+gives the steps of its power samples. The runner builds a ``SearchState`` at
+each entry and drops it at the abandon, and logs its ``converged`` flag at each
+sample. ``SearchSettings`` is everything one search reads apart from the
+machine, which the caller passes to each sample.
 """
 
 from __future__ import annotations
@@ -50,21 +51,6 @@ class SearchState:
     last_di_ds: float | None = None       # the applied step; None until the first
     converged: bool = False
     convergence_counter: int = 0
-
-
-def sample_steps(settings: SearchSettings, dt: float, entry: int, n_steps: int):
-    """The steps below ``n_steps`` of the power samples of a search entered on
-    step ``entry``: from it on, each step adds ``dt`` to a timer, and a sample
-    falls where it reaches ``search_period``, which is then taken off. 5000
-    steps of 1e-4 s sum to 0.49999999999996125, so a 0.5 s period's first
-    sample falls on the search's 5001st step."""
-    period = settings.search_period
-    timer = 0.0
-    for k in range(entry, n_steps):
-        timer += dt
-        if timer >= period:
-            timer -= period
-            yield k
 
 
 def search_sample(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fluxseek.fuzzy import estimate_torque, output_gain
 from fluxseek.harness.runner import simulate
 from fluxseek.harness.scenario import Scenario, constant_scenario
-from fluxseek.optimizer import SearchState, sample_steps, search_sample
+from fluxseek.optimizer import SearchState, search_sample
 
 from conftest import rows_of
 
@@ -131,17 +131,23 @@ def _per_step_samples(period: float, dt: float, n_steps: int) -> list[int]:
     return fired
 
 
+def _clock(dt: float, n_steps: int) -> Scenario:
+    """A scenario of ``n_steps`` steps of ``dt``: the sample clock's input."""
+    scenario = constant_scenario("clock", n_steps * dt, dt, 150.0, 6.0)
+    assert scenario.steps == n_steps
+    return scenario
+
+
 def test_sample_timer_fires_on_period(settings):
-    dt = settings.search_period / 4.0
-    assert list(sample_steps(settings, dt, 0, 12)) == [3, 7, 11]
+    period = settings.search_period
+    assert list(_clock(period / 4.0, 12).sample_steps(period, 0)) == [3, 7, 11]
     # 5000 additions of 1e-4 s fall short of 0.5 s: the first sample is on the
     # search's 5001st step, and the remainder carried over puts the next 5000
     # later
-    half = dataclasses.replace(settings, search_period=0.5)
-    assert list(sample_steps(half, 1e-4, 0, 10**4 + 1)) == [5000, 10000]
-    assert list(sample_steps(half, 1e-4, 7, 10**4 + 8)) == [5007, 10007]
+    assert list(_clock(1e-4, 10**4 + 1).sample_steps(0.5, 0)) == [5000, 10000]
+    assert list(_clock(1e-4, 10**4 + 8).sample_steps(0.5, 7)) == [5007, 10007]
     # no sample falls past the run
-    assert list(sample_steps(half, 1e-4, 0, 5000)) == []
+    assert list(_clock(1e-4, 5000).sample_steps(0.5, 0)) == []
 
 
 @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
@@ -152,19 +158,18 @@ def test_sample_timer_fires_on_period(settings):
 )
 # dt = 1e-4 at 0.5 s: samples on the search's 5001st and 10001st steps
 @example(period=0.5, steps_per_period=5000.0, entry=0)
-def test_sample_steps_replay_the_per_step_timer(settings, period, steps_per_period, entry):
+def test_sample_steps_replay_the_per_step_timer(period, steps_per_period, entry):
     dt = period / steps_per_period
-    search = dataclasses.replace(settings, search_period=period)
     n_steps = 12000
     fired = [entry + k - 1 for k in _per_step_samples(period, dt, n_steps - entry)]
-    assert list(sample_steps(search, dt, entry, n_steps)) == fired
+    assert list(_clock(dt, n_steps).sample_steps(period, entry)) == fired
 
 
 def test_sample_timer_inert_outside_search(config):
     # the search is never entered: no sample is ever taken
     transient = dataclasses.replace(
         config, search=dataclasses.replace(config.search, steady_steps=10**6))
-    result = simulate(constant_scenario("calm", 0.5, 1e-4, 150.0, 6.0), transient)
+    result = simulate(_clock(1e-4, 5000), transient)
     assert result.sample_count == 0
     assert {r.i_ds_cmd for r in result.records} == {config.machine.rated_excitation_current}
 

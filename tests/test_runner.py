@@ -92,6 +92,38 @@ def test_compensator_path_bytes(config, flux_source, mode, tracking):
     assert csv_sha256(result.records) == COMPENSATOR_PATH_SHA256[flux_source, mode, tracking]
 
 
+# (sample_count, samples_to_convergence, repr(convergence_time), converged) of
+# each shipped scenario, and of the table's search runs by load torque
+SEARCH_COUNTERS = {
+    "quarter-load-search": (27, 15, "7.735200000000001", True),
+    "load-step-abandon": (30, 22, "11.600000000000001", True),
+    "rated-flux-baseline": (0, None, "None", False),
+    "short-demo": (1, None, "None", False),
+}
+TABLE_SEARCH_COUNTERS = {
+    6.0: (27, 15, "7.735200000000001", True),
+    8.0: (27, 15, "7.7141", True),
+    12.0: (27, 11, "5.739", True),
+    18.0: (27, 22, "11.2904", True),
+}
+
+
+def _search_counters(result) -> tuple:
+    return (result.sample_count, result.samples_to_convergence,
+            repr(result.convergence_time), result.converged)
+
+
+@pytest.mark.parametrize("decimation", [None, 1])
+@pytest.mark.parametrize("name", sorted(SEARCH_COUNTERS))
+def test_search_counters_are_pinned(config, name, decimation):
+    result = simulate(config.scenario(name), config, decimation=decimation)
+    assert _search_counters(result) == SEARCH_COUNTERS[name]
+
+
+def test_table_search_counters_are_pinned(table_runs):
+    assert {run.torque: _search_counters(run.on) for run in table_runs} == TABLE_SEARCH_COUNTERS
+
+
 def test_zero_duration_scenario_yields_empty_stream(config):
     scenario = constant_scenario("empty", 0.0, 1e-4, 150.0, 6.0)
     assert scenario.steps == 0
