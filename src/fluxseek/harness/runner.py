@@ -33,7 +33,7 @@ tuples from ``PackedRecords.rows``, without building records. The writer
 compares tuples, so the work it skips costs no per-field Python: a row whose
 state after ``time`` repeats the previous row's bit for bit reuses its text,
 the speed reference, ``i_ds_cmd``, ``i_ds`` and load are formatted only when
-one of them changes, and a current equal to its nonzero command reuses the
+one of them changes, and an ``i_qs`` equal to its nonzero command reuses the
 command's text.
 
 A step that left psi, omega, i_d, i_q and the PI integrator unchanged bit for
@@ -378,10 +378,9 @@ def write_csv(records: PackedRecords, target) -> None:
                 commands = (omega_ref, i_ds_cmd, i_ds, t_load)
                 ref_text = repr(omega_ref)
                 ids_cmd_text = repr(i_ds_cmd)
-                # equal and nonzero, so the same bits
-                ids_text = ids_cmd_text if i_ds == i_ds_cmd and i_ds else repr(i_ds)
+                ids_text = repr(i_ds)
                 load_text = repr(t_load)
-            iqs_cmd_text = repr(i_qs_cmd)
+            iqs_cmd_text = repr(i_qs_cmd)  # an equal, nonzero i_qs has the same bits
             iqs_text = iqs_cmd_text if i_qs == i_qs_cmd and i_qs else repr(i_qs)
             t_e, stator, rotor, iron, converter, p_in = power_terms(psi, omega_r, i_ds, i_qs)
             p_out = t_load * omega_r

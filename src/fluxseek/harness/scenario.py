@@ -44,7 +44,7 @@ class Scenario:
     flc_enabled: bool = True
     compensator_enabled: bool = True
     steps: int = field(init=False, repr=False, compare=False)  # duration / dt, whole
-    commands: list[tuple] = field(init=False, repr=False, compare=False)  # _command_schedule
+    commands: tuple[tuple, ...] = field(init=False, repr=False, compare=False)  # _command_schedule
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -62,7 +62,7 @@ class Scenario:
             raise ValueError(f"duration = {self.duration!r} s must be a whole number of"
                              f" dt = {self.dt!r} s steps, not {steps!r}")
         object.__setattr__(self, "steps", round(steps))  # the dataclass is frozen
-        object.__setattr__(self, "commands", _command_schedule(self, self.steps))
+        object.__setattr__(self, "commands", _command_schedule(self))
 
     def row_times(self, decimation: int):
         """Each ``decimation``-th step's end time: ``dt`` summed step by step."""
@@ -88,11 +88,11 @@ def _breakpoint_step(t_b: float, dt: float, n_steps: int) -> int:
     return bisect_left(range(n_steps), t_b, key=lambda k: k * dt)
 
 
-def _command_schedule(scenario: Scenario, n_steps: int) -> list[tuple]:
+def _command_schedule(scenario: Scenario) -> tuple[tuple, ...]:
     """(k, omega_ref, t_load): the commands from step k on, for k = 0 and each
-    later step where one changes, then (n_steps, None, None). Of breakpoints on
-    one step the last wins; those past the end never start."""
-    dt = scenario.dt
+    later step where one changes, then (scenario.steps, None, None). Of
+    breakpoints on one step the last wins; those past the end never start."""
+    dt, n_steps = scenario.dt, scenario.steps
     ref_at = {_breakpoint_step(t, dt, n_steps): v for t, v in scenario.speed_reference[1:]}
     load_at = {_breakpoint_step(t, dt, n_steps): v for t, v in scenario.load_torque[1:]}
     omega_ref = scenario.speed_reference[0][1]
@@ -103,7 +103,7 @@ def _command_schedule(scenario: Scenario, n_steps: int) -> list[tuple]:
         t_load = load_at.get(k, t_load)
         schedule.append((k, omega_ref, t_load))
     schedule.append((n_steps, None, None))
-    return schedule
+    return tuple(schedule)
 
 
 def constant_scenario(

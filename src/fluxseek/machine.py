@@ -50,8 +50,8 @@ class MachineParams:
     from them once, on construction. The per-constant bounds are checked
     where the constants enter, on configuration load (``harness.config``);
     construction checks only 0 < ``min_excitation_current`` <
-    ``rated_excitation_current`` and that the flux at
-    ``min_excitation_current`` is not below the flux floor.
+    ``rated_excitation_current``, its flux against the flux floor, and that
+    no loss coefficient is negative or NaN, so that no loss is negative.
     """
 
     stator_resistance: float        # ohm
@@ -87,6 +87,11 @@ class MachineParams:
                 "min_excitation_current must be > 0 and"
                 " < rated_excitation_current"
             )
+        for name in ("stator_resistance", "rotor_resistance", "iron_loss_eddy_coeff",
+                     "iron_loss_hysteresis_coeff", "converter_fixed_loss",
+                     "converter_resistive_coeff"):
+            if not getattr(self, name) >= 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         k_t = 1.5 * self.pole_pairs * self.magnetizing_inductance / self.rotor_inductance
         derive = object.__setattr__  # the dataclass is frozen
         derive(self, "rotor_time_constant", self.rotor_inductance / self.rotor_resistance)
@@ -116,7 +121,7 @@ class MachineParams:
         electrical frequency p * omega_r + L_m * i_qs / (tau_r * Psi_dr), and
         shaft power plus the four losses, which is negative when regenerating.
         Raises :class:`FluxFloorError` below the flux floor, where slip is
-        undefined, and ValueError if a loss is negative."""
+        undefined."""
         if psi_dr < self.flux_floor:
             raise FluxFloorError(
                 f"slip undefined: rotor flux {psi_dr:.6g} below floor {self.flux_floor:.6g}"
@@ -130,11 +135,6 @@ class MachineParams:
         rotor = copper_r * i_qs * i_qs
         iron = (eddy * omega_e * omega_e + hysteresis * abs(omega_e)) * (psi_dr * psi_dr)
         converter = fixed + resistive * i_sq
-        if stator < 0.0 or rotor < 0.0 or iron < 0.0 or converter < 0.0:
-            raise ValueError(
-                f"losses must be >= 0: stator_copper={stator!r},"
-                f" rotor_copper={rotor!r}, iron={iron!r}, converter={converter!r}"
-            )
         t_e = k_t * i_qs * psi_dr
         return (t_e, stator, rotor, iron, converter,
                 t_e * omega_r + (stator + rotor + iron + converter))

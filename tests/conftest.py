@@ -227,14 +227,16 @@ def crafted_records(config: DriveConfig, *states, modes=None) -> PackedRecords:
     """Rows of the given states, each ``(omega_ref, omega_r, i_ds_cmd,
     i_qs_cmd, i_ds, i_qs, psi_dr, load_torque)``, one a 1 s step, kept as
     ``simulate`` keeps them: the commands and the mode ("transient" unless
-    given) as the change log, one entry a row, and the rest as packed rows;
-    the scenario gives only the times. ``config``'s machine must lag its
-    currents, as only then are they stored apart from their commands."""
+    given) as the change log, one six-field entry a row with ``converged``
+    ``None``, as at a command-schedule step, and the rest as packed rows; the
+    scenario gives only the times. ``config``'s machine must lag its currents,
+    as only then are they stored apart from their commands."""
     assert config.machine.current_tracking_time_constant > 0.0
     modes = modes or ["transient"] * len(states)
     scenario = constant_scenario("crafted", float(len(states)), 1.0, 0.0, 0.0,
                                  flc_enabled=False, compensator_enabled=False)
-    log = [(row, s[0], s[2], s[7], mode) for row, (s, mode) in enumerate(zip(states, modes))]
+    log = [(row, s[0], s[2], s[7], mode, None)
+           for row, (s, mode) in enumerate(zip(states, modes))]
     values = array("d", [v for _, omega_r, _, i_qs_cmd, i_ds, i_qs, psi, _ in states
                          for v in (psi, omega_r, i_qs_cmd, i_ds, i_qs)])
     records = PackedRecords(values, log, scenario, 1, config.machine)

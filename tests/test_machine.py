@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import struct
 
 import pytest
@@ -93,6 +94,22 @@ def test_replace_derives_the_algebra_again(name, value):
     assert p.flux_floor == FLUX_FLOOR_FRACTION * p.rated_flux
     for state in ((0.7, 150.0, 5.0, 12.0), (0.3, -80.0, 2.0, -7.5), (p.flux_floor, 0.0, 0.0, 0.0)):
         assert bits(p.power_terms(*state)) == bits(reference_power_terms(p, *state))
+
+
+# No loss can go negative: each is a sum of these coefficients times squares
+# or |omega_e|, and construction rejects a negative or NaN one, keyed by its
+# name, whether built anew or by dataclasses.replace.
+@pytest.mark.parametrize("value", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("name", [
+    "stator_resistance", "rotor_resistance", "iron_loss_eddy_coeff",
+    "iron_loss_hysteresis_coeff", "converter_fixed_loss", "converter_resistive_coeff",
+])
+def test_loss_coefficient_rejected_on_construction(name, value):
+    message = re.escape(f"{name} must be >= 0, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_params(**{name: value})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(build_params(), **{name: value})
 
 
 def test_min_excitation_must_be_below_rated():
@@ -349,13 +366,10 @@ def test_energy_bookkeeping_is_exact():
 
 
 def test_negative_loss_rejected():
-    # a machine built in code may have a negative fixed converter loss
-    p = build_params(converter_fixed_loss=-100.0)
+    # a machine built in code with a negative fixed converter loss fails when built
     with pytest.raises(ValueError) as error:
-        p.power_terms(p.flux_floor, 0.0, 0.0, 0.0)
-    assert str(error.value) == (
-        "losses must be >= 0: stator_copper=0.0, rotor_copper=0.0, iron=0.0, converter=-100.0"
-    )
+        build_params(converter_fixed_loss=-100.0)
+    assert str(error.value) == "converter_fixed_loss must be >= 0, got -100.0"
 
 
 # The telemetry's golden hash depends on the exact arithmetic of torque,
@@ -398,9 +412,9 @@ def test_losses_equal_textbook_formulas_bit_for_bit(
 
 # The whole of power_terms against the chain it flattens: electrical
 # frequency, then the four losses, the torque and the input power, as
-# reference_power_terms evaluates them in turn, over pole pairs, signed zeros,
-# fluxes at the floor and negative fixed losses. Below the floor and on a
-# negative loss, power_terms raises.
+# reference_power_terms evaluates them in turn, over pole pairs, signed zeros
+# and fluxes at the floor. Below the floor, power_terms raises; a negative
+# fixed loss fails construction.
 _signed_zero = st.sampled_from((0.0, -0.0))
 
 
@@ -422,7 +436,7 @@ def _fluxes(draw, floor):
     pole_pairs=st.integers(1, 6),
     eddy=st.floats(0.0, 0.1),
     hysteresis=st.floats(0.0, 5.0),
-    # negative: a machine built in code, whose losses can go below zero
+    # negative: a machine built in code, which construction rejects
     fixed=st.floats(-50.0, 100.0),
     resistive=st.floats(0.0, 1.0),
     data=st.data(),
@@ -434,19 +448,21 @@ def test_power_terms_equal_the_four_method_chain_bit_for_bit(
     stator_resistance, rotor_resistance, magnetizing_inductance, rotor_inductance,
     pole_pairs, eddy, hysteresis, fixed, resistive, data, i_ds, i_qs, omega_r,
 ):
-    p = build_params(
+    machine = dict(
         stator_resistance=stator_resistance, rotor_resistance=rotor_resistance,
         magnetizing_inductance=magnetizing_inductance, rotor_inductance=rotor_inductance,
         pole_pairs=pole_pairs, iron_loss_eddy_coeff=eddy, iron_loss_hysteresis_coeff=hysteresis,
         converter_fixed_loss=fixed, converter_resistive_coeff=resistive,
     )
+    if fixed < 0.0:
+        with pytest.raises(ValueError, match="^converter_fixed_loss must be >= 0"):
+            build_params(**machine)
+        return
+    p = build_params(**machine)
     psi = data.draw(_fluxes(p.flux_floor), label="psi")
     expected = reference_power_terms(p, psi, omega_r, i_ds, i_qs)
     if psi < p.flux_floor:
         with pytest.raises(FluxFloorError):
-            p.power_terms(psi, omega_r, i_ds, i_qs)
-    elif min(expected[1:5]) < 0.0:
-        with pytest.raises(ValueError, match="^losses must be >= 0"):
             p.power_terms(psi, omega_r, i_ds, i_qs)
     else:
         # bits, not ==: 0.0 == -0.0
