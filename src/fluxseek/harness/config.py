@@ -5,13 +5,13 @@ gains, the fuzzy partition and rule table, scaling gains with their validity
 envelope, supervisor thresholds, compensator switches, telemetry decimation
 and the scenario list.
 
-Each section is one table, key -> (kind, bound[, default]), and this is the
-only place a key, its kind or its bound is written. One reader applies every
+Each section is one table, key -> (kind[, default]), and this is the only
+place a key, its kind or its default is written. One reader applies every
 table: it rejects a node that is not a mapping, unknown keys and missing
-required keys, parses each value by its kind and checks it against its bound.
-A section's constructor then applies the rules that tie keys together, and
-``parse_config`` the rules that tie sections together. Every diagnostic
-carries the dotted key path.
+required keys, and parses each value by its kind. The constructor a value
+reaches checks its bound, written on the dataclass field it fills, and the
+rules that tie keys together; ``parse_config`` applies the rules that tie
+sections together. Every diagnostic carries the dotted key path.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import yaml
@@ -27,7 +27,7 @@ import yaml
 from ..compensator import COMPENSATION_MODES, FLUX_SOURCES
 from ..errors import ConfigError
 from ..fuzzy import FuzzyRuleBase, MembershipFunction, ScalingGains, input_gain, output_gain
-from ..machine import MachineParams, check_step_size
+from ..machine import COUNT, NONNEGATIVE, MachineParams, check_bounds, check_step_size
 from ..optimizer import SearchSettings
 from .scenario import Scenario
 
@@ -81,19 +81,18 @@ class DriveConfig:
     """Fully validated configuration of one drive plus its scenario list."""
 
     machine: MachineParams
-    speed_kp: float
-    speed_ki: float
+    speed_kp: float = field(metadata=NONNEGATIVE)
+    speed_ki: float = field(metadata=NONNEGATIVE)
     search: SearchSettings
-    flux_source: str
-    compensation_mode: str
-    telemetry_decimation: int
+    flux_source: str = field(
+        metadata={"bound": (f"one of {FLUX_SOURCES}", FLUX_SOURCES.__contains__)})
+    compensation_mode: str = field(
+        metadata={"bound": (f"one of {COMPENSATION_MODES}", COMPENSATION_MODES.__contains__)})
+    telemetry_decimation: int = field(metadata=COUNT)
     scenarios: tuple[Scenario, ...]
 
-    def __post_init__(self):  # for a config built in code: dataclasses.replace runs it
-        for field, choices in (("flux_source", FLUX_SOURCES),
-                               ("compensation_mode", COMPENSATION_MODES)):
-            if getattr(self, field) not in choices:
-                raise ValueError(f"{field} must be one of {choices}, got {getattr(self, field)!r}")
+    def __post_init__(self):  # also for a config built in code, as by dataclasses.replace
+        check_bounds(self)
 
     def scenario(self, name: str) -> Scenario:
         for sc in self.scenarios:
@@ -168,17 +167,19 @@ def _range(value, key: str) -> tuple[float, float]:
     return low, high
 
 
+def _built(make, values: dict, keys: dict, key: str | None):
+    """``make(**values)``; a ValueError from it is a ConfigError at the key in ``keys``
+    of the field its message starts with, else at ``key``."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=keys.get(str(exc).partition(" ")[0], key)) from exc
+
+
 def _section(table: dict, make=dict):
-    """The kind of a mapping read by ``table`` and built by ``make(**values)``;
-    a ValueError from ``make`` is a ConfigError at the key of the field its
-    message starts with, else at the mapping's key."""
+    """The kind of a mapping read by ``table`` and built by ``_built(make, ...)``."""
     def kind(node, key: str):
-        values = _read(node, table, key)
-        try:
-            return make(**values)
-        except ValueError as exc:
-            field = str(exc).partition(" ")[0]
-            raise ConfigError(str(exc), key=f"{key}.{field}" if field in table else key) from exc
+        return _built(make, _read(node, table, key), {f: f"{key}.{f}" for f in table}, key)
     return kind
 
 
@@ -201,26 +202,14 @@ def _read(node, table: dict, path: str, prefix: str | None = None) -> dict:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}", key=path)
     prefix = f"{path}." if prefix is None else prefix
     values = {}
-    for key, (kind, bound, *default) in table.items():
+    for key, (kind, *default) in table.items():
         if key not in node:
             if not default:
                 raise ConfigError("missing required key", key=f"{path}.{key}")
             values[key] = default[0]
-            continue
-        value = kind(node[key], prefix + key)
-        if bound is not None and not bound[1](value):
-            raise ConfigError(f"must be {bound[0]}", key=prefix + key)
-        values[key] = value
+        else:
+            values[key] = kind(node[key], prefix + key)
     return values
-
-
-# -- bounds: (condition, test); a value failing the test "must be <condition>" --
-
-_POSITIVE = ("> 0", lambda v: v > 0.0)
-_NONNEGATIVE = (">= 0", lambda v: v >= 0.0)
-_COUNT = (">= 1", lambda v: v >= 1)
-_FRACTION = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
-_FRACTION_OR_ONE = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 # -- the schema ------------------------------------------------------------------
@@ -232,80 +221,80 @@ def _fuzzy(scaling, envelope, power_change, last_action, output, rules):
 
 
 _MACHINE = {
-    "stator_resistance": (_number, _POSITIVE),
-    "rotor_resistance": (_number, _POSITIVE),
-    "magnetizing_inductance": (_number, _POSITIVE),
-    "rotor_inductance": (_number, _POSITIVE),
-    "pole_pairs": (_integer, _COUNT),
-    "inertia": (_number, _POSITIVE),
-    "friction": (_number, _NONNEGATIVE),
-    "iron_loss_eddy_coeff": (_number, _NONNEGATIVE),
-    "iron_loss_hysteresis_coeff": (_number, _NONNEGATIVE),
-    "converter_fixed_loss": (_number, _NONNEGATIVE),
-    "converter_resistive_coeff": (_number, _NONNEGATIVE),
-    "current_tracking_time_constant": (_number, _NONNEGATIVE),
-    "rated_excitation_current": (_number, _POSITIVE),
-    "min_excitation_current": (_number, None),  # 0 < min < rated: MachineParams
-    "max_torque_current": (_number, _POSITIVE),
-    "rated_speed": (_number, _POSITIVE),
-    "rated_torque": (_number, _POSITIVE),
+    "stator_resistance": (_number,),
+    "rotor_resistance": (_number,),
+    "magnetizing_inductance": (_number,),
+    "rotor_inductance": (_number,),
+    "pole_pairs": (_integer,),
+    "inertia": (_number,),
+    "friction": (_number,),
+    "iron_loss_eddy_coeff": (_number,),
+    "iron_loss_hysteresis_coeff": (_number,),
+    "converter_fixed_loss": (_number,),
+    "converter_resistive_coeff": (_number,),
+    "current_tracking_time_constant": (_number,),
+    "rated_excitation_current": (_number,),
+    "min_excitation_current": (_number,),
+    "max_torque_current": (_number,),
+    "rated_speed": (_number,),
+    "rated_torque": (_number,),
 }
-_CONTROL = {"speed_kp": (_number, _NONNEGATIVE), "speed_ki": (_number, _NONNEGATIVE)}
+_CONTROL = {"speed_kp": (_number,), "speed_ki": (_number,)}
 _SCALING = {
-    "a": (_number, None),
-    "b": (_number, None),
-    "c1": (_number, None),
-    "c2": (_number, None),
-    "c3": (_number, None),
+    "a": (_number,),
+    "b": (_number,),
+    "c1": (_number,),
+    "c2": (_number,),
+    "c3": (_number,),
 }
-_ENVELOPE = {"speed": (_range, None), "torque": (_range, None)}
+_ENVELOPE = {"speed": (_range,), "torque": (_range,)}
 _SET = {
-    "label": (_string, None),
-    "left": (_number, None),
-    "center": (_number, None),
-    "right": (_number, None),
+    "label": (_string,),
+    "left": (_number,),
+    "center": (_number,),
+    "right": (_number,),
 }
-_SINGLETON = {"label": (_string, None), "center": (_number, None)}
-_RULE = {"power": (_string, None), "last": (_string, None), "output": (_string, None)}
+_SINGLETON = {"label": (_string,), "center": (_number,)}
+_RULE = {"power": (_string,), "last": (_string,), "output": (_string,)}
 _FUZZY = {
-    "scaling": (_section(_SCALING, ScalingGains), None),
-    "envelope": (_section(_ENVELOPE), None),
-    "power_change": (_entries(_SET, MembershipFunction), None),
-    "last_action": (_entries(_SET, MembershipFunction), None),
-    "output": (_entries(_SINGLETON, lambda label, center: (label, center)), None),
-    "rules": (_entries(_RULE, lambda power, last, output: (power, last, output)), None),
+    "scaling": (_section(_SCALING, ScalingGains),),
+    "envelope": (_section(_ENVELOPE),),
+    "power_change": (_entries(_SET, MembershipFunction),),
+    "last_action": (_entries(_SET, MembershipFunction),),
+    "output": (_entries(_SINGLETON, lambda label, center: (label, center)),),
+    "rules": (_entries(_RULE, lambda power, last, output: (power, last, output)),),
 }
 _OPTIMIZER = {
-    "search_period": (_number, _POSITIVE),
-    "steady_speed_tolerance_fraction": (_number, _FRACTION),
-    "steady_steps": (_integer, _COUNT),
-    "convergence_step_fraction": (_number, _FRACTION),
-    "convergence_samples": (_integer, _COUNT),
-    "initial_step_fraction": (_number, _FRACTION_OR_ONE),
+    "search_period": (_number,),
+    "steady_speed_tolerance_fraction": (_number,),
+    "steady_steps": (_integer,),
+    "convergence_step_fraction": (_number,),
+    "convergence_samples": (_integer,),
+    "initial_step_fraction": (_number,),
 }
 _COMPENSATOR = {
-    "flux_source": (_string, (f"one of {FLUX_SOURCES}", FLUX_SOURCES.__contains__)),
-    "mode": (_string, (f"one of {COMPENSATION_MODES}", COMPENSATION_MODES.__contains__)),
+    "flux_source": (_string,),
+    "mode": (_string,),
 }
-_TELEMETRY = {"decimation": (_integer, _COUNT)}
+_TELEMETRY = {"decimation": (_integer,)}
 _SCENARIO = {
-    "name": (_string, None),
-    "duration": (_number, None),
-    "dt": (_number, None),
-    "speed_reference": (_profile, None),
-    "load_torque": (_profile, None),
-    "flc_enabled": (_boolean, None, True),
-    "compensator_enabled": (_boolean, None, True),
+    "name": (_string,),
+    "duration": (_number,),
+    "dt": (_number,),
+    "speed_reference": (_profile,),
+    "load_torque": (_profile,),
+    "flc_enabled": (_boolean, True),
+    "compensator_enabled": (_boolean, True),
 }
 # the document; its sections' paths carry no prefix
 _ROOT = {
-    "machine": (_section(_MACHINE, MachineParams), None),
-    "control": (_section(_CONTROL), None),
-    "fuzzy": (_section(_FUZZY, _fuzzy), None),
-    "optimizer": (_section(_OPTIMIZER), None),
-    "compensator": (_section(_COMPENSATOR), None),
-    "telemetry": (_section(_TELEMETRY), None),
-    "scenarios": (_entries(_SCENARIO, Scenario), None),
+    "machine": (_section(_MACHINE, MachineParams),),
+    "control": (_section(_CONTROL),),
+    "fuzzy": (_section(_FUZZY, _fuzzy),),
+    "optimizer": (_section(_OPTIMIZER),),
+    "compensator": (_section(_COMPENSATOR),),
+    "telemetry": (_section(_TELEMETRY),),
+    "scenarios": (_entries(_SCENARIO, Scenario),),
 }
 
 
@@ -348,6 +337,11 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
     gains, rulebase = sections["fuzzy"]
     optimizer = sections["optimizer"]
     tolerance_fraction = optimizer.pop("steady_speed_tolerance_fraction")
+    if not 0.0 < tolerance_fraction < 1.0:  # a fraction of rated_speed, not a field's value
+        raise ConfigError("must be in (0, 1)", key="optimizer.steady_speed_tolerance_fraction")
+    search = _built(SearchSettings, dict(optimizer, rulebase=rulebase, gains=gains,
+                    steady_speed_tolerance=tolerance_fraction * machine.rated_speed),
+                    {f: f"optimizer.{f}" for f in _OPTIMIZER}, "optimizer")
 
     scenarios = sections["scenarios"]
     names: set[str] = set()
@@ -362,18 +356,22 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
             raise ConfigError(f"duplicate scenario name {scenario.name!r}", key=path)
         names.add(scenario.name)
 
-    return DriveConfig(
+    keys = {  # the key each bounded DriveConfig field is read from
+        "speed_kp": "control.speed_kp",
+        "speed_ki": "control.speed_ki",
+        "flux_source": "compensator.flux_source",
+        "compensation_mode": "compensator.mode",
+        "telemetry_decimation": "telemetry.decimation",
+    }
+    return _built(DriveConfig, dict(
         machine=machine,
         **sections["control"],
-        search=SearchSettings(
-            rulebase, gains,
-            steady_speed_tolerance=tolerance_fraction * machine.rated_speed, **optimizer
-        ),
+        search=search,
         flux_source=sections["compensator"]["flux_source"],
         compensation_mode=sections["compensator"]["mode"],
         telemetry_decimation=sections["telemetry"]["decimation"],
         scenarios=scenarios,
-    )
+    ), keys, None)
 
 
 def default_config_text() -> str:

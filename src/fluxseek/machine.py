@@ -17,13 +17,13 @@ ones, so they agree also after ``dataclasses.replace``, and does the algebra:
 ``InductionMachine`` is the RK4 stepper for one parameter set and one step size,
 which ``check_step_size`` holds below the stability limit: ``step`` advances
 the four signals, plain floats the caller keeps, by one straight-line RK4 step.
-The bounds on each constant are checked where the configuration is loaded.
+Each constant's bound is written on its field, and ``check_bounds`` applies it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import FluxFloorError, NonFiniteError
 
@@ -39,38 +39,50 @@ FLUX_FLOOR_FRACTION = 0.05
 # z^3/24, z = -2.785..., beyond which every step grows x.
 RK4_STABILITY_LIMIT = 2.785293563405282
 
+# A field's bound, as its metadata: (condition, test), read by check_bounds
+POSITIVE = {"bound": ("> 0", lambda v: v > 0.0)}
+NONNEGATIVE = {"bound": (">= 0", lambda v: v >= 0.0)}
+COUNT = {"bound": (">= 1", lambda v: v >= 1)}
+FRACTION = {"bound": ("in (0, 1)", lambda v: 0.0 < v < 1.0)}
+FRACTION_OR_ONE = {"bound": ("in (0, 1]", lambda v: 0.0 < v <= 1.0)}
+
+
+def check_bounds(obj) -> None:
+    """Raise ValueError at the first field of dataclass ``obj`` out of its bound; NaN is in none."""
+    for f in fields(obj):
+        if "bound" in f.metadata and not f.metadata["bound"][1](value := getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be {f.metadata['bound'][0]}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class MachineParams:
     """Electrical, mechanical and loss constants of one machine + converter.
 
-    Takes the 17 primitive constants; the derived ones
-    (``rotor_time_constant``, ``torque_constant_flux``, ``rated_flux``,
-    ``flux_floor`` and the constants of :meth:`power_terms`) are computed
-    from them once, on construction. The per-constant bounds are checked
-    where the constants enter, on configuration load (``harness.config``);
-    construction checks only 0 < ``min_excitation_current`` <
-    ``rated_excitation_current``, its flux against the flux floor, and that
-    no loss coefficient is negative or NaN, so that no loss is negative.
+    Takes the 17 primitive constants, each checked against the bound on its
+    field, so no loss coefficient is negative or NaN and no loss is negative;
+    then 0 < ``min_excitation_current`` < ``rated_excitation_current``. The
+    derived constants (``rotor_time_constant``, ``torque_constant_flux``,
+    ``rated_flux``, ``flux_floor`` and those of :meth:`power_terms`) are
+    computed once, and the minimum current's flux checked against the floor.
     """
 
-    stator_resistance: float        # ohm
-    rotor_resistance: float         # ohm
-    magnetizing_inductance: float   # H
-    rotor_inductance: float         # H
-    pole_pairs: int
-    inertia: float                  # kg m^2
-    friction: float                 # N m s/rad
-    iron_loss_eddy_coeff: float     # W s^2 / (rad^2 Wb^2)
-    iron_loss_hysteresis_coeff: float  # W s / (rad Wb^2)
-    converter_fixed_loss: float     # W
-    converter_resistive_coeff: float   # ohm
-    current_tracking_time_constant: float  # s, 0 means ideal tracking
-    rated_excitation_current: float  # A
-    min_excitation_current: float   # A
-    max_torque_current: float       # A
-    rated_speed: float              # rad/s mechanical
-    rated_torque: float             # N m
+    stator_resistance: float = field(metadata=POSITIVE)       # ohm
+    rotor_resistance: float = field(metadata=POSITIVE)        # ohm
+    magnetizing_inductance: float = field(metadata=POSITIVE)  # H
+    rotor_inductance: float = field(metadata=POSITIVE)        # H
+    pole_pairs: int = field(metadata=COUNT)
+    inertia: float = field(metadata=POSITIVE)                 # kg m^2
+    friction: float = field(metadata=NONNEGATIVE)             # N m s/rad
+    iron_loss_eddy_coeff: float = field(metadata=NONNEGATIVE)  # W s^2 / (rad^2 Wb^2)
+    iron_loss_hysteresis_coeff: float = field(metadata=NONNEGATIVE)  # W s / (rad Wb^2)
+    converter_fixed_loss: float = field(metadata=NONNEGATIVE)  # W
+    converter_resistive_coeff: float = field(metadata=NONNEGATIVE)  # ohm
+    current_tracking_time_constant: float = field(metadata=NONNEGATIVE)  # s, 0 is ideal tracking
+    rated_excitation_current: float = field(metadata=POSITIVE)  # A
+    min_excitation_current: float   # A, bounded with rated_excitation_current below
+    max_torque_current: float = field(metadata=POSITIVE)      # A
+    rated_speed: float = field(metadata=POSITIVE)             # rad/s mechanical
+    rated_torque: float = field(metadata=POSITIVE)            # N m
     rotor_time_constant: float = field(init=False)      # s, L_r / R_r
     # N m / (Wb A), multiplies Psi * i_qs: the field-orientation torque
     # constant (3/2) * p * L_m / L_r
@@ -82,16 +94,9 @@ class MachineParams:
     _power_constants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_bounds(self)
         if not 0.0 < self.min_excitation_current < self.rated_excitation_current:
-            raise ValueError(
-                "min_excitation_current must be > 0 and"
-                " < rated_excitation_current"
-            )
-        for name in ("stator_resistance", "rotor_resistance", "iron_loss_eddy_coeff",
-                     "iron_loss_hysteresis_coeff", "converter_fixed_loss",
-                     "converter_resistive_coeff"):
-            if not getattr(self, name) >= 0.0:  # NaN fails too
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            raise ValueError("min_excitation_current must be > 0 and < rated_excitation_current")
         k_t = 1.5 * self.pole_pairs * self.magnetizing_inductance / self.rotor_inductance
         derive = object.__setattr__  # the dataclass is frozen
         derive(self, "rotor_time_constant", self.rotor_inductance / self.rotor_resistance)

@@ -19,27 +19,29 @@ machine, which the caller passes to each sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fuzzy import (
     FuzzyRuleBase, ScalingGains, efficiency_step, estimate_torque, input_gain, output_gain)
-from .machine import MachineParams
+from .machine import COUNT, FRACTION, FRACTION_OR_ONE, POSITIVE, MachineParams, check_bounds
 
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Everything one search reads apart from the machine: the rule base, the
-    scaling gains, and the supervisor's thresholds and periods (all config
-    keys, bounds checked on load)."""
+    """Everything one search reads apart from the machine: the rule base, the scaling
+    gains, and the supervisor's thresholds and periods, each checked against its field's bound."""
 
     rulebase: FuzzyRuleBase
     gains: ScalingGains
-    search_period: float              # s between power samples
-    steady_speed_tolerance: float     # rad/s band for steady-state detection
-    steady_steps: int                 # consecutive in-band steps before search
-    convergence_step_fraction: float  # of I_b; applied steps below it count
-    convergence_samples: int          # consecutive small steps to flag converged
-    initial_step_fraction: float      # of I_b; exploratory first decrement
+    search_period: float = field(metadata=POSITIVE)  # s between power samples
+    steady_speed_tolerance: float = field(metadata=POSITIVE)  # rad/s steady-state band
+    steady_steps: int = field(metadata=COUNT)  # consecutive in-band steps before search
+    convergence_step_fraction: float = field(metadata=FRACTION)  # of I_b; smaller steps count
+    convergence_samples: int = field(metadata=COUNT)  # small steps in a row to converge
+    initial_step_fraction: float = field(metadata=FRACTION_OR_ONE)  # of I_b; the first step
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
 
 @dataclass

@@ -12,7 +12,10 @@ import yaml
 
 from fluxseek.errors import ConfigError
 from fluxseek.harness import config as config_module
-from fluxseek.harness.config import ENV_CONFIG_VAR, default_config_text, load_config, parse_config
+from fluxseek.harness.config import (
+    ENV_CONFIG_VAR, DriveConfig, default_config_text, load_config, parse_config)
+from fluxseek.machine import MachineParams
+from fluxseek.optimizer import SearchSettings
 
 
 @pytest.fixture()
@@ -152,18 +155,6 @@ def test_merge_keys_may_still_be_overridden(loader):
         yaml.load("a: &a {x: 1}\nb: {<<: *a, x: 2, x: 3}\n", Loader=taught)
 
 
-def test_replace_checks_the_compensator_choices(config):
-    # a config built in code is checked where it is built, not only where a
-    # compensator is: rated-flux-baseline never builds one
-    for field, value, choices in (
-        ("flux_source", "guessed", "('measured', 'predicted')"),
-        ("compensation_mode", "sometimes", "('continuous', 'discrete')"),
-    ):
-        with pytest.raises(ValueError) as info:
-            dataclasses.replace(config, **{field: value})
-        assert str(info.value) == f"{field} must be one of {choices}, got {value!r}"
-
-
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
 def test_config_is_parsed_with_libyaml(default_text, monkeypatch):
     def refuse(*args, **kwargs):
@@ -272,7 +263,7 @@ def test_unknown_keys_rejected_with_path(default_text, needle, replacement, key_
         ("inertia: 0.05", "inertia: 1" + "0" * 400, r"machine\.inertia"),
         ("pole_pairs: 2", "pole_pairs: 1" + "0" * 400, r"machine\.pole_pairs: expected a finite"),
         ("load_torque: [[0.0, 6.0]]", "load_torque: [[0.0, 1" + "0" * 400 + "]]", r"scenarios\[0\]\.load_torque\[0\]"),
-        ("speed_kp: 2.0", "speed_kp: -1.0", r"control\.speed_kp: must be >= 0"),
+        ("speed_kp: 2.0", "speed_kp: -1.0", r"control\.speed_kp: speed_kp must be >= 0, got -1\.0$"),
     ],
     ids=[
         "friction-nan", "converter-loss-nan", "search-period-inf", "envelope-inf",
@@ -474,37 +465,84 @@ def test_commented_default_is_fully_documented(default_text):
     assert default_text.count("#") > 20
 
 
-# Every entry of these tables has a bound, except those bounded only by a rule
-# across keys (checked by its own test above).
-BOUNDED_TABLES = {
-    "machine": config_module._MACHINE,
-    "control": config_module._CONTROL,
-    "optimizer": config_module._OPTIMIZER,
-    "compensator": config_module._COMPENSATOR,
-    "telemetry": config_module._TELEMETRY,
+# Each bound is written once, as metadata on the dataclass field it constrains,
+# and checked when the object is built: on load, by dataclasses.replace and by
+# a plain constructor call alike.
+BOUNDED = [
+    (cls, f.name)
+    for cls in (MachineParams, SearchSettings, DriveConfig)
+    for f in dataclasses.fields(cls)
+    if "bound" in f.metadata
+]
+SECTIONS = {MachineParams: "machine", SearchSettings: "optimizer", DriveConfig: "control"}
+# the key a loaded config reads a bounded field from, where it is not
+# "<section of its class>.<field>"
+KEYS = {
+    # converted, as a fraction of rated_speed, before it reaches the field
+    "steady_speed_tolerance": "optimizer.steady_speed_tolerance_fraction",
+    "flux_source": "compensator.flux_source",
+    "compensation_mode": "compensator.mode",
+    "telemetry_decimation": "telemetry.decimation",
 }
-CROSS_KEY_ONLY = {"machine.min_excitation_current"}
-# values just outside each bound, by its condition; "one of" bounds take "bogus"
-OUTSIDE = {"> 0": (0,), ">= 0": (-0.001,), ">= 1": (0,), "in (0, 1)": (0, 1), "in (0, 1]": (0, 1.5)}
+BOUNDED_KEYS = {KEYS.get(name, f"{SECTIONS[cls]}.{name}"): (cls, name) for cls, name in BOUNDED}
+# values just outside each bound, by its condition
+OUTSIDE = {
+    "> 0": (0,), ">= 0": (-0.001,), ">= 1": (0,), "in (0, 1)": (0, 1), "in (0, 1]": (0, 1.5),
+    "one of": ("bogus", "guessed", "sometimes"),
+}
+
+
+def _condition(cls, name: str) -> str:
+    return next(f for f in dataclasses.fields(cls) if f.name == name).metadata["bound"][0]
+
+
+def _outside(condition: str) -> tuple:
+    return OUTSIDE["one of" if condition.startswith("one of") else condition]
+
+
+@pytest.mark.parametrize("cls, unbounded", [
+    (MachineParams, {"min_excitation_current"}),  # bounded by rated_excitation_current
+    (SearchSettings, {"rulebase", "gains"}),  # checked where they are built
+    (DriveConfig, {"machine", "search", "scenarios"}),
+], ids=["MachineParams", "SearchSettings", "DriveConfig"])
+def test_every_number_and_choice_has_a_bound(cls, unbounded):
+    # 16 bounded fields of MachineParams, 6 of SearchSettings and 5 of DriveConfig
+    bounded = {name for owner, name in BOUNDED if owner is cls}
+    assert {f.name for f in dataclasses.fields(cls) if f.init} - bounded == unbounded
 
 
 @pytest.mark.parametrize(
-    "entry",
-    [
-        f"{section}.{key}"
-        for section, table in BOUNDED_TABLES.items()
-        for key in table
-        if f"{section}.{key}" not in CROSS_KEY_ONLY
-    ],
-)
+    "cls, name", BOUNDED, ids=[f"{cls.__name__}.{name}" for cls, name in BOUNDED])
+def test_bound_rejected_in_code(config, cls, name):
+    # a value just outside the bound, and NaN, fail where the object is built,
+    # by its constructor or by dataclasses.replace, with the field's name: a
+    # resistance, rotor inductance or inertia of 0 used to fail with a bare
+    # ZeroDivisionError, and a bad compensator choice only where a compensator
+    # was built, which rated-flux-baseline never does
+    built = {MachineParams: config.machine, SearchSettings: config.search, DriveConfig: config}[cls]
+    condition = _condition(cls, name)
+    arguments = {f.name: getattr(built, f.name) for f in dataclasses.fields(cls) if f.init}
+    for value in (*_outside(condition), math.nan):
+        message = f"^{re.escape(f'{name} must be {condition}, got {value!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            cls(**{**arguments, name: value})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(built, **{name: value})
+
+
+@pytest.mark.parametrize("entry", BOUNDED_KEYS)
 def test_table_bounds_rejected_with_path(default_text, entry):
+    # a loaded value outside its field's bound fails at its dotted key
     section, key = entry.split(".")
-    bound = BOUNDED_TABLES[section][key][1]
-    assert bound is not None, f"{section}.{key} has no bound"
-    condition = bound[0]
-    for value in ("bogus",) if condition.startswith("one of") else OUTSIDE[condition]:
+    cls, name = BOUNDED_KEYS[entry]
+    if name == "steady_speed_tolerance":  # bounded as a fraction, with the message it had
+        condition, pattern = "in (0, 1)", re.escape(f"{entry}: must be in (0, 1)") + "$"
+    else:
+        condition = _condition(cls, name)
+        pattern = re.escape(f"{entry}: {name} must be {condition}, got ")
+    for value in _outside(condition):
         document = yaml.safe_load(default_text)
         document[section][key] = value
-        with pytest.raises(ConfigError, match=rf"^{re.escape(entry)}: must be {re.escape(condition)}$") as info:
+        with pytest.raises(ConfigError, match=f"^{pattern}") as info:
             parse_config(yaml.safe_dump(document))
         assert info.value.key == entry

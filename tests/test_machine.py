@@ -98,14 +98,17 @@ def test_replace_derives_the_algebra_again(name, value):
 
 # No loss can go negative: each is a sum of these coefficients times squares
 # or |omega_e|, and construction rejects a negative or NaN one, keyed by its
-# name, whether built anew or by dataclasses.replace.
+# name, whether built anew or by dataclasses.replace. The resistances must be
+# > 0 (the rotor time constant divides by R_r). test_config's table-driven
+# tests read each condition off the field; this one pins the loss bounds.
 @pytest.mark.parametrize("value", [-1.0, math.nan], ids=["negative", "nan"])
 @pytest.mark.parametrize("name", [
     "stator_resistance", "rotor_resistance", "iron_loss_eddy_coeff",
     "iron_loss_hysteresis_coeff", "converter_fixed_loss", "converter_resistive_coeff",
 ])
 def test_loss_coefficient_rejected_on_construction(name, value):
-    message = re.escape(f"{name} must be >= 0, got {value!r}")
+    condition = "> 0" if name.endswith("_resistance") else ">= 0"
+    message = re.escape(f"{name} must be {condition}, got {value!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         build_params(**{name: value})
     with pytest.raises(ValueError, match=f"^{message}$"):

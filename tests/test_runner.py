@@ -539,6 +539,33 @@ def test_generating_boost_past_the_torque_current_limit_is_clamped_to_it(config)
     assert min(r.i_qs_cmd for r in records) == -5.0
 
 
+# Settings built in code that used to run to an end: a 0 search_period sampled
+# on every step and reported "converged", as did 0 convergence_samples after
+# 5 samples; a -1 steady_speed_tolerance, 0 pole_pairs, -1 max_torque_current
+# or -1 speed_kp ran no sample; an initial_step_fraction of 2 or a NaN
+# rated_speed ran 5; 0 steady_steps failed in itertools with no field named.
+@pytest.mark.parametrize("part, field, value", [
+    ("search", "search_period", 0.0),
+    ("search", "convergence_samples", 0),
+    ("search", "steady_speed_tolerance", -1.0),
+    ("machine", "pole_pairs", 0),
+    ("machine", "max_torque_current", -1.0),
+    ("", "speed_kp", -1.0),
+    ("search", "initial_step_fraction", 2.0),
+    ("machine", "rated_speed", math.nan),
+    ("search", "steady_steps", 0),
+])
+def test_out_of_bound_settings_fail_before_the_run(config, monkeypatch, part, field, value):
+    steps = _count_steps(monkeypatch)
+    scenario = dataclasses.replace(config.scenario("quarter-load-search"), duration=3.0)
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        changed = {field: value}
+        if part:
+            changed = {part: dataclasses.replace(getattr(config, part), **changed)}
+        simulate(scenario, dataclasses.replace(config, **changed))
+    assert steps() == 0
+
+
 def test_decimation_below_one_rejected(config):
     with pytest.raises(ValueError, match="^decimation must be >= 1$"):
         simulate(config.scenario("short-demo"), config, decimation=0)
