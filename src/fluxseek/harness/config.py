@@ -5,12 +5,14 @@ gains, the fuzzy partition and rule table, scaling gains with their validity
 envelope, supervisor thresholds, compensator switches, telemetry decimation
 and the scenario list.
 
-Each section is one table, key -> (kind[, default]), and this is the only
-place a key, its kind or its default is written. One reader applies every
-table: it rejects a node that is not a mapping, unknown keys and missing
-required keys, and parses each value by its kind. The constructor a value
-reaches checks its bound, written on the dataclass field it fills, and the
-rules that tie keys together; ``parse_config`` applies the rules that tie
+Each section is one table, key -> (kind[, default]). A section that builds
+one dataclass (``machine``, ``fuzzy.scaling``, each fuzzy set and each
+scenario) is read off that class's init fields: a field's name, annotation and
+default are its key, kind and default, written nowhere else. One reader
+applies every table: it rejects a node that is not a mapping, unknown keys and
+missing required keys, and parses each value by its kind. The constructor a
+value reaches checks its bound, written on the dataclass field it fills, and
+the rules that tie keys together; ``parse_config`` applies the rules that tie
 sections together. Every diagnostic carries the dotted key path.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 import yaml
@@ -176,14 +178,27 @@ def _built(make, values: dict, keys: dict, key: str | None):
         raise ConfigError(str(exc), key=keys.get(str(exc).partition(" ")[0], key)) from exc
 
 
-def _section(table: dict, make=dict):
-    """The kind of a mapping read by ``table`` and built by ``_built(make, ...)``."""
+# a field's kind, by its annotation: a string, as every module imports annotations
+_KINDS = {"float": _number, "int": _integer, "str": _string, "bool": _boolean, "Profile": _profile}
+
+
+def _section(table, make=dict):
+    """The kind of a mapping read by ``table`` and built by ``_built(make, ...)``.
+    A dataclass in place of ``table`` is read off its init fields and builds
+    itself: a field's name is its key, its annotation (in ``_KINDS``) its kind
+    and its default, if it has one, the key's default."""
+    if isinstance(table, type):
+        table, make = {
+            f.name: (_KINDS[f.type], *(() if f.default is MISSING else (f.default,)))
+            for f in fields(table) if f.init
+        }, table
+
     def kind(node, key: str):
         return _built(make, _read(node, table, key), {f: f"{key}.{f}" for f in table}, key)
     return kind
 
 
-def _entries(table: dict, make):
+def _entries(table, make=dict):
     """The kind of a list of ``_section(table, make)`` mappings, keyed ``key[i]``."""
     entry = _section(table, make)
     return lambda node, key: tuple(
@@ -220,47 +235,15 @@ def _fuzzy(scaling, envelope, power_change, last_action, output, rules):
     return scaling, FuzzyRuleBase(power_change, last_action, output, rules)
 
 
-_MACHINE = {
-    "stator_resistance": (_number,),
-    "rotor_resistance": (_number,),
-    "magnetizing_inductance": (_number,),
-    "rotor_inductance": (_number,),
-    "pole_pairs": (_integer,),
-    "inertia": (_number,),
-    "friction": (_number,),
-    "iron_loss_eddy_coeff": (_number,),
-    "iron_loss_hysteresis_coeff": (_number,),
-    "converter_fixed_loss": (_number,),
-    "converter_resistive_coeff": (_number,),
-    "current_tracking_time_constant": (_number,),
-    "rated_excitation_current": (_number,),
-    "min_excitation_current": (_number,),
-    "max_torque_current": (_number,),
-    "rated_speed": (_number,),
-    "rated_torque": (_number,),
-}
 _CONTROL = {"speed_kp": (_number,), "speed_ki": (_number,)}
-_SCALING = {
-    "a": (_number,),
-    "b": (_number,),
-    "c1": (_number,),
-    "c2": (_number,),
-    "c3": (_number,),
-}
 _ENVELOPE = {"speed": (_range,), "torque": (_range,)}
-_SET = {
-    "label": (_string,),
-    "left": (_number,),
-    "center": (_number,),
-    "right": (_number,),
-}
 _SINGLETON = {"label": (_string,), "center": (_number,)}
 _RULE = {"power": (_string,), "last": (_string,), "output": (_string,)}
 _FUZZY = {
-    "scaling": (_section(_SCALING, ScalingGains),),
+    "scaling": (_section(ScalingGains),),
     "envelope": (_section(_ENVELOPE),),
-    "power_change": (_entries(_SET, MembershipFunction),),
-    "last_action": (_entries(_SET, MembershipFunction),),
+    "power_change": (_entries(MembershipFunction),),
+    "last_action": (_entries(MembershipFunction),),
     "output": (_entries(_SINGLETON, lambda label, center: (label, center)),),
     "rules": (_entries(_RULE, lambda power, last, output: (power, last, output)),),
 }
@@ -277,24 +260,15 @@ _COMPENSATOR = {
     "mode": (_string,),
 }
 _TELEMETRY = {"decimation": (_integer,)}
-_SCENARIO = {
-    "name": (_string,),
-    "duration": (_number,),
-    "dt": (_number,),
-    "speed_reference": (_profile,),
-    "load_torque": (_profile,),
-    "flc_enabled": (_boolean, True),
-    "compensator_enabled": (_boolean, True),
-}
 # the document; its sections' paths carry no prefix
 _ROOT = {
-    "machine": (_section(_MACHINE, MachineParams),),
+    "machine": (_section(MachineParams),),
     "control": (_section(_CONTROL),),
     "fuzzy": (_section(_FUZZY, _fuzzy),),
     "optimizer": (_section(_OPTIMIZER),),
     "compensator": (_section(_COMPENSATOR),),
     "telemetry": (_section(_TELEMETRY),),
-    "scenarios": (_entries(_SCENARIO, Scenario),),
+    "scenarios": (_entries(Scenario),),
 }
 
 

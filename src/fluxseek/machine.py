@@ -17,7 +17,8 @@ ones, so they agree also after ``dataclasses.replace``, and does the algebra:
 ``InductionMachine`` is the RK4 stepper for one parameter set and one step size,
 which ``check_step_size`` holds below the stability limit: ``step`` advances
 the four signals, plain floats the caller keeps, by one straight-line RK4 step.
-Each constant's bound is written on its field, and ``check_bounds`` applies it.
+Each constant's kind and bound are written on its field, as its annotation and
+its metadata, and ``check_bounds`` applies both.
 """
 
 from __future__ import annotations
@@ -47,10 +48,22 @@ FRACTION = {"bound": ("in (0, 1)", lambda v: 0.0 < v < 1.0)}
 FRACTION_OR_ONE = {"bound": ("in (0, 1]", lambda v: 0.0 < v <= 1.0)}
 
 
+# The types a field annotated float, int or str takes, read by check_bounds
+# (annotations are strings: every module imports them); a bool is no number
+_KIND_TYPES = {"float": (int, float), "int": int, "str": str}
+
+
 def check_bounds(obj) -> None:
-    """Raise ValueError at the first field of dataclass ``obj`` out of its bound; NaN is in none."""
+    """Raise ValueError at the first init field of dataclass ``obj`` that is not
+    of its annotated kind or is out of its bound; NaN is in no bound."""
     for f in fields(obj):
-        if "bound" in f.metadata and not f.metadata["bound"][1](value := getattr(obj, f.name)):
+        if not f.init:
+            continue
+        value = getattr(obj, f.name)
+        if f.type in _KIND_TYPES and (
+                isinstance(value, bool) or not isinstance(value, _KIND_TYPES[f.type])):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if "bound" in f.metadata and not f.metadata["bound"][1](value):
             raise ValueError(f"{f.name} must be {f.metadata['bound'][0]}, got {value!r}")
 
 

@@ -521,13 +521,40 @@ def test_bound_rejected_in_code(config, cls, name):
     # was built, which rated-flux-baseline never does
     built = {MachineParams: config.machine, SearchSettings: config.search, DriveConfig: config}[cls]
     condition = _condition(cls, name)
+    kind = next(f.type for f in dataclasses.fields(cls) if f.name == name)
     arguments = {f.name: getattr(built, f.name) for f in dataclasses.fields(cls) if f.init}
     for value in (*_outside(condition), math.nan):
-        message = f"^{re.escape(f'{name} must be {condition}, got {value!r}')}$"
+        # NaN is a float: an int or str field rejects it by its kind, before its bound
+        expected = kind if value is math.nan and kind != "float" else condition
+        message = f"^{re.escape(f'{name} must be {expected}, got {value!r}')}$"
         with pytest.raises(ValueError, match=message):
             cls(**{**arguments, name: value})
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(built, **{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value, kind", [
+    (MachineParams, "inertia", "1", "float"),
+    (MachineParams, "pole_pairs", None, "int"),
+    (MachineParams, "pole_pairs", 1.5, "int"),
+    (MachineParams, "pole_pairs", True, "int"),
+    (SearchSettings, "search_period", True, "float"),
+    (SearchSettings, "steady_steps", 2.0, "int"),
+    (DriveConfig, "speed_kp", "0.1", "float"),
+    (DriveConfig, "flux_source", None, "str"),
+])
+def test_kind_rejected_in_code(config, cls, name, value, kind):
+    # a field annotated float, int or str takes only a value of that kind (a
+    # bool is no number), by its constructor or by dataclasses.replace, and
+    # fails with the field's name: not with a bare TypeError in a bound's
+    # comparison, nor as a count of 1.5 or True pole pairs
+    built = {MachineParams: config.machine, SearchSettings: config.search, DriveConfig: config}[cls]
+    arguments = {f.name: getattr(built, f.name) for f in dataclasses.fields(cls) if f.init}
+    message = f"^{re.escape(f'{name} must be {kind}, got {value!r}')}$"
+    with pytest.raises(ValueError, match=message):
+        cls(**{**arguments, name: value})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(built, **{name: value})
 
 
 @pytest.mark.parametrize("entry", BOUNDED_KEYS)
@@ -546,3 +573,61 @@ def test_table_bounds_rejected_with_path(default_text, entry):
         with pytest.raises(ConfigError, match=f"^{pattern}") as info:
             parse_config(yaml.safe_dump(document))
         assert info.value.key == entry
+
+
+# The keys of the sections read off their dataclass's fields, each with its
+# kind: a renamed field or a changed annotation fails here.
+FIELD_KEYS = {
+    **{f"machine.{name}": "number" for name in (
+        "stator_resistance", "rotor_resistance", "magnetizing_inductance", "rotor_inductance",
+        "inertia", "friction", "iron_loss_eddy_coeff", "iron_loss_hysteresis_coeff",
+        "converter_fixed_loss", "converter_resistive_coeff", "current_tracking_time_constant",
+        "rated_excitation_current", "min_excitation_current", "max_torque_current",
+        "rated_speed", "rated_torque")},
+    "machine.pole_pairs": "integer",
+    **{f"fuzzy.scaling.{name}": "number" for name in ("a", "b", "c1", "c2", "c3")},
+    "fuzzy.power_change[0].label": "string",
+    **{f"fuzzy.power_change[0].{name}": "number" for name in ("left", "center", "right")},
+    "scenarios[0].name": "string",
+    "scenarios[0].duration": "number",
+    "scenarios[0].dt": "number",
+    "scenarios[0].speed_reference": "profile",
+    "scenarios[0].load_torque": "profile",
+    "scenarios[0].flc_enabled": "boolean",
+    "scenarios[0].compensator_enabled": "boolean",
+}
+# a value of the wrong kind for each kind, and its message
+WRONG_KIND = {
+    "number": ("x", "expected a number"),
+    "integer": (1.5, "expected an integer"),
+    "string": (5, "expected a string"),
+    "boolean": (1, "expected a boolean"),
+    "profile": ("x", "expected a list"),
+}
+
+
+@pytest.mark.parametrize("key", FIELD_KEYS)
+def test_field_keys_are_read_by_their_kind(default_text, key):
+    # 33 keys: dropped, each is required but the scenario switches, which
+    # default to on; of the wrong kind, each fails with its kind's message
+    *parents, last = [int(p) if p.isdigit() else p for p in re.split(r"[.\[\]]+", key) if p]
+
+    def node(document):
+        for part in parents:
+            document = document[part]
+        return document
+
+    document = yaml.safe_load(default_text)
+    del node(document)[last]
+    if last in ("flc_enabled", "compensator_enabled"):
+        assert getattr(parse_config(yaml.safe_dump(document)).scenarios[0], last) is True
+    else:
+        with pytest.raises(ConfigError) as info:
+            parse_config(yaml.safe_dump(document))
+        assert (info.value.key, str(info.value)) == (key, f"{key}: missing required key")
+    value, message = WRONG_KIND[FIELD_KEYS[key]]
+    document = yaml.safe_load(default_text)
+    node(document)[last] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(yaml.safe_dump(document))
+    assert (info.value.key, str(info.value)) == (key, f"{key}: {message}")

@@ -23,8 +23,9 @@ ALLOWED = {
     # rows_of; the program reads state tuples from PackedRecords.rows
     "fluxseek/harness/runner.py:PackedRecords.__iter__",
     "fluxseek/harness/runner.py:PackedRecords._record",
-    # import-time factories: they build the YAML loader and the schema tables
-    # when config.py is imported, before any path runs
+    # import-time factories: they build the YAML loader and each section's
+    # reader, from its table or its dataclass's fields, when config.py is
+    # imported, before any path runs
     "fluxseek/harness/config.py:_with_yaml12_floats",
     "fluxseek/harness/config.py:_section",
     "fluxseek/harness/config.py:_entries",
