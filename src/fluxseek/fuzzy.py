@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InferenceError
-from .machine import MachineParams
+from .machine import MachineParams, check_bounds
 
 @dataclass(frozen=True)
 class MembershipFunction:
@@ -37,6 +37,7 @@ class MembershipFunction:
     right: float
 
     def __post_init__(self) -> None:
+        check_bounds(self)
         if not self.left <= self.center <= self.right:
             raise ValueError(
                 f"set {self.label}: feet must satisfy left <= center <= right"
@@ -159,6 +160,9 @@ class ScalingGains:
     c1: float  # A s/rad
     c2: float  # A/(N m)
     c3: float  # A
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
     def validate_envelope(
         self, speed_range: tuple[float, float], torque_range: tuple[float, float]

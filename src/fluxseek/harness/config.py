@@ -8,12 +8,13 @@ and the scenario list.
 Each section is one table, key -> (kind[, default]). A section that builds
 one dataclass (``machine``, ``fuzzy.scaling``, each fuzzy set and each
 scenario) is read off that class's init fields: a field's name, annotation and
-default are its key, kind and default, written nowhere else. One reader
-applies every table: it rejects a node that is not a mapping, unknown keys and
-missing required keys, and parses each value by its kind. The constructor a
-value reaches checks its bound, written on the dataclass field it fills, and
-the rules that tie keys together; ``parse_config`` applies the rules that tie
-sections together. Every diagnostic carries the dotted key path.
+default are its key, kind and default, written nowhere else; so is
+``optimizer``, but for the ``SearchSettings`` fields ``fuzzy`` builds. One
+reader applies every table: it rejects a node that is not a mapping, unknown
+keys and missing required keys, and parses each value by its kind. The
+constructor a value reaches checks its bound, written on the dataclass field
+it fills, and the rules that tie keys together; ``parse_config`` applies the
+rules that tie sections together. Every diagnostic carries the dotted key path.
 """
 
 from __future__ import annotations
@@ -247,14 +248,9 @@ _FUZZY = {
     "output": (_entries(_SINGLETON, lambda label, center: (label, center)),),
     "rules": (_entries(_RULE, lambda power, last, output: (power, last, output)),),
 }
-_OPTIMIZER = {
-    "search_period": (_number,),
-    "steady_speed_tolerance_fraction": (_number,),
-    "steady_steps": (_integer,),
-    "convergence_step_fraction": (_number,),
-    "convergence_samples": (_integer,),
-    "initial_step_fraction": (_number,),
-}
+# SearchSettings' fields but the two the fuzzy section builds
+_OPTIMIZER = {f.name: (_KINDS[f.type],) for f in fields(SearchSettings)
+              if f.name not in ("rulebase", "gains")}
 _COMPENSATOR = {
     "flux_source": (_string,),
     "mode": (_string,),
@@ -309,12 +305,7 @@ def parse_config(text: str, source: str = "<config>") -> DriveConfig:
     sections = _read(root, _ROOT, source, prefix="")
     machine = sections["machine"]
     gains, rulebase = sections["fuzzy"]
-    optimizer = sections["optimizer"]
-    tolerance_fraction = optimizer.pop("steady_speed_tolerance_fraction")
-    if not 0.0 < tolerance_fraction < 1.0:  # a fraction of rated_speed, not a field's value
-        raise ConfigError("must be in (0, 1)", key="optimizer.steady_speed_tolerance_fraction")
-    search = _built(SearchSettings, dict(optimizer, rulebase=rulebase, gains=gains,
-                    steady_speed_tolerance=tolerance_fraction * machine.rated_speed),
+    search = _built(SearchSettings, dict(sections["optimizer"], rulebase=rulebase, gains=gains),
                     {f: f"optimizer.{f}" for f in _OPTIMIZER}, "optimizer")
 
     scenarios = sections["scenarios"]

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat, starmap
 from operator import sub
 from typing import NamedTuple
@@ -180,12 +180,12 @@ def simulate(
     scenario: Scenario, config: DriveConfig, *, decimation: int | None = None
 ) -> SimulationResult:
     """Run the full closed loop and collect telemetry."""
+    if decimation is not None:
+        config = replace(config, telemetry_decimation=decimation)  # and check its bound
     params = config.machine
     settings = config.search
     dt = scenario.dt
-    decim = config.telemetry_decimation if decimation is None else decimation
-    if decim < 1:
-        raise ValueError("decimation must be >= 1")
+    decim = config.telemetry_decimation
     step = InductionMachine(params, dt).step
     check_search_speeds(scenario, settings.gains, params.friction)
 
@@ -196,7 +196,7 @@ def simulate(
     i_qs_max = params.max_torque_current
     i_qs_min = -i_qs_max
     integrator = 0.0
-    tolerance = settings.steady_speed_tolerance
+    tolerance = settings.steady_speed_tolerance_fraction * params.rated_speed
     neg_tolerance = -tolerance
     # a search's own state, built at its entry and dropped at its abandon: the
     # drive mode is "search" exactly when search is not None

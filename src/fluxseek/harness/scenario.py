@@ -4,7 +4,8 @@ simulation horizon. Fully deterministic, no randomness anywhere.
 The only module that maps a profile onto integration steps: a ``Scenario``
 computes ``steps`` and ``commands`` (the step each command takes effect on)
 once, when built or replaced, ``row_times`` gives each row's time, and
-``sample_steps`` the steps of a search's power samples."""
+``sample_steps`` the steps of a search's power samples. Each field's kind and
+bound are written on it; a profile's entries are kept as floats."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat
 
+from ..machine import check_bounds
+
 Profile = tuple[tuple[float, float], ...]
 
 # relative: a duration within this of a whole number of steps runs that number
@@ -20,9 +23,12 @@ STEP_TOLERANCE = 1e-9
 MAX_STEPS = 10**7  # a per-step run's rows: at most 400 MB lagged, 240 MB ideal
 
 
-def _validate_profile(profile: Profile, what: str) -> None:
+def _validate_profile(profile: Profile, what: str) -> Profile:
+    """``profile``, each entry a float, unless it breaks a profile's rules."""
     if not profile:
         raise ValueError(f"{what} profile must have at least one breakpoint")
+    if any(type(x) not in (int, float) for pair in profile for x in pair):  # a bool is no number
+        raise ValueError(f"{what} profile entries must be numbers")
     if profile[0][0] != 0.0:
         raise ValueError(f"{what} profile must start at t = 0")
     last = -math.inf
@@ -32,13 +38,15 @@ def _validate_profile(profile: Profile, what: str) -> None:
         if t <= last:
             raise ValueError(f"{what} profile breakpoints must be strictly increasing")
         last = t
+    return tuple((float(t), float(value)) for t, value in profile)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
-    duration: float  # s; zero is allowed and produces an empty record stream
-    dt: float        # s
+    name: str = field(metadata={"bound": ("non-empty", bool)})
+    # s; zero is allowed and produces an empty record stream
+    duration: float = field(metadata={"bound": ("finite and >= 0", lambda v: 0.0 <= v < math.inf)})
+    dt: float = field(metadata={"bound": ("finite and > 0", lambda v: 0.0 < v < math.inf)})  # s
     speed_reference: Profile  # (time s, rad/s) breakpoints
     load_torque: Profile      # (time s, N m) breakpoints
     flc_enabled: bool = True
@@ -47,21 +55,16 @@ class Scenario:
     commands: tuple[tuple, ...] = field(init=False, repr=False, compare=False)  # _command_schedule
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario name must be non-empty")
-        if not 0.0 <= self.duration < math.inf:  # NaN fails both
-            raise ValueError(f"duration must be finite and >= 0, got {self.duration!r}")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        _validate_profile(self.speed_reference, "speed_reference")
-        _validate_profile(self.load_torque, "load_torque")
+        check_bounds(self)
+        for what in ("speed_reference", "load_torque"):  # the dataclass is frozen
+            object.__setattr__(self, what, _validate_profile(getattr(self, what), what))
         steps = self.duration / self.dt
         if steps > MAX_STEPS:
             raise ValueError(f"dt = {self.dt!r} s: {steps!r} steps must be below or at {MAX_STEPS}")
         if abs(steps - round(steps)) > STEP_TOLERANCE * steps:
             raise ValueError(f"duration = {self.duration!r} s must be a whole number of"
                              f" dt = {self.dt!r} s steps, not {steps!r}")
-        object.__setattr__(self, "steps", round(steps))  # the dataclass is frozen
+        object.__setattr__(self, "steps", round(steps))
         object.__setattr__(self, "commands", _command_schedule(self))
 
     def row_times(self, decimation: int):

@@ -48,9 +48,9 @@ FRACTION = {"bound": ("in (0, 1)", lambda v: 0.0 < v < 1.0)}
 FRACTION_OR_ONE = {"bound": ("in (0, 1]", lambda v: 0.0 < v <= 1.0)}
 
 
-# The types a field annotated float, int or str takes, read by check_bounds
+# The exact types a field annotated float, int, str or bool takes, read by check_bounds
 # (annotations are strings: every module imports them); a bool is no number
-_KIND_TYPES = {"float": (int, float), "int": int, "str": str}
+_KIND_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (bool,)}
 
 
 def check_bounds(obj) -> None:
@@ -60,8 +60,7 @@ def check_bounds(obj) -> None:
         if not f.init:
             continue
         value = getattr(obj, f.name)
-        if f.type in _KIND_TYPES and (
-                isinstance(value, bool) or not isinstance(value, _KIND_TYPES[f.type])):
+        if f.type in _KIND_TYPES and type(value) not in _KIND_TYPES[f.type]:
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if "bound" in f.metadata and not f.metadata["bound"][1](value):
             raise ValueError(f"{f.name} must be {f.metadata['bound'][0]}, got {value!r}")

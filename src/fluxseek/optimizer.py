@@ -9,12 +9,13 @@ load command change abandons the search immediately and drops its state.
 
 The runner owns the drive mode: it detects the steady state and abandons the
 search, on events, not on every step. Between them the only rule is the band
-test ``abs(error) <= steady_speed_tolerance``; the search is entered on the
-``steady_steps``-th consecutive in-band step, and ``Scenario.sample_steps``
-gives the steps of its power samples. The runner builds a ``SearchState`` at
-each entry and drops it at the abandon, and logs its ``converged`` flag at each
-sample. ``SearchSettings`` is everything one search reads apart from the
-machine, which the caller passes to each sample.
+test ``abs(error) <= steady_speed_tolerance_fraction * rated_speed``; the
+search is entered on the ``steady_steps``-th consecutive in-band step, and
+``Scenario.sample_steps`` gives the steps of its power samples. The runner
+builds a ``SearchState`` at each entry and drops it at the abandon, and logs
+its ``converged`` flag at each sample. ``SearchSettings`` is everything one
+search reads apart from the machine, which the caller passes to each sample:
+the band is a fraction of the machine's rated speed, so it follows a new one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class SearchSettings:
     rulebase: FuzzyRuleBase
     gains: ScalingGains
     search_period: float = field(metadata=POSITIVE)  # s between power samples
-    steady_speed_tolerance: float = field(metadata=POSITIVE)  # rad/s steady-state band
+    steady_speed_tolerance_fraction: float = field(metadata=FRACTION)  # of rated_speed: the band
     steady_steps: int = field(metadata=COUNT)  # consecutive in-band steps before search
     convergence_step_fraction: float = field(metadata=FRACTION)  # of I_b; smaller steps count
     convergence_samples: int = field(metadata=COUNT)  # small steps in a row to converge

@@ -11,9 +11,11 @@ import pytest
 import yaml
 
 from fluxseek.errors import ConfigError
+from fluxseek.fuzzy import MembershipFunction, ScalingGains
 from fluxseek.harness import config as config_module
 from fluxseek.harness.config import (
     ENV_CONFIG_VAR, DriveConfig, default_config_text, load_config, parse_config)
+from fluxseek.harness.scenario import Scenario
 from fluxseek.machine import MachineParams
 from fluxseek.optimizer import SearchSettings
 
@@ -32,9 +34,7 @@ def test_packaged_default_loads(config):
     centers = [-1.0, -2.0 * third, -third, 0.0, third, 2.0 * third, 1.0]
     assert [s.center for s in config.search.rulebase.power_change_sets] == centers
     assert [c for _, c in config.search.rulebase.output_centers] == centers
-    assert config.search.steady_speed_tolerance == pytest.approx(
-        0.005 * config.machine.rated_speed
-    )
+    assert config.search.steady_speed_tolerance_fraction == 0.005
     assert {s.name for s in config.scenarios} >= {
         "quarter-load-search",
         "rated-flux-baseline",
@@ -354,10 +354,14 @@ def test_search_load_outside_scaling_rejected(default_text):
     assert parse_config(default_text.replace(searching, heavy + "\n    flc_enabled: false"))
 
 
+def _path(key: str) -> list:
+    """The parts of dotted key path ``key``, list indices (``[0]`` or ``.0``) as numbers."""
+    return [int(p) if p.isdigit() else p for p in re.split(r"[.\[\]]+", key) if p]
+
+
 def _set(path: str, value):
-    """A change to a loaded document: the node at dotted ``path`` (list
-    indices as numbers) becomes ``value``."""
-    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    """A change to a loaded document: the node at dotted ``path`` becomes ``value``."""
+    *parents, last = _path(path)
 
     def change(document):
         for part in parents:
@@ -378,7 +382,7 @@ def _set(path: str, value):
          "scenarios[0].load_torque[0]", "expected a finite number"),
         (_set("scenarios.0.load_torque", []), "scenarios[0].load_torque",
          "load_torque profile must have at least one breakpoint"),
-        (_set("scenarios.0.name", ""), "scenarios[0]", "scenario name must be non-empty"),
+        (_set("scenarios.0.name", ""), "scenarios[0].name", "name must be non-empty, got ''"),
         (_set("fuzzy.envelope.speed", [0.0]), "fuzzy.envelope.speed",
          "expected [low, high] numbers"),
         (_set("fuzzy.envelope.speed", [160.0, 0.0]), "fuzzy.envelope.speed",
@@ -465,21 +469,21 @@ def test_commented_default_is_fully_documented(default_text):
     assert default_text.count("#") > 20
 
 
-# Each bound is written once, as metadata on the dataclass field it constrains,
-# and checked when the object is built: on load, by dataclasses.replace and by
-# a plain constructor call alike.
+# Each kind and bound is written once, as the annotation and metadata of the
+# dataclass field it constrains, and checked when the object is built: on load,
+# by dataclasses.replace and by a plain constructor call alike.
+CHECKED = (MachineParams, SearchSettings, DriveConfig, Scenario, ScalingGains, MembershipFunction)
 BOUNDED = [
     (cls, f.name)
-    for cls in (MachineParams, SearchSettings, DriveConfig)
+    for cls in CHECKED
     for f in dataclasses.fields(cls)
     if "bound" in f.metadata
 ]
-SECTIONS = {MachineParams: "machine", SearchSettings: "optimizer", DriveConfig: "control"}
+SECTIONS = {MachineParams: "machine", SearchSettings: "optimizer", DriveConfig: "control",
+            Scenario: "scenarios[0]"}
 # the key a loaded config reads a bounded field from, where it is not
 # "<section of its class>.<field>"
 KEYS = {
-    # converted, as a fraction of rated_speed, before it reaches the field
-    "steady_speed_tolerance": "optimizer.steady_speed_tolerance_fraction",
     "flux_source": "compensator.flux_source",
     "compensation_mode": "compensator.mode",
     "telemetry_decimation": "telemetry.decimation",
@@ -488,8 +492,20 @@ BOUNDED_KEYS = {KEYS.get(name, f"{SECTIONS[cls]}.{name}"): (cls, name) for cls, 
 # values just outside each bound, by its condition
 OUTSIDE = {
     "> 0": (0,), ">= 0": (-0.001,), ">= 1": (0,), "in (0, 1)": (0, 1), "in (0, 1]": (0, 1.5),
-    "one of": ("bogus", "guessed", "sometimes"),
+    "one of": ("bogus", "guessed", "sometimes"), "non-empty": ("",),
+    "finite and >= 0": (-0.001,), "finite and > 0": (0,),
 }
+# and outside it in code only: the loader rejects them first, as not finite numbers
+OUTSIDE_IN_CODE = {"finite and >= 0": (math.inf,), "finite and > 0": (math.inf,)}
+
+
+def _instance(config, cls):
+    """The loaded ``config``'s (first) object of class ``cls``."""
+    return {
+        MachineParams: config.machine, SearchSettings: config.search, DriveConfig: config,
+        Scenario: config.scenarios[0], ScalingGains: config.search.gains,
+        MembershipFunction: config.search.rulebase.power_change_sets[0],
+    }[cls]
 
 
 def _condition(cls, name: str) -> str:
@@ -504,9 +520,17 @@ def _outside(condition: str) -> tuple:
     (MachineParams, {"min_excitation_current"}),  # bounded by rated_excitation_current
     (SearchSettings, {"rulebase", "gains"}),  # checked where they are built
     (DriveConfig, {"machine", "search", "scenarios"}),
-], ids=["MachineParams", "SearchSettings", "DriveConfig"])
+    # profiles are checked as profiles; the switches are any bool
+    (Scenario, {"speed_reference", "load_torque", "flc_enabled", "compensator_enabled"}),
+    # checked over the scaling envelope, as the gains they give
+    (ScalingGains, {"a", "b", "c1", "c2", "c3"}),
+    # any label; the feet are bounded by each other
+    (MembershipFunction, {"label", "left", "center", "right"}),
+], ids=["MachineParams", "SearchSettings", "DriveConfig", "Scenario", "ScalingGains",
+        "MembershipFunction"])
 def test_every_number_and_choice_has_a_bound(cls, unbounded):
-    # 16 bounded fields of MachineParams, 6 of SearchSettings and 5 of DriveConfig
+    # 16 bounded fields of MachineParams, 6 of SearchSettings, 5 of DriveConfig
+    # and 3 of Scenario
     bounded = {name for owner, name in BOUNDED if owner is cls}
     assert {f.name for f in dataclasses.fields(cls) if f.init} - bounded == unbounded
 
@@ -519,11 +543,11 @@ def test_bound_rejected_in_code(config, cls, name):
     # resistance, rotor inductance or inertia of 0 used to fail with a bare
     # ZeroDivisionError, and a bad compensator choice only where a compensator
     # was built, which rated-flux-baseline never does
-    built = {MachineParams: config.machine, SearchSettings: config.search, DriveConfig: config}[cls]
+    built = _instance(config, cls)
     condition = _condition(cls, name)
     kind = next(f.type for f in dataclasses.fields(cls) if f.name == name)
     arguments = {f.name: getattr(built, f.name) for f in dataclasses.fields(cls) if f.init}
-    for value in (*_outside(condition), math.nan):
+    for value in (*_outside(condition), *OUTSIDE_IN_CODE.get(condition, ()), math.nan):
         # NaN is a float: an int or str field rejects it by its kind, before its bound
         expected = kind if value is math.nan and kind != "float" else condition
         message = f"^{re.escape(f'{name} must be {expected}, got {value!r}')}$"
@@ -542,13 +566,21 @@ def test_bound_rejected_in_code(config, cls, name):
     (SearchSettings, "steady_steps", 2.0, "int"),
     (DriveConfig, "speed_kp", "0.1", "float"),
     (DriveConfig, "flux_source", None, "str"),
+    (Scenario, "flc_enabled", "no", "bool"),
+    (Scenario, "compensator_enabled", 1, "bool"),
+    (Scenario, "name", 5, "str"),
+    (Scenario, "duration", True, "float"),
+    (ScalingGains, "a", "1", "float"),
+    (MembershipFunction, "label", 5, "str"),
+    (MembershipFunction, "left", None, "float"),
 ])
 def test_kind_rejected_in_code(config, cls, name, value, kind):
-    # a field annotated float, int or str takes only a value of that kind (a
-    # bool is no number), by its constructor or by dataclasses.replace, and
-    # fails with the field's name: not with a bare TypeError in a bound's
-    # comparison, nor as a count of 1.5 or True pole pairs
-    built = {MachineParams: config.machine, SearchSettings: config.search, DriveConfig: config}[cls]
+    # a field annotated float, int, str or bool takes only a value of that kind
+    # (a bool is no number, and a number no bool), by its constructor or by
+    # dataclasses.replace, and fails with the field's name: not with a bare
+    # TypeError in a bound's comparison, nor as a count of 1.5 or True pole
+    # pairs; a scenario's "no" switch used to run the search
+    built = _instance(config, cls)
     arguments = {f.name: getattr(built, f.name) for f in dataclasses.fields(cls) if f.init}
     message = f"^{re.escape(f'{name} must be {kind}, got {value!r}')}$"
     with pytest.raises(ValueError, match=message):
@@ -560,16 +592,12 @@ def test_kind_rejected_in_code(config, cls, name, value, kind):
 @pytest.mark.parametrize("entry", BOUNDED_KEYS)
 def test_table_bounds_rejected_with_path(default_text, entry):
     # a loaded value outside its field's bound fails at its dotted key
-    section, key = entry.split(".")
     cls, name = BOUNDED_KEYS[entry]
-    if name == "steady_speed_tolerance":  # bounded as a fraction, with the message it had
-        condition, pattern = "in (0, 1)", re.escape(f"{entry}: must be in (0, 1)") + "$"
-    else:
-        condition = _condition(cls, name)
-        pattern = re.escape(f"{entry}: {name} must be {condition}, got ")
+    condition = _condition(cls, name)
+    pattern = re.escape(f"{entry}: {name} must be {condition}, got ")
     for value in _outside(condition):
         document = yaml.safe_load(default_text)
-        document[section][key] = value
+        _set(entry, value)(document)
         with pytest.raises(ConfigError, match=f"^{pattern}") as info:
             parse_config(yaml.safe_dump(document))
         assert info.value.key == entry
@@ -585,6 +613,10 @@ FIELD_KEYS = {
         "rated_excitation_current", "min_excitation_current", "max_torque_current",
         "rated_speed", "rated_torque")},
     "machine.pole_pairs": "integer",
+    **{f"optimizer.{name}": "number" for name in (
+        "search_period", "steady_speed_tolerance_fraction", "convergence_step_fraction",
+        "initial_step_fraction")},
+    **{f"optimizer.{name}": "integer" for name in ("steady_steps", "convergence_samples")},
     **{f"fuzzy.scaling.{name}": "number" for name in ("a", "b", "c1", "c2", "c3")},
     "fuzzy.power_change[0].label": "string",
     **{f"fuzzy.power_change[0].{name}": "number" for name in ("left", "center", "right")},
@@ -608,9 +640,9 @@ WRONG_KIND = {
 
 @pytest.mark.parametrize("key", FIELD_KEYS)
 def test_field_keys_are_read_by_their_kind(default_text, key):
-    # 33 keys: dropped, each is required but the scenario switches, which
+    # 39 keys: dropped, each is required but the scenario switches, which
     # default to on; of the wrong kind, each fails with its kind's message
-    *parents, last = [int(p) if p.isdigit() else p for p in re.split(r"[.\[\]]+", key) if p]
+    *parents, last = _path(key)
 
     def node(document):
         for part in parents:

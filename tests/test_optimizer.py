@@ -40,7 +40,7 @@ def _per_step(scenario, config):
     speed error it started from was in the band, and whether a speed or load
     command changed on it."""
     rows = rows_of(simulate(scenario, config, decimation=1).records)
-    tolerance = config.search.steady_speed_tolerance
+    tolerance = config.search.steady_speed_tolerance_fraction * config.machine.rated_speed
     commands = [(r.omega_ref, r.load_torque) for r in rows]
     # a row's speed is the one after its step; the first step starts at rest
     omega = (0.0, *(r.omega_r for r in rows))
@@ -62,11 +62,12 @@ def _entry_by_counting(in_band: list[bool], steady_steps: int) -> int | None:
 
 @pytest.fixture(scope="module")
 def tight_band(config):
-    """A 0.05 rad/s band and no compensator: the settling speed passes through
-    the band for one step before it stays, and each search step's torque dip
-    takes the speed out of the band."""
-    cfg = dataclasses.replace(
-        config, search=dataclasses.replace(config.search, steady_speed_tolerance=0.05))
+    """A 0.05 rad/s band (0.05 / 150 * 150 = 0.05000000000000001) and no
+    compensator: the settling speed passes through the band for one step before
+    it stays, and each search step's torque dip takes the speed out of the band."""
+    fraction = 0.05 / config.machine.rated_speed
+    cfg = dataclasses.replace(config, search=dataclasses.replace(
+        config.search, steady_speed_tolerance_fraction=fraction))
     scenario = constant_scenario("tight", 3.0, 1e-3, 150.0, 6.0, compensator_enabled=False)
     return cfg, _per_step(scenario, cfg)
 
@@ -102,6 +103,22 @@ def test_exactly_n_steady_steps_enter_search(config, settings):
         eligible = [ok and not change for ok, change in zip(in_band, changed)]
         assert entry == _entry_by_counting(eligible, steady_steps)
         assert modes[entry:] == ["search"] * (len(modes) - entry)
+
+
+def test_band_follows_a_replaced_rated_speed(config, settings):
+    # the band is a fraction of the machine's rated speed: a machine replaced
+    # with rated_speed 100 searches in a 0.5 rad/s band, where the band kept
+    # in rad/s stayed 0.75
+    scenario = constant_scenario("calm", 1.0, 1e-3, 150.0, 6.0)
+    entries = []
+    for rated_speed in (150.0, 100.0):
+        cfg = dataclasses.replace(
+            config, machine=dataclasses.replace(config.machine, rated_speed=rated_speed))
+        _, modes, in_band, changed = _per_step(scenario, cfg)
+        eligible = [ok and not change for ok, change in zip(in_band, changed)]
+        entries.append(modes.index("search"))
+        assert entries[-1] == _entry_by_counting(eligible, settings.steady_steps)
+    assert entries[0] < entries[1]
 
 
 def test_counter_resets_when_error_leaves_band(tight_band, settings):

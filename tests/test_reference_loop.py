@@ -28,6 +28,7 @@ def reference_run(scenario: Scenario, config, decimation: int):
     and the sample count and time at first convergence."""
     p = config.machine
     settings_ = config.search
+    band = settings_.steady_speed_tolerance_fraction * p.rated_speed
     dt = scenario.dt
     rated = p.rated_excitation_current
     limit = p.max_torque_current
@@ -55,7 +56,7 @@ def reference_run(scenario: Scenario, config, decimation: int):
             integrator, error, config.speed_kp, config.speed_ki, limit, dt)
         sample = False
         if scenario.flc_enabled:
-            if changed or not abs(error) <= settings_.steady_speed_tolerance:
+            if changed or not abs(error) <= band:
                 mode, search, counter, timer = "transient", SearchState(), 0, 0.0
             elif mode == "transient":
                 counter += 1

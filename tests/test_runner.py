@@ -131,10 +131,7 @@ def test_zero_duration_scenario_yields_empty_stream(config):
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        constant_scenario("bad", -1.0, 1e-4, 150.0, 6.0)
-    with pytest.raises(ValueError):
-        constant_scenario("bad", 1.0, 0.0, 150.0, 6.0)
+    # duration and dt are checked by the bounds on their fields (test_config)
     with pytest.raises(ValueError):
         Scenario("bad", 1.0, 1e-4, ((1.0, 150.0),), ((0.0, 6.0),))
     with pytest.raises(ValueError):
@@ -144,16 +141,30 @@ def test_scenario_validation():
         constant_scenario("bad", 1.0, 1e-4, math.inf, 6.0)
     with pytest.raises(ValueError, match="load_torque profile contains a non-finite"):
         constant_scenario("bad", 1.0, 1e-4, 150.0, math.nan)
-    # a non-finite step or duration is named as such, not as a step count
-    for duration in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="^duration must be finite and >= 0, got"):
-            Scenario("bad", duration, 1e-4, ((0.0, 150.0), (0.5, 100.0)), ((0.0, 6.0),))
-    for dt in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="^dt must be finite and > 0, got"):
-            Scenario("bad", 1.0, dt, ((0.0, 150.0), (0.5, 100.0)), ((0.0, 6.0),))
     # the step count must be at most MAX_STEPS
     with pytest.raises(ValueError, match="steps must be below"):
         Scenario("bad", 1e15, 1e-4, ((0.0, 150.0), (0.5, 100.0)), ((0.0, 6.0),))
+
+
+def test_profile_entries_must_be_numbers():
+    # a True speed used to run and write True in the omega_ref column, and a
+    # "150" to fail with a bare TypeError
+    for entry in (True, "150", None):
+        with pytest.raises(ValueError, match="^speed_reference profile entries must be numbers$"):
+            constant_scenario("bad", 1.0, 1e-3, entry, 6.0)
+    with pytest.raises(ValueError, match="^load_torque profile entries must be numbers$"):
+        Scenario("bad", 1.0, 1e-3, ((0.0, 150.0),), ((0.0, 6.0), (False, 9.0)))
+
+
+def test_integer_profile_entries_run_as_floats(config):
+    # as a loaded scenario's do: an entry of 150 used to write 150, not 150.0
+    integral = Scenario("ints", 0.1, 1e-3, ((0, 150), (0.05, 100)), ((0, 6),))
+    assert integral.speed_reference == ((0.0, 150.0), (0.05, 100.0))
+    assert all(type(x) is float for pair in integral.speed_reference + integral.load_torque
+               for x in pair)
+    floats = Scenario("ints", 0.1, 1e-3, ((0.0, 150.0), (0.05, 100.0)), ((0.0, 6.0),))
+    assert csv_bytes(simulate(integral, config).records) == csv_bytes(
+        simulate(floats, config).records)
 
 
 def test_step_count_cap_is_inclusive():
@@ -541,13 +552,13 @@ def test_generating_boost_past_the_torque_current_limit_is_clamped_to_it(config)
 
 # Settings built in code that used to run to an end: a 0 search_period sampled
 # on every step and reported "converged", as did 0 convergence_samples after
-# 5 samples; a -1 steady_speed_tolerance, 0 pole_pairs, -1 max_torque_current
+# 5 samples; a -1 steady-speed band, 0 pole_pairs, -1 max_torque_current
 # or -1 speed_kp ran no sample; an initial_step_fraction of 2 or a NaN
 # rated_speed ran 5; 0 steady_steps failed in itertools with no field named.
 @pytest.mark.parametrize("part, field, value", [
     ("search", "search_period", 0.0),
     ("search", "convergence_samples", 0),
-    ("search", "steady_speed_tolerance", -1.0),
+    ("search", "steady_speed_tolerance_fraction", -1.0),
     ("machine", "pole_pairs", 0),
     ("machine", "max_torque_current", -1.0),
     ("", "speed_kp", -1.0),
@@ -567,8 +578,14 @@ def test_out_of_bound_settings_fail_before_the_run(config, monkeypatch, part, fi
 
 
 def test_decimation_below_one_rejected(config):
-    with pytest.raises(ValueError, match="^decimation must be >= 1$"):
+    with pytest.raises(ValueError, match=r"^telemetry_decimation must be >= 1, got 0$"):
         simulate(config.scenario("short-demo"), config, decimation=0)
+
+
+def test_decimation_of_a_bool_rejected(config):
+    # a decimation of True used to run as 1
+    with pytest.raises(ValueError, match=r"^telemetry_decimation must be int, got True$"):
+        simulate(config.scenario("short-demo"), config, decimation=True)
 
 
 def test_hold_engages_at_steady_state(config, monkeypatch):
